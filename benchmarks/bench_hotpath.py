@@ -86,115 +86,6 @@ def steady_state_seconds(engine, calls: int = CALLS) -> float:
     return time.perf_counter() - start
 
 
-# -- polymorphic (2-entry) workload ------------------------------------------
-
-
-def _build_poly_world(engine):
-    """A typed method on a base class, hot under two subclasses — the
-    shape PR 4's monomorphic guard handed to whichever class got hot
-    first, and PR 5's 2-entry dispatch serves for both."""
-    hb = engine.api()
-
-    class PolyHotBase:
-        @hb.typed("(Integer) -> Integer")
-        def bump(self, n):
-            return n + 1
-
-    class PolyHotA(PolyHotBase):
-        pass
-
-    class PolyHotB(PolyHotBase):
-        pass
-
-    engine.register_class(PolyHotA)
-    engine.register_class(PolyHotB)
-    return PolyHotA(), PolyHotB()
-
-
-def poly_steady_state_seconds(engine, calls: int = CALLS) -> float:
-    """Time ``calls`` warm calls alternating between two hot receiver
-    classes of the same defining method."""
-    a, b = _build_poly_world(engine)
-    for i in range(120):  # both receivers past the promotion threshold
-        a.bump(i)
-        b.bump(i)
-    pairs = calls // 2
-    start = time.perf_counter()
-    for i in range(pairs):
-        a.bump(i)
-        b.bump(i)
-    return time.perf_counter() - start
-
-
-def measure_poly(calls: int = CALLS) -> dict:
-    """Two hot receiver classes: the tiered engine compiles a 2-entry
-    dispatch; the plans-only engine is the generic tier-1 comparison."""
-    fast = fast_engine()
-    fast_s = poly_steady_state_seconds(fast, calls)
-    tier1_s = poly_steady_state_seconds(tier1_engine(), calls)
-    stats = fast.stats
-    return {
-        "calls": 2 * (calls // 2),
-        "fast_s": round(fast_s, 4),
-        "tier1_s": round(tier1_s, 4),
-        "fast_calls_per_sec": round(2 * (calls // 2) / fast_s),
-        "speedup_vs_tier1": round(tier1_s / fast_s, 2),
-        "promotions": stats.promotions,
-        "poly_promotions": stats.poly_promotions,
-        "specialized_hits": stats.specialized_hits,
-        "specialized_hit_ratio": round(
-            stats.specialized_hits / stats.fast_path_hits, 4),
-        "poly_spec_hits": stats.poly_spec_hits,
-    }
-
-
-# -- kwargs workload ---------------------------------------------------------
-
-
-def _build_kwargs_world(engine):
-    hb = engine.api()
-
-    class KwHot:
-        @hb.typed("(Integer, Integer) -> Integer")
-        def combine(self, x, y):
-            return x + y
-
-    return KwHot()
-
-
-def kwargs_steady_state_seconds(engine, calls: int = CALLS) -> float:
-    """Time ``calls`` warm keyword-bearing calls on one typed method."""
-    obj = _build_kwargs_world(engine)
-    for i in range(120):  # learn the layout, cross the threshold
-        obj.combine(i, y=2)
-    start = time.perf_counter()
-    for i in range(calls):
-        obj.combine(i, y=2)
-    return time.perf_counter() - start
-
-
-def measure_kwargs(calls: int = CALLS) -> dict:
-    """A stable-kwargs call site: the tiered engine compiles the
-    positional reorder in; the plans-only engine rides the engine-side
-    layout fast path."""
-    fast = fast_engine()
-    fast_s = kwargs_steady_state_seconds(fast, calls)
-    tier1_s = kwargs_steady_state_seconds(tier1_engine(), calls)
-    stats = fast.stats
-    return {
-        "calls": calls,
-        "fast_s": round(fast_s, 4),
-        "tier1_s": round(tier1_s, 4),
-        "fast_calls_per_sec": round(calls / fast_s),
-        "speedup_vs_tier1": round(tier1_s / fast_s, 2),
-        "promotions": stats.promotions,
-        "kw_promotions": stats.kw_promotions,
-        "kw_spec_hits": stats.kw_spec_hits,
-        "kw_spec_hit_ratio": round(
-            stats.kw_spec_hits / stats.calls_intercepted, 4),
-    }
-
-
 def measure_tier3(calls: int = CALLS) -> dict:
     """The same hot leaf, default engine versus an ``elide=False`` twin.
 
@@ -302,8 +193,6 @@ def measure(calls: int = CALLS) -> dict:
                 fast_stats.specialized_hits / fast_stats.fast_path_hits, 4),
         },
         "tier3": measure_tier3(calls),
-        "poly": measure_poly(calls),
-        "kwargs": measure_kwargs(calls),
         "reload": measure_reload(),
         "serving_elision": measure_serving_elision(),
     }
@@ -426,32 +315,6 @@ def test_tier3_elision_beats_tier2():
     assert tier3["elide_promotions"] >= 1, tier3
     assert tier3["checks_elided"] > 0, tier3
     assert tier3["speedup_vs_tier2"] > floor, tier3
-
-
-def test_poly_site_promotes_and_beats_tier1():
-    """PR 5 acceptance: two hot receiver classes build a 2-entry
-    dispatch (not one monomorphic winner plus a permanent generic
-    loser), the alternating-receiver loop rides it, and it is >= 1.5x
-    the generic tier-1 path (CI alarms at 1.2x via HOTPATH_MIN_TIER2).
-    """
-    floor = float(os.environ.get("HOTPATH_MIN_TIER2", "1.5"))
-    poly = _measured()["poly"]
-    assert poly["poly_promotions"] >= 1, poly
-    assert poly["specialized_hit_ratio"] > 0.99, poly
-    assert poly["poly_spec_hits"] > 0, poly
-    assert poly["speedup_vs_tier1"] >= floor, poly
-
-
-def test_kwargs_site_promotes_and_beats_tier1():
-    """PR 5 acceptance: a stable-kwargs site compiles its layout in,
-    the keyword loop rides the straight-line reorder, and it is >= 1.5x
-    the generic tier-1 path (CI alarms at 1.2x via HOTPATH_MIN_TIER2).
-    """
-    floor = float(os.environ.get("HOTPATH_MIN_TIER2", "1.5"))
-    kwargs = _measured()["kwargs"]
-    assert kwargs["kw_promotions"] >= 1, kwargs
-    assert kwargs["kw_spec_hit_ratio"] > 0.99, kwargs
-    assert kwargs["speedup_vs_tier1"] >= floor, kwargs
 
 
 def test_app_workload_elision_rates():

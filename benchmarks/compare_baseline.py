@@ -103,30 +103,6 @@ SUITES = {
          _absolute_floor(1.0),
          "promotion must have carried an elision verdict for the hot "
          "leaf"),
-        ("poly.speedup_vs_tier1", _get("poly.speedup_vs_tier1"),
-         _floor_and_fraction(1.2, 0.6),
-         "the 2-entry polymorphic dispatch must beat the generic tier-1 "
-         "path (alarm floor 1.2x on shared runners; local acceptance "
-         "is 1.5x)"),
-        ("poly.poly_promotions", _get("poly.poly_promotions"),
-         _absolute_floor(1.0),
-         "the second hot receiver class must actually join the site"),
-        ("poly.specialized_hit_ratio", _get("poly.specialized_hit_ratio"),
-         _absolute_floor(0.98),
-         "the alternating-receiver loop must ride the 2-entry dispatch "
-         "(0.98 tolerates the smoke run's warmup fraction)"),
-        ("kwargs.speedup_vs_tier1", _get("kwargs.speedup_vs_tier1"),
-         _floor_and_fraction(1.2, 0.6),
-         "the compiled kwargs layout must beat the generic tier-1 path "
-         "(alarm floor 1.2x on shared runners; local acceptance is "
-         "1.5x)"),
-        ("kwargs.kw_promotions", _get("kwargs.kw_promotions"),
-         _absolute_floor(1.0),
-         "the kwargs layout must actually have been compiled in"),
-        ("kwargs.kw_spec_hit_ratio", _get("kwargs.kw_spec_hit_ratio"),
-         _absolute_floor(0.98),
-         "keyword calls must ride the compiled reorder (0.98 tolerates "
-         "the smoke run's warmup fraction)"),
         ("reload.warm_hit_rate", _get("reload.warm_hit_rate"),
          _absolute_floor(0.9),
          "dev-mode reload keeps >=90% of calls on warm plans"),

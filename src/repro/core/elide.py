@@ -24,10 +24,7 @@ verdict with four independent switches:
 ``arg_check``
     When some signature arm accepts the site's arity with *vacuous*
     parameter types (``%any``/type variables), the dynamic argument
-    check passes for every value — only the arity needs guarding.  At a
-    compiled kwargs-layout site even the arity test is dead on the
-    keyword path: the layout *constructs* the full positional view, so
-    its length is a compile-time constant.
+    check passes for every value — only the arity needs guarding.
 
 ``frame``
     The checked-frame push/pop exists so intercepted *callees* can see
@@ -48,12 +45,10 @@ learned class chains, each independently re-proving every seeded
 verdict, compiled as an **unconditional** OR-of-chains guard — no
 copy-on-write fallback set, a miss on every chain bails to the generic
 path — so the seeded facts hold on every call that runs the elided
-body.  A chain slot may be ``None`` (no pin for that position): the
-layout pseudo-profile pins only the slots a stable kwargs layout binds
-to declared defaults, and then ``chain_conforms`` is False — the chain
-seeds the dataflow but does not certify argument *conformance*, so the
-wrapper keeps its profile membership test.  A verdict that already
-holds seed-free needs no pin and keeps serving every learned profile.
+body.  Every chain is a learned profile, so a matched chain also
+certifies argument conformance and the wrapper drops its profile
+membership test.  A verdict that already holds seed-free needs no pin
+and keeps serving every learned profile.
 
 Soundness: every fact a verdict read (signature slots with negative
 probes, linearizations — including the ``("lin", cls)`` leaf-exactness
@@ -116,27 +111,22 @@ class Elision:
     """What one compiled entry may omit, and the facts that justify it."""
 
     __slots__ = ("cache_guard", "frame", "arg_check", "ret_check",
-                 "guard_profiles", "chain_conforms", "arity", "count",
+                 "guard_profiles", "arity", "count",
                  "resources", "callees")
 
     def __init__(self, *, cache_guard: bool, frame: bool, arg_check: bool,
                  ret_check: bool,
                  guard_profiles: Optional[Tuple[tuple, ...]],
-                 chain_conforms: bool, arity: Optional[int],
+                 arity: Optional[int],
                  resources: Tuple[Resource, ...],
                  callees: Tuple[Tuple[str, str, str], ...]) -> None:
         self.cache_guard = cache_guard
         self.frame = frame
         self.arg_check = arg_check
         self.ret_check = ret_check
-        #: class chains to pin unconditionally (OR of chains; a ``None``
-        #: slot inside a chain means "no pin for this position"), or
-        #: ``None`` when every verdict holds seed-free.
+        #: learned class chains to pin unconditionally (OR of chains),
+        #: or ``None`` when every verdict holds seed-free.
         self.guard_profiles = guard_profiles
-        #: whether a matched chain also certifies argument conformance
-        #: (learned profiles do; the layout pseudo-profile pins classes
-        #: for the dataflow only, so the profile test stays).
-        self.chain_conforms = chain_conforms
         #: arity to guard when ``arg_check`` is elided without a pinned
         #: profile chain (the chain already fixes the length).
         self.arity = arity
@@ -146,12 +136,6 @@ class Elision:
                       + int(ret_check))
         self.resources = resources
         self.callees = callees
-
-    @property
-    def guard_profile(self) -> Optional[tuple]:
-        """The hottest pinned chain (compat accessor for single-chain
-        consumers; ``None`` when nothing is pinned)."""
-        return self.guard_profiles[0] if self.guard_profiles else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Elision(cache_guard={self.cache_guard}, "
@@ -215,31 +199,6 @@ def _contract_blocks(engine: "Engine", name: str) -> bool:
     if not store:
         return False
     return any(n == name for (_cls, n) in store)
-
-
-def _layout_pseudo_profile(
-        layout: Tuple[int, tuple]) -> Optional[Tuple[Optional[type], ...]]:
-    """The partial class chain a stable kwargs layout pins, or ``None``
-    when it binds no defaulted slot.
-
-    ``BoundDefault`` slots are filled with a def-time constant by the
-    compiled reorder, so their classes are known without any learned
-    profile; every other slot stays unpinned (``None``).  The chain is
-    sound on the positional path too — there the emitted type tests
-    actually guard — so it needs no kw-path condition.
-    """
-    npos, names = layout
-    chain: List[Optional[type]] = [None] * npos
-    pinned = False
-    for n in names:
-        if n.__class__ is str:
-            chain.append(None)
-        else:  # BoundDefault
-            chain.append(type(n.value))
-            pinned = True
-    if not pinned:
-        return None
-    return tuple(chain)
 
 
 class Elider:
@@ -349,7 +308,6 @@ class Elider:
         frame_ok = False
         ret_ok = False
         guard_profiles: Optional[Tuple[tuple, ...]] = None
-        chain_conforms = True
         resources: List[Resource] = []
         callees: Tuple[Tuple[str, str, str], ...] = ()
         blockers: List[Tuple[str, str]] = []
@@ -415,39 +373,6 @@ class Elider:
                 else:
                     for _, rep in seeded:
                         blockers.extend(rep.blockers)
-            still_want = (not frame_ok) or (ret_relevant and not ret_ok)
-            if still_want and guard_profiles is None:
-                # Layout pseudo-profile: a stable kwargs layout that
-                # binds defaulted slots pins their classes *by
-                # construction* — no learned profile needed.  The chain
-                # carries the pins (None for unpinned slots) but does
-                # not certify conformance of the unpinned ones, so the
-                # wrapper keeps its profile test (``chain_conforms``).
-                layout = plan.stable_kw_layout() \
-                    if plan.profile_eligible else None
-                chain = _layout_pseudo_profile(layout) \
-                    if layout is not None else None
-                if chain is not None:
-                    rep = analyze_method(
-                        engine, mir, recv_owner,
-                        tuple(rdl_class_name(c) if c is not None else None
-                              for c in chain))
-                    s_frame = rep.frame_elidable
-                    s_ret = ret_relevant and ret_provable(rep)
-                    if (s_frame and not frame_ok) or (s_ret and not ret_ok):
-                        guard_profiles = (chain,)
-                        chain_conforms = False
-                        audit.pinned = 1
-                        resources.extend(rep.resources)
-                        callees = callees + rep.callees
-                        if s_ret and not ret_ok:
-                            resources.extend(
-                                lin_resource(cls)
-                                for cls in rep.ret_classes)
-                        frame_ok = frame_ok or s_frame
-                        ret_ok = ret_ok or s_ret
-                    else:
-                        blockers.extend(rep.blockers)
 
         # -- audit assembly --------------------------------------------
         reasons = tuple(dict.fromkeys(code for code, _ in blockers))
@@ -483,7 +408,6 @@ class Elider:
             arg_check=arg_ok,
             ret_check=ret_ok,
             guard_profiles=guard_profiles,
-            chain_conforms=chain_conforms,
             arity=arity if arg_ok else None,
             resources=tuple(dict.fromkeys(resources)),
             callees=tuple(dict.fromkeys(callees)),

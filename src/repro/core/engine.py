@@ -536,26 +536,10 @@ class Engine:
                     # re-promotion threshold stamped at plan build), try
                     # to compile this plan into a per-site wrapper.  The
                     # racy increment only ever delays the threshold.
-                    # A kwargs-bearing call defers promotion until the
-                    # plan has memoized at least one kwargs shape —
-                    # otherwise a short (re-promotion) threshold could
-                    # compile the site before its layout is learnable.
                     plan.hits = hits = plan.hits + 1
-                    if hits >= plan.promote_at and (
-                            not kwargs or plan.kw_layouts):
+                    if hits >= plan.promote_at:
                         spec.maybe_promote((def_owner, owner, name, kind),
                                            plan, fn, recv)
-                elif (spec is not None and kwargs
-                      and spec.needs_kw_recompile(
-                          (def_owner, owner, name, kind), plan)):
-                    # A positional-only promotion would otherwise serve
-                    # kwargs calls through this tier-1 fallback forever;
-                    # once the site's kwargs traffic has resolved to a
-                    # single stable layout, recompile the wrapper in
-                    # place with the layout (and a fresh tier-3 verdict)
-                    # compiled in.
-                    spec.maybe_promote((def_owner, owner, name, kind),
-                                       plan, fn, recv)
                 checked = plan.checked
                 sig = plan.sig
                 stack = tls.stack
@@ -569,52 +553,21 @@ class Engine:
                     else:
                         do_check = mode == ARG_CHECK_ALWAYS
                     if do_check:
-                        if plan.profile_eligible:
-                            if kwargs:
-                                # kwargs fast path: a memoized layout
-                                # reorders this call shape into the full
-                                # positional view, so the profile set
-                                # covers keyword calls too.
-                                # BoundDefault entries carry a skipped
-                                # parameter's default value directly.
-                                layout = plan.kw_layouts.get(
-                                    (len(args), tuple(kwargs)))
-                                vals = (args + tuple(
-                                    kwargs[n] if n.__class__ is str
-                                    else n.value for n in layout)
-                                        if layout is not None else None)
-                            else:
-                                vals = args
-                            if vals is None:
+                        # Keyword calls skip the profile set: the full
+                        # check binds them onto the declared parameters.
+                        if plan.profile_eligible and not kwargs:
+                            profile = tuple(map(type, args))
+                            if profile not in plan.profiles:
                                 self._dynamic_arg_check(
                                     sig, fn, recv, args, kwargs, owner,
                                     name, kind)
-                                # The full check passed: memoize how this
-                                # kwargs shape maps onto the parameters,
-                                # and learn the passing profile from the
-                                # reordered view so the next call of this
-                                # shape is a profile hit, not a re-walk.
-                                layout = plan.learn_kw_layout(fn, args,
-                                                              kwargs)
-                                if layout is not None:
-                                    plan.learn_profile(tuple(map(
-                                        type, args + tuple(
-                                            kwargs[n] if n.__class__ is str
-                                            else n.value
-                                            for n in layout))))
-                            else:
-                                profile = tuple(map(type, vals))
-                                if profile not in plan.profiles:
-                                    self._dynamic_arg_check(
-                                        sig, fn, recv, args, kwargs, owner,
-                                        name, kind)
-                                    plan.learn_profile(profile)
-                                elif spec is not None and not plan.promoted:
-                                    # Feed the dominant-profile pick; only
-                                    # while a promotion can still consume
-                                    # it, so pinned-tier-1 engines (and
-                                    # promoted sites) pay nothing.
-                                    plan.note_profile_hit(profile)
+                                plan.learn_profile(profile)
+                            elif spec is not None and not plan.promoted:
+                                # Feed the dominant-profile pick; only
+                                # while a promotion can still consume
+                                # it, so pinned-tier-1 engines (and
+                                # promoted sites) pay nothing.
+                                plan.note_profile_hit(profile)
                         else:
                             self._dynamic_arg_check(sig, fn, recv, args,
                                                     kwargs, owner, name,

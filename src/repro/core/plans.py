@@ -49,13 +49,9 @@ call just re-runs the conformance walk and re-learns), but no thread
 can ever observe a set mid-mutation, which a shared ``set.add`` from
 many threads would permit.
 
-Keyword calls: a plan memoizes, per observed kwargs *shape*, how the
-names map onto the callee's positional parameters
-(:meth:`CallPlan.learn_kw_layout`); bindable shapes rebuild the full
-positional view with plain dict gets — shapes that skip a defaulted
-parameter bind the declared default into the layout
-(:class:`BoundDefault`) — so the profile set covers keyword calls
-without re-entering ``Signature.bind``.
+Keyword calls are not profiled: they always take the full dynamic
+check, which binds them onto the declared parameters.  No benchmark
+workload makes a keyword call through an intercepted method.
 
 Tiering: a plan also carries the tier-2 promotion state — ``hits``, a
 heuristic warm-call counter (racy increments only delay promotion),
@@ -71,7 +67,6 @@ plans before the wave returns.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
@@ -101,18 +96,13 @@ RET_MODES = {"never": ARG_CHECK_NEVER, "boundary": ARG_CHECK_BOUNDARY,
 #: the dynamic check still runs, it just stops learning new profiles.
 MAX_PROFILES = 64
 
-#: Cap on memoized kwargs-shape layouts per plan (shapes are keyed by the
-#: call's literal ``(len(args), tuple(kwargs))``, so permutations of the
-#: same semantic layout occupy separate lines).
-MAX_KW_SHAPES = 16
-
 
 class CallPlan:
     """The fully-resolved outcome of one warm intercepted call."""
 
     __slots__ = ("sig_owner", "sig", "checked", "arg_mode",
                  "profile_eligible", "profiles", "profile_hits",
-                 "kw_layouts", "ret_mode", "ret_profile_eligible",
+                 "ret_mode", "ret_profile_eligible",
                  "ret_profiles", "hits", "promote_at", "promoted")
 
     def __init__(self, sig_owner: Optional[str], sig, checked: bool,
@@ -138,12 +128,6 @@ class CallPlan:
         #: only bumped while the plan is unpromoted, so the steady state
         #: pays nothing.
         self.profile_hits: Dict[tuple, int] = {}
-        #: kwargs-shape layouts: the call's literal
-        #: ``(len(args), tuple(kwargs))`` -> the kwargs names reordered
-        #: into declared parameter order (``None`` when the shape cannot
-        #: be bound contiguously, so it is never re-derived).  Learned on
-        #: the full-check path; read lock-free (single dict get).
-        self.kw_layouts: Dict[Tuple[int, tuple], Optional[tuple]] = {}
         #: ARG_CHECK_NEVER unless this plan performs dynamic return checks
         #: (trusted signature + engine mode), so the fast path pays one
         #: attribute compare when the feature is off.
@@ -201,37 +185,6 @@ class CallPlan:
                            tuple(c.__qualname__ for c in p)))
         return tuple(ranked[:k])
 
-    def learn_kw_layout(self, fn, args: tuple, kwargs: dict
-                        ) -> Optional[tuple]:
-        """Memoize how this call shape's kwargs map onto ``fn``'s
-        positional parameters (after a *passing* full dynamic check, so
-        a memoized layout only ever replays views the checker already
-        accepted).  Unresolvable shapes memoize ``None`` — negative
-        caching, so the signature walk runs once per shape.  Returns
-        the shape's (possibly just-memoized) layout so the caller can
-        learn the reordered view's profile without a second lookup."""
-        layouts = self.kw_layouts
-        shape = (len(args), tuple(kwargs))
-        if shape in layouts:
-            return layouts[shape]
-        if len(layouts) >= MAX_KW_SHAPES:
-            return None
-        layout = kw_layout_for(fn, len(args), shape[1])
-        layouts[shape] = layout
-        return layout
-
-    def stable_kw_layout(self) -> Optional[Tuple[int, tuple]]:
-        """The single ``(positional count, declared-order kwargs names)``
-        layout this site's kwargs traffic resolves to, or ``None`` when
-        no shape resolved or several distinct layouts were observed
-        (a compiled reorder would thrash between them)."""
-        resolved = {(shape[0], names)
-                    for shape, names in dict(self.kw_layouts).items()
-                    if names is not None}
-        if len(resolved) != 1:
-            return None
-        return next(iter(resolved))
-
     def learn_ret_profile(self, rcls: type) -> None:
         """COW-publish a passing result class (capped)."""
         ret_profiles = self.ret_profiles
@@ -241,89 +194,6 @@ class CallPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CallPlan(owner={self.sig_owner!r}, checked={self.checked}, "
                 f"profiles={len(self.profiles)})")
-
-
-class BoundDefault:
-    """A defaulted parameter slot a kwargs layout fills at bind time.
-
-    A layout entry is normally a kwargs *name* (fetch ``kwargs[name]``);
-    a :class:`BoundDefault` entry stands for a parameter the call shape
-    skipped, carrying the declared default value so the positional view
-    can be rebuilt without re-entering ``Signature.bind``.  Defaults are
-    evaluated once at ``def`` time, so the carried value — and hence its
-    class, which is all profiles and class-determined checks consult —
-    is the same for every call of the shape.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value) -> None:
-        self.name = name
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BoundDefault) and other.name == self.name
-                and other.value is self.value)
-
-    def __hash__(self) -> int:
-        return hash((self.name, id(self.value)))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundDefault({self.name}={self.value!r})"
-
-
-def kw_layout_for(fn, npos: int, names: tuple) -> Optional[tuple]:
-    """Bind a call shape (``npos`` positional args + ``names`` keyword
-    args) against ``fn``'s parameter list.
-
-    Returns the kwargs names reordered into declared parameter order.
-    When the names fill the parameter slots ``npos .. npos+len(names)-1``
-    *contiguously*, the layout is plain names: then
-    ``fn(recv, *args, **kwargs)`` is exactly
-    ``fn(recv, *args, kwargs[n1], ..., kwargs[nk])`` and the positional
-    view the dynamic checker derives via ``Signature.bind`` is exactly
-    ``args + that reorder``.  Shapes that *skip* a defaulted parameter
-    (``f(x, y=2, z=3)`` called as ``f(1, z=5)``) fill the gap with a
-    :class:`BoundDefault` carrying the declared default — the value the
-    host call binds anyway.  Shapes that name an already-filled
-    positional slot, skip a parameter with no default, name a
-    positional-only/keyword-only parameter, or meet ``*args`` /
-    ``**kwargs`` in the signature return ``None`` — those calls keep the
-    generic path.
-    """
-    try:
-        params = list(inspect.signature(fn).parameters.values())[1:]
-    except (TypeError, ValueError):
-        return None
-    if npos > len(params):
-        return None
-    plain = (inspect.Parameter.POSITIONAL_ONLY,
-             inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    if any(p.kind not in plain for p in params):
-        return None
-    index = {p.name: i for i, p in enumerate(params)
-             if p.kind == inspect.Parameter.POSITIONAL_OR_KEYWORD}
-    try:
-        placed = sorted((index[n], n) for n in names)
-    except KeyError:
-        return None
-    positions = [i for i, _ in placed]
-    if positions == list(range(npos, npos + len(names))):
-        return tuple(n for _, n in placed)
-    if not placed or positions[0] < npos:
-        return None  # a kwarg names a slot args already filled: TypeError
-    by_pos = dict(placed)
-    layout = []
-    for j in range(npos, positions[-1] + 1):
-        name = by_pos.get(j)
-        if name is not None:
-            layout.append(name)
-            continue
-        param = params[j]
-        if param.default is inspect.Parameter.empty:
-            return None  # required slot skipped: the call itself raises
-        layout.append(BoundDefault(param.name, param.default))
-    return tuple(layout)
 
 
 class CallPlanCache:

@@ -25,33 +25,13 @@ call), and the engine's per-thread state.  ``rdl.wrap``'s generic
 wrapper is then atomically displaced: one ``setattr`` rebinds the class
 attribute, so promotion needs no cooperation from in-flight calls.
 
-**Polymorphic dispatch.**  A promoted slot is no longer owned by the
-first hot receiver class: when a *second* receiver class crosses the
-threshold on an already-promoted slot (a mixin method hot under two
-includers, an inherited method hot under two subclasses), the site is
-recompiled into a 2-entry dispatch — two receiver-class guards, each
-backed by its own live plan, its own check-cache membership guard, and
-its own dominant-profile chain.  Both lazy basic block versioning and
-the transient-typecheck work show the near-free-guard result extends to
-a small number of observed shapes; ``MAX_POLY_ENTRIES`` caps the chain
-at two, and further receiver classes keep the generic tier.
-
-**Kwargs layouts.**  Sites whose keyword traffic resolves to a single
-``(positional count, kwargs names)`` layout (see
-:meth:`CallPlan.stable_kw_layout`) compile the positional reorder in:
-the wrapper checks the literal shape, builds the full positional view
-as a tuple expression (``(args[0], kwargs["b"])``), and runs the same
-profile machinery over it — keyword calls become straight-line code
-instead of the unconditional bail to the generic tier.  Shapes that
-cannot be bound contiguously against the callee's parameter list keep
-bailing.
-
-A promoted positional-only entry is not stuck with the unconditional
-kwargs bail forever: when its plan later stabilizes a keyword layout,
-the engine's warm path notices (:meth:`Specializer.needs_kw_recompile`)
-and the site recompiles **in place** — the same single-``setattr``
-recompile the polymorphic extension uses — swapping the entry for one
-with the layout compiled in.
+**One shape per site.**  A promoted slot compiles exactly one shape: one
+receiver class, positional calls.  Keyword calls and every other
+receiver class take the generic tier, which binds keywords through the
+full dynamic check.  Running every benchmark workload past warm-up,
+seed 1, made no keyword call through an intercepted method and never
+grew a second receiver class hot on a promoted slot, so compiled
+versions for those shapes would be guards that no call runs.
 
 **Tier 3 — static check elimination.**  At promotion time the
 :class:`~repro.core.elide.Elider` runs the RIL forward dataflow pass
@@ -103,9 +83,9 @@ the generic tier-1 wrapper serving every call, and deopt itself is
 never gated.  ``Stats.breaker_trips`` counts activations of either.
 
 **Guard failure falls back, never raises.**  Any situation the
-straight-line code does not cover — an unknown receiver class, a
-keyword shape that was not compiled in, an unseen argument-class tuple,
-a missing check-cache entry — bails into ``Engine.invoke`` *before
+straight-line code does not cover — another receiver class, a keyword
+call, an unseen argument-class tuple, a missing check-cache entry —
+bails into ``Engine.invoke`` *before
 touching any counter*, so the generic tier observes exactly the call it
 would have seen without specialization (including raising the right
 ``ArgumentTypeError`` and learning new profiles).  A specialized
@@ -113,35 +93,33 @@ wrapper is therefore a pure fast-path overlay: it can be wrong about
 the future, never about the call it accepts.
 
 **Deoptimization.**  Soundness rides the PR 2 dependency machinery: a
-specialized dispatch entry lives exactly as long as the plan it was
-compiled from.  Every invalidation wave that drops a plan
+specialized wrapper lives exactly as long as the plan it was compiled
+from.  Every invalidation wave that drops a plan
 (:meth:`CallPlanCache.invalidate_resources`,
 :meth:`~repro.core.plans.CallPlanCache.invalidate_cache_keys`,
 :meth:`~repro.core.plans.CallPlanCache.clear`, and store-overwrites)
 reports the dropped keys through ``CallPlanCache.on_drop``, and the
-engine narrows or restores the site *before the wave returns*: a
-2-entry site whose other plan is still live recompiles to a 1-entry
-wrapper; the last entry restores the displaced generic wrapper.  So by
-the time a mutation's caller regains control, no specialized code
+engine restores the displaced generic wrapper *before the wave
+returns*.  So by the time a mutation's caller regains control, no specialized code
 embodying the pre-mutation world is reachable from the class.  Epoch
 bumps that drop nothing (e.g. a field-type wave whose removal set is
 empty) deoptimize nothing: a surviving plan's dependencies were, by
 construction of the wave, untouched, so its compiled form is still
 valid.  Three further guards close the remaining corners:
 
-* every dispatch entry carries a per-call **liveness guard** — a
+* every wrapper carries a per-call **liveness guard** — a
   constant-key identity probe that its plan is still the one in the
   plan cache.  Rebinding the class attribute cannot reach bound methods
   Python callers hoisted before the swap; the liveness guard makes
   those references self-invalidating, so deopt-by-rebinding is purely a
   performance recovery, never load-bearing for soundness;
-* checked entries additionally test their ``(receiver, method)``
+* checked sites additionally test their ``(receiver, method)``
   membership in the check cache per call, so even a direct
   ``CheckCache.clear()`` that bypasses ``Engine.invalidate`` degrades
   the site to the generic path instead of replaying a removed
   derivation — mirroring the tier-1 plan guard;
-* promotion re-verifies (after publishing the wrapper) that every
-  entry's plan is still live, self-deoptimizing if a wave raced the
+* promotion re-verifies (after publishing the wrapper) that its plan
+  is still live, self-deoptimizing if a wave raced the
   install through a direct cache call that did not hold the engine's
   writer lock.
 
@@ -165,7 +143,7 @@ import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
-    Set, Tuple
+    Tuple
 
 from ..rdl.registry import CLASS
 from .elide import _contract_blocks
@@ -176,10 +154,6 @@ from .plans import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .elide import Elision
     from .engine import Engine
-
-#: receiver-class entries one specialized site may dispatch over; further
-#: hot receiver classes stay on the generic tier.
-MAX_POLY_ENTRIES = 2
 
 #: divisor applied to ``specialize_threshold`` for the re-promotion
 #: threshold of sites that deopted and re-warmed.
@@ -206,45 +180,37 @@ def breaker_disabled_by_env() -> bool:
         "", "0", "false", "no")
 
 
-class _Entry:
-    """One receiver class's compiled dispatch entry inside a site."""
-
-    __slots__ = ("key", "guard_cls", "plan", "kw_layout", "elision")
-
-    def __init__(self, key: PlanKey, guard_cls: type, plan: CallPlan,
-                 kw_layout: Optional[Tuple[int, tuple]],
-                 elision: Optional["Elision"] = None) -> None:
-        self.key = key
-        self.guard_cls = guard_cls
-        self.plan = plan
-        #: ``(positional count, declared-order kwargs names)`` compiled
-        #: into the wrapper, or None (keyword calls bail).  Entries may
-        #: be :class:`~repro.core.plans.BoundDefault` for defaulted
-        #: parameter slots the call shape skips.
-        self.kw_layout = kw_layout
-        #: the tier-3 verdict: which per-call check operations this
-        #: entry's compiled code omits, or None (full tier-2 body).
-        self.elision = elision
-
-
 class _Site:
-    """One promoted slot: what was displaced and what displaced it."""
+    """One promoted slot: the plan key it was compiled from, what it
+    displaced, and what displaced it."""
 
-    __slots__ = ("def_owner", "def_cls", "name", "kind", "fn", "generic",
-                 "specialized", "was_classmethod", "entries")
+    __slots__ = ("key", "name", "elision", "def_cls", "generic",
+                 "specialized", "was_classmethod")
 
-    def __init__(self, def_owner: str, def_cls: type, name: str, kind: str,
-                 fn, generic, specialized, was_classmethod: bool,
-                 entries: Tuple[_Entry, ...]) -> None:
-        self.def_owner = def_owner
+    def __init__(self, key: PlanKey, elision: Optional["Elision"],
+                 def_cls: type, generic, specialized,
+                 was_classmethod: bool) -> None:
+        self.key = key
+        self.name = key[2]
+        #: the tier-3 verdict: which per-call check operations the
+        #: compiled code omits, or None (full tier-2 body).
+        self.elision = elision
         self.def_cls = def_cls
-        self.name = name
-        self.kind = kind
-        self.fn = fn
         self.generic = generic
         self.specialized = specialized
         self.was_classmethod = was_classmethod
-        self.entries = entries
+
+    def install(self, fn) -> None:
+        """Bind ``fn`` into the slot, re-wrapping classmethods."""
+        setattr(self.def_cls, self.name,
+                classmethod(fn) if self.was_classmethod else fn)
+
+    def is_live(self) -> bool:
+        """Whether the slot still holds this site's compiled wrapper (a
+        direct ``setattr`` bypassing wrap/unwrap may have rebound it)."""
+        raw = self.def_cls.__dict__.get(self.name)
+        inner = raw.__func__ if isinstance(raw, classmethod) else raw
+        return inner is self.specialized
 
 
 Slot = Tuple[type, str]
@@ -267,7 +233,7 @@ class Specializer:
         self._lock = threading.Lock()
         #: (defining class, method name) -> the live promoted site.
         self._sites: Dict[Slot, _Site] = {}
-        #: plan key -> the slot whose site carries its dispatch entry.
+        #: plan key -> the slot its site was compiled into.
         self._by_key: Dict[PlanKey, Slot] = {}
         #: plan keys whose sites were deoptimized at least once — these
         #: re-promote at the reduced threshold.  Bounded; read lock-free
@@ -297,7 +263,7 @@ class Specializer:
         self._pause_until = 0.0
 
     def __len__(self) -> int:
-        """Live compiled dispatch entries (a 2-entry site counts twice)."""
+        """Live promoted sites."""
         return len(self._by_key)
 
     def promote_threshold(self, key: PlanKey) -> int:
@@ -415,9 +381,8 @@ class Specializer:
         Called from the warm path when the plan crosses its hit
         threshold.  Marks the plan ``promoted`` whatever happens — one
         attempt per plan generation; a plan dropped by invalidation and
-        rebuilt cold gets a fresh attempt.  When the slot is already
-        promoted for a *different* receiver class, the site is extended
-        into a polymorphic dispatch (up to ``MAX_POLY_ENTRIES``).
+        rebuilt cold gets a fresh attempt.  A slot already promoted (for
+        another receiver class) refuses: one shape per site.
 
         ``guard_cls`` overrides the receiver-derived guard class: the
         warm-state snapshot restore promotes eagerly, before any request
@@ -451,11 +416,10 @@ class Specializer:
         raw = def_cls.__dict__.get(name)
         was_classmethod = isinstance(raw, classmethod)
         inner = raw.__func__ if was_classmethod else raw
-        # Only displace the current-generation wrapper for this very
-        # function: a stale fn or a foreign wrapper refuses; our own
-        # specialized wrapper is the polymorphic-extension case, vetted
-        # against the site registry under the locks below.
-        if (inner is None
+        # Only displace the current-generation generic wrapper for this
+        # very function: a stale fn, a foreign wrapper or a slot that is
+        # already specialized refuses.
+        if (inner is None or getattr(inner, "__hb_specialized__", False)
                 or getattr(inner, "__hb_original__", None) is not fn):
             return False
         with engine.write_lock:
@@ -480,183 +444,66 @@ class Specializer:
             if elision is not None and not plans.add_resources(
                     key, plan, elision.resources):
                 return False  # a direct wave dropped the plan mid-analysis
-            entry = _Entry(key, guard_cls, plan, _entry_kw_layout(plan),
-                           elision)
-            recompiled = False
+            slot = (def_cls, name)
             with self._lock:
-                if key in self._by_key:
-                    # Already promoted: the only in-place rebuild is a
-                    # positional-only entry whose plan has since
-                    # stabilized a kwargs layout — recompile the site
-                    # with the layout (and fresh elision) swapped in.
-                    newsite = self._recompile_kw_locked(key, entry)
-                    if newsite is None:
-                        return False
-                    entries = newsite.entries
-                    recompiled = True
-                else:
-                    slot = (def_cls, name)
-                    site = self._sites.get(slot)
-                    if site is None:
-                        if getattr(inner, "__hb_specialized__", False):
-                            return False  # a specialized slot we don't track
-                        entries = (entry,)
-                        generic = inner
-                    else:
-                        # A second receiver class got hot on a promoted
-                        # slot: recompile into a polymorphic dispatch.
-                        if (site.specialized is not inner
-                                or site.kind != kind
-                                or len(site.entries) >= MAX_POLY_ENTRIES
-                                or any(e.guard_cls is guard_cls
-                                       for e in site.entries)):
-                            return False
-                        entries = site.entries + (entry,)
-                        generic = site.generic
-                        was_classmethod = site.was_classmethod
-                    wrapper = _compile_wrapper(engine, def_owner, name, kind,
-                                               fn, entries)
-                    newsite = _Site(def_owner, def_cls, name, kind, fn,
-                                    generic, wrapper, was_classmethod,
-                                    entries)
-                    setattr(def_cls, name,
-                            classmethod(wrapper) if was_classmethod
-                            else wrapper)
-                    self._sites[slot] = newsite
-                    for e in entries:
-                        self._by_key[e.key] = slot
+                if key in self._by_key or slot in self._sites:
+                    return False
+                wrapper = _compile_wrapper(engine, key, guard_cls, plan, fn,
+                                           elision)
+                site = _Site(key, elision, def_cls, inner, wrapper,
+                             was_classmethod)
+                site.install(wrapper)
+                self._sites[slot] = site
+                self._by_key[key] = slot
                 rewarmed = key in self._rewarm
             stats = engine.stats
-            if recompiled:
-                stats.kw_promotions += 1
-            else:
-                stats.promotions += 1
-                if len(entries) > 1:
-                    stats.poly_promotions += 1
-                if entry.kw_layout is not None:
-                    stats.kw_promotions += 1
-                if rewarmed:
-                    stats.repromotions += 1
-                if elision is not None:
-                    stats.elide_promotions += 1
-            stale = tuple(e.key for e in entries
-                          if plans.get(e.key) is not e.plan)
+            stats.promotions += 1
+            if rewarmed:
+                stats.repromotions += 1
+            if elision is not None:
+                stats.elide_promotions += 1
+            stale = plans.get(key) is not plan
         if stale:
-            # A direct cache call (no writer lock) dropped a plan
+            # A direct cache call (no writer lock) dropped the plan
             # between the liveness check and the install racing its
             # on_drop callback; undo — the callback may have run before
-            # the entry existed.
-            self.deoptimize_keys(stale)
+            # the site existed.
+            self.deoptimize_keys((key,))
             return False
         return True
-
-    def needs_kw_recompile(self, key: PlanKey, plan: CallPlan) -> bool:
-        """True when ``key``'s compiled entry predates the plan's kwargs
-        layout — a positional-only promotion now serving keyword traffic
-        through the generic fallback that an in-place recompile could
-        serve straight-line.  Lock-free probe on the warm path;
-        :meth:`maybe_promote` re-validates everything under the locks.
-        """
-        slot = self._by_key.get(key)
-        if slot is None:
-            return False
-        site = self._sites.get(slot)
-        if site is None:
-            return False
-        for e in site.entries:
-            if e.key == key:
-                return (e.kw_layout is None and e.plan is plan
-                        and _entry_kw_layout(plan) is not None)
-        return False
-
-    def _recompile_kw_locked(self, key: PlanKey,
-                             entry: _Entry) -> Optional[_Site]:
-        """In-place rebuild of an already-promoted entry that has since
-        stabilized a kwargs layout (the polymorphic-extension recompile
-        applied to a single entry).  Caller holds the writer lock and
-        the internal lock; returns the new site, or None to refuse."""
-        slot = self._by_key.get(key)
-        site = self._sites.get(slot) if slot is not None else None
-        if site is None:
-            return None
-        old = next((e for e in site.entries if e.key == key), None)
-        if (old is None or old.plan is not entry.plan
-                or old.guard_cls is not entry.guard_cls
-                or old.kw_layout is not None or entry.kw_layout is None):
-            return None
-        raw = site.def_cls.__dict__.get(site.name)
-        inner = raw.__func__ if isinstance(raw, classmethod) else raw
-        if inner is not site.specialized:
-            return None  # the slot was rebound behind our back
-        entries = tuple(entry if e.key == key else e for e in site.entries)
-        wrapper = _compile_wrapper(self.engine, site.def_owner, site.name,
-                                   site.kind, site.fn, entries)
-        newsite = _Site(site.def_owner, site.def_cls, site.name, site.kind,
-                        site.fn, site.generic, wrapper, site.was_classmethod,
-                        entries)
-        setattr(site.def_cls, site.name,
-                classmethod(wrapper) if site.was_classmethod else wrapper)
-        self._sites[slot] = newsite
-        return newsite
 
     # -- deoptimization -----------------------------------------------------
 
     def deoptimize_keys(self, keys: Iterable[PlanKey]) -> int:
-        """Deoptimize the dispatch entry of each promoted ``key``.
+        """Restore the displaced generic wrapper at each promoted ``key``.
 
-        A site whose *other* entry's plan is still live narrows to a
-        1-entry wrapper; the last (or only) entry restores the displaced
-        generic wrapper.  Only entries whose compiled code was actually
-        displaced from the live slot are counted (and reported through
-        ``Stats.deopts``): a slot rebound by a re-wrap or unwrap in the
-        meantime must neither be clobbered with a resurrected wrapper
-        nor counted as a deopt.
+        Only sites whose compiled code was actually displaced from the
+        live slot are counted (and reported through ``Stats.deopts``): a
+        slot rebound by a re-wrap or unwrap in the meantime must neither
+        be clobbered with a resurrected wrapper nor counted as a deopt.
         """
         engine = self.engine
         displaced = 0
         elided = 0
         with self._lock:
-            dead_by_slot: Dict[Slot, Set[PlanKey]] = {}
             for key in keys:
                 slot = self._by_key.pop(key, None)
-                if slot is not None:
-                    dead_by_slot.setdefault(slot, set()).add(key)
-            for slot, dead in dead_by_slot.items():
+                if slot is None:
+                    continue
                 site = self._sites.pop(slot, None)
                 if site is None:
                     continue
-                for key in dead:
-                    self._note_rewarm(key)
-                raw = site.def_cls.__dict__.get(site.name)
-                inner = raw.__func__ if isinstance(raw, classmethod) else raw
-                survivors = tuple(e for e in site.entries
-                                  if e.key not in dead)
-                if inner is not site.specialized:
+                self._note_rewarm(key)
+                if not site.is_live():
                     # The slot was rebound behind our back (a direct
                     # setattr bypassing wrap/unwrap): the compiled code
                     # is already unreachable from the class.  Forget the
-                    # whole site, restore nothing, count nothing.
-                    for e in survivors:
-                        self._by_key.pop(e.key, None)
+                    # site, restore nothing, count nothing.
                     continue
-                displaced += len(site.entries) - len(survivors)
-                elided += sum(1 for e in site.entries
-                              if e.key in dead and e.elision is not None)
-                if survivors:
-                    wrapper = _compile_wrapper(engine, site.def_owner,
-                                               site.name, site.kind,
-                                               site.fn, survivors)
-                    self._sites[slot] = _Site(
-                        site.def_owner, site.def_cls, site.name, site.kind,
-                        site.fn, site.generic, wrapper, site.was_classmethod,
-                        survivors)
-                    setattr(site.def_cls, site.name,
-                            classmethod(wrapper) if site.was_classmethod
-                            else wrapper)
-                else:
-                    setattr(site.def_cls, site.name,
-                            classmethod(site.generic) if site.was_classmethod
-                            else site.generic)
+                displaced += 1
+                if site.elision is not None:
+                    elided += 1
+                site.install(site.generic)
             if displaced:
                 engine.stats.deopts += displaced
                 self._note_wave_locked()
@@ -665,7 +512,7 @@ class Specializer:
         return displaced
 
     def deoptimize_all(self) -> int:
-        """Deoptimize every promoted entry (contract registration, tests)."""
+        """Deoptimize every promoted site (contract registration, tests)."""
         with self._lock:
             keys = tuple(self._by_key)
         return self.deoptimize_keys(keys)
@@ -676,19 +523,19 @@ class Specializer:
         Called by ``wrap_method``/``unwrap_method`` just before they
         rebind the slot themselves: the displaced generic wrapper is
         obsolete, so restoring it later would resurrect a superseded
-        function.  The rebind displaces the compiled entries, so they
-        count as deopts and their keys enter the re-warm registry.
+        function.  The rebind displaces the compiled wrapper, so it
+        counts as a deopt and its key enters the re-warm registry.
         """
         with self._lock:
             site = self._sites.pop((def_cls, name), None)
             if site is None:
                 return
-            for e in site.entries:
-                self._by_key.pop(e.key, None)
-                self._note_rewarm(e.key)
-            self.engine.stats.deopts += len(site.entries)
-            self.engine.stats.elide_deopts += sum(
-                1 for e in site.entries if e.elision is not None)
+            self._by_key.pop(site.key, None)
+            self._note_rewarm(site.key)
+            stats = self.engine.stats
+            stats.deopts += 1
+            if site.elision is not None:
+                stats.elide_deopts += 1
             self._note_wave_locked()
 
     def _note_rewarm(self, key: PlanKey) -> None:
@@ -709,14 +556,13 @@ class Specializer:
         return key in self._by_key
 
     def promoted_entries(self):
-        """Point-in-time view of every installed specialized entry as
+        """Point-in-time view of every promoted site as
         ``(key, elision-or-None)`` pairs — the warm-state snapshot uses
         this to record which sites were promoted and under which tier-3
         verdict, so a warm-started worker can re-promote eagerly."""
         with self._lock:
-            return [(entry.key, entry.elision)
-                    for site in self._sites.values()
-                    for entry in site.entries]
+            return [(site.key, site.elision)
+                    for site in self._sites.values()]
 
 
 def _plan_specializable(plan: CallPlan) -> bool:
@@ -735,36 +581,31 @@ def _plan_specializable(plan: CallPlan) -> bool:
     return True
 
 
-def _entry_kw_layout(plan: CallPlan) -> Optional[Tuple[int, tuple]]:
-    """The kwargs layout to compile in, or None (keyword calls bail).
-
-    Requires a profile-guardable signature — the compiled reorder feeds
-    the profile chain, which is the only sound straight-line check."""
-    if plan.sig is None or not plan.profile_eligible:
-        return None
-    return plan.stable_kw_layout()
-
-
 #: synthetic filename stem for compiled wrappers (visible in tracebacks).
 _CODEGEN_FILE = "<hb-specialized {owner}#{name}>"
 
 
-def _compile_wrapper(engine: "Engine", def_owner: str, name: str, kind: str,
-                     fn, entries: Tuple[_Entry, ...]):
-    """``exec``-compile the straight-line dispatch wrapper for ``entries``.
+def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
+                     plan: CallPlan, fn, elision: Optional["Elision"]):
+    """``exec``-compile the straight-line wrapper for one promoted site.
 
     The emitted code is the tier-1 warm path partially evaluated against
-    each entry's plan: every mode branch is resolved at compile time,
+    the site's plan: every mode branch is resolved at compile time,
     every engine attribute chase becomes a closed-over local, and the
     counter updates match the generic path bump for bump (the
-    stats-exactness suite runs with promotion active).  Entries are
-    tried in promotion order; a receiver matching no guard bails to the
-    generic tier.
+    stats-exactness suite runs with promotion active).  A receiver that
+    fails the class guard bails to the generic tier.
     """
+    def_owner, _, name, kind = key
     bail = ("return _invoke(_def_owner, _name, _kind, _fn, recv, "
             "args, kwargs)")
-    lines = ["def _specialized(recv, *args, **kwargs):"]
-    namespace = {
+    guard = "recv is _cls0" if kind == CLASS else "type(recv) is _cls0"
+    body, namespace = _body_lines(engine, key, plan, elision, bail)
+    lines = ["def _specialized(recv, *args, **kwargs):",
+             f"    if {guard}:",
+             *["        " + ln for ln in body],
+             f"    {bail}"]
+    namespace.update({
         "_fn": fn,
         "_tls": engine._tls,
         "_invoke": engine.invoke,
@@ -774,16 +615,8 @@ def _compile_wrapper(engine: "Engine", def_owner: str, name: str, kind: str,
         "_entries": engine.cache._entries,
         "_live": engine._plans._plans,
         "_ret_check": engine._dynamic_ret_check,
-    }
-    for i, entry in enumerate(entries):
-        guard = (f"recv is _cls{i}" if kind == CLASS
-                 else f"type(recv) is _cls{i}")
-        lines.append(f"    if {guard}:")
-        body, body_ns = _entry_lines(engine, i, entry, name, bail)
-        lines += ["        " + ln for ln in body]
-        namespace[f"_cls{i}"] = entry.guard_cls
-        namespace.update(body_ns)
-    lines.append(f"    {bail}")
+        "_cls0": guard_cls,
+    })
     source = "\n".join(lines) + "\n"
     filename = _CODEGEN_FILE.format(owner=def_owner, name=name)
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
@@ -796,77 +629,36 @@ def _compile_wrapper(engine: "Engine", def_owner: str, name: str, kind: str,
     wrapper.__hb_engine__ = engine
     wrapper.__hb_specialized__ = True
     wrapper.__hb_source__ = source  # introspection for tests/debugging
-    wrapper.__hb_entry_keys__ = tuple(e.key for e in entries)
+    wrapper.__hb_entry_keys__ = (key,)
     return wrapper
 
 
-def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
-                 bail: str) -> Tuple[list, dict]:
-    """One dispatch entry's body (unindented), all paths returning.
+def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
+                el: Optional["Elision"], bail: str) -> Tuple[list, dict]:
+    """The guarded body (unindented), all paths returning.
 
-    When the entry carries a tier-3 :class:`Elision`, the corresponding
+    When the site carries a tier-3 :class:`Elision`, the corresponding
     check operations are *not emitted*; the counters still report what
     the generic tier would have reported (the boundary probe still picks
     ``dynamic_arg_checks`` vs ``_skipped`` even when the test itself is
     gone), plus ``checks_elided`` advancing by the number of omitted
     operations."""
-    plan = entry.plan
     sig = plan.sig
     checked = plan.checked
-    el = entry.elision
     gps = el.guard_profiles if el is not None else None
-    recv_owner = entry.key[1]
-    ns: dict = {f"_key{i}": entry.key, f"_plan{i}": plan}
-    lines = []
-    argname = "args"
-    if entry.kw_layout is not None:
-        # Keyword calls matching the compiled layout reorder into the
-        # full positional view as one tuple expression; everything
-        # downstream (profile chain, the real call) is positional.  The
-        # original ``args``/``kwargs`` are never rebound, so every bail
-        # hands the generic tier the call unchanged.
-        argname = "vals"
-        npos, names = entry.kw_layout
-        picks = [f"args[{j}]" for j in range(npos)]
-        n_str = 0
-        for j, n in enumerate(names):
-            if n.__class__ is str:
-                picks.append(f"kwargs[{n!r}]")
-                n_str += 1
-            else:
-                # BoundDefault: a defaulted slot the call shape skips;
-                # the declared default is a def-time constant, so it
-                # closes over like any guard class.
-                ns[f"_kwd{i}_{j}"] = n.value
-                picks.append(f"_kwd{i}_{j}")
-        joined = ", ".join(picks) + ("," if len(picks) == 1 else "")
-        lines += [
-            "if kwargs:",
-            f"    if len(args) != {npos} or len(kwargs) != {n_str}:",
-            f"        {bail}",
-            "    try:",
-            f"        vals = ({joined})",
-            "    except KeyError:",
-            f"        {bail}",
-            "    kw = True",
-            "else:",
-            "    vals = args",
-            "    kw = False",
-        ]
-    else:
-        lines += [
-            "if kwargs:",
-            f"    {bail}",
-        ]
-    lines += [
-        # Liveness guard: the entry is only valid while the exact plan
+    recv_owner, name = key[1], key[2]
+    ns: dict = {"_key0": key, "_plan0": plan}
+    lines = [
+        "if kwargs:",
+        f"    {bail}",
+        # Liveness guard: the wrapper is only valid while the exact plan
         # it was compiled from is still in the plan cache.  Deopt swaps
         # the class attribute, but Python callers may have *hoisted* a
         # bound method before the swap — those references bypass the
         # rebinding, and without this per-call identity probe they would
         # replay the dropped plan's assumptions (e.g. admit an argument
         # profile a retype just outlawed).  One constant-key dict get.
-        f"if _live.get(_key{i}) is not _plan{i}:",
+        "if _live.get(_key0) is not _plan0:",
         f"    {bail}",
     ]
     cache_guard_elided = checked and el is not None and el.cache_guard
@@ -874,27 +666,23 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         # Mirrors the tier-1 guard against direct CheckCache flushes
         # that bypass Engine.invalidate: no entry, no fast path.
         lines += [
-            f"if _ckey{i} not in _entries:",
+            "if _ckey0 not in _entries:",
             f"    {bail}",
         ]
-        ns[f"_ckey{i}"] = (recv_owner, name)
+        ns["_ckey0"] = (recv_owner, name)
     if gps:
         # Pinned profile chains: the frame/return verdicts below were
         # proved *under these argument classes*, so the chains guard
         # unconditionally — no copy-on-write fallback; a call matching
         # none of them (another learned profile, a new shape) bails to
         # the generic tier.  Every admitted chain re-proved every seeded
-        # verdict, so matching any one of them is sufficient.  A None
-        # slot is unpinned (the layout pseudo-profile pins only
-        # defaulted slots) and emits no test.
+        # verdict, so matching any one of them is sufficient.
         conds = []
         for p_idx, gp in enumerate(gps):
-            tests = [f"len({argname}) == {len(gp)}"]
+            tests = [f"len(args) == {len(gp)}"]
             for j, cls in enumerate(gp):
-                if cls is None:
-                    continue
-                tests.append(f"type({argname}[{j}]) is _d{i}_{p_idx}_{j}")
-                ns[f"_d{i}_{p_idx}_{j}"] = cls
+                tests.append(f"type(args[{j}]) is _d0_{p_idx}_{j}")
+                ns[f"_d0_{p_idx}_{j}"] = cls
             conds.append("(" + " and ".join(tests) + ")")
         lines += [
             f"if not ({' or '.join(conds)}):",
@@ -911,33 +699,21 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
     lines.append("tls = _tls")
     if need_stack:
         lines.append("stack = tls.stack")
-    kw_arity_free = False
     if sig is None:
         arg_counters = []
     else:
-        if gps and el.chain_conforms:
+        if gps:
             # The pinned chains above already vetted the arguments
             # (learned profiles only ever contain conforming tuples).
             profile_test = None
         elif arg_elided:
             # Every matching parameter type is vacuous: the dynamic
             # check passes for any value — only the arity it was proved
-            # at needs guarding.  At a compiled kwargs layout whose full
-            # positional view has exactly that arity, the keyword path
-            # *constructs* the view, so its length is a compile-time
-            # fact and even the arity test is elided there.
-            if entry.kw_layout is not None:
-                npos_l, names_l = entry.kw_layout
-                kw_arity_free = npos_l + len(names_l) == el.arity
-            if kw_arity_free:
-                profile_test = [f"if not kw and len({argname}) != {el.arity}:",
-                                f"    {bail}"]
-            else:
-                profile_test = [f"if len({argname}) != {el.arity}:",
-                                f"    {bail}"]
+            # at needs guarding.
+            profile_test = [f"if len(args) != {el.arity}:",
+                            f"    {bail}"]
         else:
-            profile_test, guard_classes = _profile_test_lines(
-                i, plan, bail, argname)
+            profile_test, guard_classes = _profile_test_lines(plan, bail)
             ns.update(guard_classes)
         if plan.arg_mode == ARG_CHECK_BOUNDARY:
             if profile_test is None:
@@ -975,13 +751,6 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         "c.fast_path_hits += 1",
         "c.specialized_hits += 1",
     ]
-    if i > 0:
-        lines.append("c.poly_spec_hits += 1")
-    if entry.kw_layout is not None:
-        lines += [
-            "if kw:",
-            "    c.kw_spec_hits += 1",
-        ]
     if checked:
         # Kept even when the membership probe is elided: the memoized
         # derivation is still what admits this call.
@@ -989,13 +758,7 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
     lines += arg_counters
     if el is not None and el.count:
         lines.append(f"c.checks_elided += {el.count}")
-    if kw_arity_free:
-        # The keyword path skipped even the arity test.
-        lines += [
-            "if kw:",
-            "    c.checks_elided += 1",
-        ]
-    call = f"_fn(recv, *{argname})"
+    call = "_fn(recv, *args)"
     if frame_elided:
         # The body provably never re-enters intercepted code, so no
         # callee can read the checked-frame flag: the push/pop (and the
@@ -1018,19 +781,19 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
                 # slow conformance walk is gone.
                 lines += [
                     "if do_ret:",
-                    f"    if type(result) in _plan{i}.ret_profiles:",
+                    "    if type(result) in _plan0.ret_profiles:",
                     "        c.ret_profile_hits += 1",
                     "    else:",
-                    f"        _plan{i}.learn_ret_profile(type(result))",
+                    "        _plan0.learn_ret_profile(type(result))",
                     "    c.dynamic_ret_checks += 1",
                 ]
             else:
                 lines += [
                     "if do_ret:",
-                    f"    if type(result) in _plan{i}.ret_profiles:",
+                    "    if type(result) in _plan0.ret_profiles:",
                     "        c.ret_profile_hits += 1",
                     "    else:",
-                    f"        _ret_slow{i}(result)",
+                    "        _ret_slow0(result)",
                     "    c.dynamic_ret_checks += 1",
                 ]
 
@@ -1040,7 +803,7 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
                                                _name)
                     _plan.learn_ret_profile(type(result))
 
-                ns[f"_ret_slow{i}"] = _ret_slow
+                ns["_ret_slow0"] = _ret_slow
         elif ret_elided:
             lines += [
                 "if do_ret:",
@@ -1049,22 +812,21 @@ def _entry_lines(engine: "Engine", i: int, entry: _Entry, name: str,
         else:
             lines += [
                 "if do_ret:",
-                f"    _ret_check(_sig{i}, result, _recv_owner{i}, _name)",
+                "    _ret_check(_sig0, result, _recv_owner0, _name)",
                 "    c.dynamic_ret_checks += 1",
             ]
-            ns[f"_sig{i}"] = sig
-            ns[f"_recv_owner{i}"] = recv_owner
+            ns["_sig0"] = sig
+            ns["_recv_owner0"] = recv_owner
         lines.append("return result")
     return lines, ns
 
 
-def _profile_test_lines(i: int, plan: CallPlan, bail: str,
-                        argname: str) -> Tuple[list, dict]:
+def _profile_test_lines(plan: CallPlan, bail: str) -> Tuple[list, dict]:
     """The membership test against the plan's COW profile set, fronted
     by an identity guard on the *dominant* profile — the hottest shape
     by pre-promotion hit counts (:meth:`CallPlan.dominant_profile`), so
     the steady state is a ``len``/``type``/``is`` chain with no tuple
-    allocation.  Returns the (unindented) lines and the ``_d<i>_<j>``
+    allocation.  Returns the (unindented) lines and the ``_d0_<j>``
     guard classes to close over.
 
     Misses bail to the generic tier, which runs the real conformance
@@ -1077,17 +839,16 @@ def _profile_test_lines(i: int, plan: CallPlan, bail: str,
         # full conformance walk — in the generic tier.
         return [bail], {}
     fallback = [
-        f"if tuple(map(type, {argname})) not in _plan{i}.profiles:",
+        "if tuple(map(type, args)) not in _plan0.profiles:",
         f"    {bail}",
     ]
     dominant = plan.dominant_profile()
     if dominant is None:
         return fallback, {}
-    guard = [f"len({argname}) == {len(dominant)}"]
-    guard += [f"type({argname}[{j}]) is _d{i}_{j}"
-              for j in range(len(dominant))]
+    guard = [f"len(args) == {len(dominant)}"]
+    guard += [f"type(args[{j}]) is _d0_{j}" for j in range(len(dominant))]
     lines = [
         f"if not ({' and '.join(guard)}):",
         *["    " + ln for ln in fallback],
     ]
-    return lines, {f"_d{i}_{j}": cls for j, cls in enumerate(dominant)}
+    return lines, {f"_d0_{j}": cls for j, cls in enumerate(dominant)}

@@ -37,8 +37,6 @@ HOT_COUNTER_FIELDS = (
     "calls_intercepted",
     "fast_path_hits",
     "specialized_hits",
-    "poly_spec_hits",
-    "kw_spec_hits",
     "cache_hits",
     "cache_misses",
     "dynamic_arg_checks",
@@ -131,12 +129,6 @@ class Stats:
         self.promotions = 0              # call sites compiled to tier 2
         self.deopts = 0                  # specialized entries actually
         #                                  displaced from a live slot
-        #: promotions that produced a 2-entry polymorphic dispatch
-        #: (poly_spec_hits shards count the calls its 2nd entry serves).
-        self.poly_promotions = 0
-        #: promotions that compiled a kwargs layout into the wrapper
-        #: (kw_spec_hits shards count kwargs calls served straight-line).
-        self.kw_promotions = 0
         #: promotions that fired at the reduced re-promotion threshold
         #: (the site deopted before and re-warmed).
         self.repromotions = 0
@@ -291,11 +283,7 @@ class Stats:
             "calls_intercepted": self.calls_intercepted,
             "fast_path_hits": self.fast_path_hits,
             "specialized_hits": self.specialized_hits,
-            "poly_spec_hits": self.poly_spec_hits,
-            "kw_spec_hits": self.kw_spec_hits,
             "promotions": self.promotions,
-            "poly_promotions": self.poly_promotions,
-            "kw_promotions": self.kw_promotions,
             "repromotions": self.repromotions,
             "deopts": self.deopts,
             "checks_elided": self.checks_elided,

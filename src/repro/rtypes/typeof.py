@@ -17,6 +17,7 @@ for things like Rails ``params`` keys.
 from __future__ import annotations
 
 import datetime
+import weakref
 from typing import Callable, Optional
 
 from .hierarchy import ClassHierarchy
@@ -66,24 +67,39 @@ class Sym:
 # Sample at most this many elements when computing the type of a collection.
 _SAMPLE_LIMIT = 50
 
-# host class -> RDL class name.  class_name_of runs on every intercepted
-# call (the engine keys checking by the receiver's class), and its answer
-# depends only on the value's exact class, so one isinstance cascade per
-# distinct host class suffices.  Lock-free under threads: the mapping is
-# idempotent (racing writers store the same value), and dict get/set are
-# each atomic under the GIL.
+# id(host class) -> RDL class name.  class_name_of runs on every
+# intercepted call (the engine keys checking by the receiver's class), and
+# its answer depends only on the value's exact class, so one isinstance
+# cascade per distinct host class suffices.  Keyed by id so the memo never
+# keeps a class alive: a class pins its methods, and through their
+# wrappers the engine that typed them.  A weakref per class pops the entry
+# when the class dies, before its id can be reused.  Lock-free under
+# threads: the mapping is idempotent (racing writers store the same
+# value), and dict get/set/pop are each atomic under the GIL.
 _CLASS_NAME_MEMO: dict = {}
+_CLASS_NAME_REFS: dict = {}  # id(host class) -> weakref to it
 
 
 def class_name_of(value: object) -> str:
     """The RDL class name for a host value (``int`` -> ``Integer`` etc.)."""
     if value is None:
         return "NilClass"
-    cls = type(value)
-    name = _CLASS_NAME_MEMO.get(cls)
+    name = _CLASS_NAME_MEMO.get(id(type(value)))
     if name is None:
-        name = _class_name_of_uncached(value)
-        _CLASS_NAME_MEMO[cls] = name
+        name = _memoize_class_name(value)
+    return name
+
+
+def _memoize_class_name(value: object) -> str:
+    name = _class_name_of_uncached(value)
+    key = id(type(value))
+
+    def forget(_ref, key=key) -> None:
+        _CLASS_NAME_MEMO.pop(key, None)
+        _CLASS_NAME_REFS.pop(key, None)
+
+    _CLASS_NAME_REFS[key] = weakref.ref(type(value), forget)
+    _CLASS_NAME_MEMO[key] = name
     return name
 
 

@@ -1,8 +1,8 @@
 """``repro.snapshot`` — warm-state serialization for pre-fork serving.
 
 A long-lived engine accumulates state worth money: memoized check
-verdicts, per-site call plans with their learned class profiles and
-kwargs layouts, promotion decisions, and tier-3 elision verdicts.  This
+verdicts, per-site call plans with their learned class profiles,
+promotion decisions, and tier-3 elision verdicts.  This
 package round-trips that state through versioned, fingerprinted JSON
 (extending the ``ril/json_io.py`` idiom) so a freshly forked or
 freshly deployed worker warm-starts instead of re-paying profiling,

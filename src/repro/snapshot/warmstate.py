@@ -7,7 +7,7 @@ What gets serialized (the state a long-lived process paid for):
   the :class:`~repro.core.cache.CheckCache` recorded them;
 * **call plans** — per-site resolution results plus everything the site
   *learned*: hit counts, argument/return class profiles with their hit
-  counts, kwargs layouts, and whether the site was promoted to tier 2;
+  counts, and whether the site was promoted to tier 2;
 * **elision verdicts** — the tier-3 analysis results attached to
   promoted sites, with their full resource lists so the restored
   wrapper deopts on exactly the mutations the original would have.
@@ -60,16 +60,15 @@ from ..core.elide import Elision
 from ..core.engine import Engine, _profile_eligible, _ret_profile_eligible
 from ..core.plans import ARG_CHECK_NEVER, CallPlan, PlanKey
 from ..rdl.registry import INSTANCE
-from ..rdl.registry import INSTANCE
 
 SNAPSHOT_FORMAT = "hummingbird-warm-state"
-#: version 2: multi-profile elision verdicts (``guard_profiles`` chains
-#: with optional unpinned slots + ``chain_conforms``) replaced the
-#: single ``guard_profile``, and verdicts may carry ``("lin", cls)``
-#: leaf-exactness resources.  Version-1 documents are rejected at the
-#: envelope (fail closed to cold start) — their verdicts cannot express
-#: the new pin semantics.
-SNAPSHOT_VERSION = 2
+#: version 3: plans no longer carry kwargs-shape layouts and elision
+#: verdicts no longer carry a chain-conformance flag (every pinned chain
+#: is a learned profile, with no unpinned slots).  Version 2 added multi-profile
+#: ``guard_profiles`` chains and ``("lin", cls)`` leaf-exactness
+#: resources.  Any other version is rejected at the envelope (fail
+#: closed to cold start) rather than decoded under the wrong rules.
+SNAPSHOT_VERSION = 3
 
 #: builtin receiver/argument classes a profile may mention by name.
 _BUILTIN_CLASSES: Dict[str, type] = {
@@ -221,13 +220,6 @@ def _capture_plans(engine: Engine) -> List[dict]:
             enc = _encode_class(engine, rcls)
             if enc is not None:
                 ret_profiles.append(enc)
-        kw_layouts = []
-        for (npos, names), layout in plan.kw_layouts.items():
-            if layout is not None and not all(
-                    isinstance(slot, str) for slot in layout):
-                continue  # BoundDefault carries a live value; re-learn
-            kw_layouts.append([[int(npos), list(names)],
-                               list(layout) if layout is not None else None])
         records.append({
             "key": list(key),
             "hits": int(plan.hits),
@@ -235,7 +227,6 @@ def _capture_plans(engine: Engine) -> List[dict]:
             "profiles": sorted(profiles),
             "profile_hits": sorted(profile_hits),
             "ret_profiles": sorted(ret_profiles),
-            "kw_layouts": sorted(kw_layouts),
             "promoted": key in promoted,
         })
     return records
@@ -265,24 +256,10 @@ def _capture_elisions(engine: Engine) -> List[dict]:
                 ir_fps.append([owner, name, mir.fingerprint])
         guard_profiles = None
         if elision.guard_profiles is not None:
-            guard_profiles = []
-            for chain in elision.guard_profiles:
-                enc_chain: Optional[list] = []
-                for cls in chain:
-                    if cls is None:
-                        enc_chain.append(None)  # unpinned slot
-                        continue
-                    enc = _encode_class(engine, cls)
-                    if enc is None:
-                        enc_chain = None
-                        break
-                    enc_chain.append(enc)
-                if enc_chain is None:
-                    guard_profiles = None
-                    break  # unencodable pin; the site re-analyzes live
-                guard_profiles.append(enc_chain)
-            if guard_profiles is None:
-                continue
+            guard_profiles = [_encode_profile(engine, chain)
+                              for chain in elision.guard_profiles]
+            if None in guard_profiles:
+                continue  # unencodable pin; the site re-analyzes live
         records.append({
             "key": list(key),
             "cache_guard": bool(elision.cache_guard),
@@ -290,7 +267,6 @@ def _capture_elisions(engine: Engine) -> List[dict]:
             "arg_check": bool(elision.arg_check),
             "ret_check": bool(elision.ret_check),
             "guard_profiles": guard_profiles,
-            "chain_conforms": bool(elision.chain_conforms),
             "arity": elision.arity,
             "resources": sorted(list(r) for r in elision.resources),
             "callees": sorted(list(c) for c in elision.callees),
@@ -391,21 +367,10 @@ def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
             return None
     guard_profiles = None
     if rec.get("guard_profiles") is not None:
-        chains = []
-        for enc_chain in rec["guard_profiles"]:
-            chain: List[Optional[type]] = []
-            for enc in enc_chain:
-                if enc is None:
-                    chain.append(None)  # unpinned slot
-                    continue
-                cls = _decode_class(engine, enc)
-                if cls is None:
-                    return None
-                chain.append(cls)
-            chains.append(tuple(chain))
-        guard_profiles = tuple(chains)
-        if not guard_profiles:
-            return None  # a pin list with no chains guards nothing
+        guard_profiles = tuple(_decode_profile(engine, enc_chain)
+                               for enc_chain in rec["guard_profiles"])
+        if not guard_profiles or None in guard_profiles:
+            return None  # an undecodable pin, or a list guarding nothing
     arity = rec.get("arity")
     return Elision(
         cache_guard=bool(rec["cache_guard"]),
@@ -413,7 +378,6 @@ def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
         arg_check=bool(rec["arg_check"]),
         ret_check=bool(rec["ret_check"]),
         guard_profiles=guard_profiles,
-        chain_conforms=bool(rec.get("chain_conforms", True)),
         arity=int(arity) if arity is not None else None,
         resources=tuple(tuple(r) for r in rec.get("resources", [])),
         callees=tuple(tuple(c) for c in rec.get("callees", [])),
@@ -499,10 +463,6 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
             if rcls is not None:
                 decoded_classes.append(rcls)
         plan.ret_profiles = frozenset(decoded_classes)
-    for shape, layout in rec.get("kw_layouts", []):
-        npos, names = shape
-        plan.kw_layouts[(int(npos), tuple(names))] = (
-            tuple(layout) if layout is not None else None)
 
     if not plans.store(key, plan, trace, epoch=epoch):
         report.plans_skipped += 1

@@ -5,7 +5,11 @@
   Countries.
 * Rolify is the only multi-phase app.
 * Caching collapses re-checks (each method checked once).
+* A finished app releases its engine: nothing process-wide pins it.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -114,3 +118,17 @@ def test_orig_mode_runs_unchecked(name):
     assert responses
     assert world.engine.stats.static_checks == 0
     assert world.engine.stats.calls_intercepted == 0
+
+
+@pytest.mark.parametrize("name", APP_NAMES)
+def test_finished_engine_is_released(name):
+    """Once an app's world is dropped, its engine must be collectable:
+    a process that brings up app after app (a test run, a benchmark, a
+    reloading server) must not keep every engine it ever built."""
+    world = all_builders()[name](Engine())
+    world.seed()
+    assert world.workload()
+    engine_ref = weakref.ref(world.engine)
+    del world
+    gc.collect()
+    assert engine_ref() is None

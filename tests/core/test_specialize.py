@@ -382,12 +382,12 @@ def test_hoisted_bound_method_cannot_outlive_its_plan():
     assert engine.stats.calls_intercepted == before + 1
 
 
-# -- polymorphic 2-entry dispatch ---------------------------------------------
+# -- one shape per site: other receivers stay generic -------------------------
 
 
 def _poly_world(engine):
     """A checked method on a base class, hot under two subclasses —
-    the mixin-method-under-two-includers shape from the ROADMAP."""
+    the mixin-method-under-two-includers shape."""
     base = type("PolyBase", (object,), {})
     _define(engine, base, "bump", _BUMP, "(Integer) -> Integer")
     sub_a = type("PolyA", (base,), {})
@@ -404,75 +404,46 @@ def _entry_keys(cls, name):
 
 
 @pytest.mark.requires_specialization
-def test_second_hot_receiver_extends_to_poly_dispatch():
-    """A second receiver class crossing the threshold on a promoted slot
-    recompiles the site into a 2-entry dispatch; both classes then ride
-    specialized code, and receivers beyond the cap keep the generic
-    tier."""
+def test_second_receiver_and_keyword_calls_take_the_generic_tier():
+    """A promoted site compiles one shape — its first hot receiver
+    class, positional calls.  A second hot subclass receiver and keyword
+    calls on the promoted receiver both bail to the generic tier: they
+    return the oracle's results and never count as specialized hits."""
     engine = spec_engine()
     base, a, b = _poly_world(engine)
     _warm(a)
+    _warm(b, calls=THRESHOLD * 3)
     assert engine.stats.promotions == 1
-    assert len(_entry_keys(base, "bump")) == 1
-    _warm(b)
-    assert engine.stats.promotions == 2
-    assert engine.stats.poly_promotions == 1
     assert _entry_keys(base, "bump") == (
-        ("PolyBase", "PolyA", "bump", "instance"),
-        ("PolyBase", "PolyB", "bump", "instance"))
+        ("PolyBase", "PolyA", "bump", "instance"),)
+
+    _, oracle_a, oracle_b = _poly_world(Engine(disable_caches=True))
     spec0 = engine.stats.specialized_hits
-    poly0 = engine.stats.poly_spec_hits
-    assert a.bump(1) == 2
-    assert b.bump(1) == 2
-    assert engine.stats.specialized_hits == spec0 + 2
-    assert engine.stats.poly_spec_hits == poly0 + 1  # the 2nd entry only
-    # a third hot receiver class stays generic (the 2-entry cap) but
-    # keeps working and keeps its own receiver-keyed check.
-    third_cls = type("PolyC", (base,), {})
-    engine.register_class(third_cls)
-    third = third_cls()
-    _warm(third, calls=THRESHOLD * 3)
-    assert len(_entry_keys(base, "bump")) == 2
-    assert third.bump(5) == 6
+    calls0 = engine.stats.calls_intercepted
+    for i in range(4):
+        assert b.bump(i) == oracle_b.bump(i)
+        assert a.bump(n=i) == oracle_a.bump(n=i)
+        assert b.bump(n=i) == oracle_b.bump(n=i)
+    assert engine.stats.specialized_hits == spec0
+    assert engine.stats.calls_intercepted == calls0 + 12
+    assert a.bump(1) == 2  # the compiled shape itself
+    assert engine.stats.specialized_hits == spec0 + 1
 
 
 @pytest.mark.requires_specialization
 def test_poly_entries_still_reject_bad_arguments():
+    """Both the promoted receiver and the generic second receiver of a
+    shared slot still reject bad arguments."""
     engine = spec_engine()
     base, a, b = _poly_world(engine)
     _warm(a)
     _warm(b)
-    assert engine.stats.poly_promotions == 1
+    assert len(_entry_keys(base, "bump")) == 1
     with pytest.raises(ArgumentTypeError):
         a.bump("nope")
     with pytest.raises(ArgumentTypeError):
         b.bump("nope")
     assert a.bump(1) == 2 and b.bump(1) == 2  # site healthy afterwards
-
-
-@pytest.mark.requires_specialization
-def test_dropping_one_plan_narrows_poly_site_to_one_entry():
-    """Deopt soundness for 2-entry sites: a wave that drops *one*
-    entry's plan recompiles the site down to the surviving entry before
-    the wave returns — the dead receiver falls back to the generic
-    tier, the live one keeps its straight-line path."""
-    engine = spec_engine()
-    base, a, b = _poly_world(engine)
-    _warm(a)
-    _warm(b)
-    assert engine.stats.poly_promotions == 1
-    deopts0 = engine.stats.deopts
-    # Mutate only PolyA's linearization: plan A falls, plan B survives.
-    module = type("PolyMixA", (object,), {"__hb_module__": True})
-    engine.register_class(module)
-    engine.hier.include_module("PolyA", "PolyMixA")
-    assert _entry_keys(base, "bump") == (
-        ("PolyBase", "PolyB", "bump", "instance"),)
-    assert engine.stats.deopts == deopts0 + 1  # exactly the dead entry
-    spec0 = engine.stats.specialized_hits
-    assert b.bump(2) == 3
-    assert engine.stats.specialized_hits == spec0 + 1
-    assert a.bump(2) == 3  # generic fallback re-resolves and works
 
 
 @pytest.mark.requires_specialization
@@ -487,25 +458,7 @@ def test_dropping_both_plans_restores_the_generic_wrapper():
     assert a.bump(1) == 11 and b.bump(1) == 11  # the new body everywhere
 
 
-@pytest.mark.requires_specialization
-def test_narrowed_receiver_rejoins_at_reduced_threshold():
-    """Adaptive re-promotion: the deopted entry re-warms and re-joins
-    the dispatch after only ``threshold // 4`` hits."""
-    engine = Engine(EngineConfig(specialize_threshold=20))
-    base, a, b = _poly_world(engine)
-    _warm(a, calls=25)
-    _warm(b, calls=25)
-    assert engine.stats.poly_promotions == 1
-    module = type("PolyMixA2", (object,), {"__hb_module__": True})
-    engine.register_class(module)
-    engine.hier.include_module("PolyA", "PolyMixA2")
-    assert len(_entry_keys(base, "bump")) == 1
-    _warm(a, calls=8)  # far below the full threshold of 20
-    assert len(_entry_keys(base, "bump")) == 2
-    assert engine.stats.repromotions == 1
-
-
-# -- kwargs-layout specialization ---------------------------------------------
+# -- keyword calls at promoted sites ------------------------------------------
 
 _COMBINE = "def combine(self, x, y):\n    return x + y\n"
 
@@ -517,36 +470,14 @@ def _kwargs_world(engine):
 
 
 @pytest.mark.requires_specialization
-def test_stable_kwargs_site_compiles_the_layout_in():
-    """A site whose kwargs traffic has one stable name-tuple promotes
-    with the positional reorder compiled in: keyword calls ride the
-    straight-line path instead of bailing to the generic tier."""
-    engine = spec_engine()
-    cls = _kwargs_world(engine)
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        assert obj.combine(i, y=2) == i + 2
-    assert engine.stats.promotions == 1
-    assert engine.stats.kw_promotions == 1
-    assert _slot_is_specialized(cls, "combine")
-    kw0 = engine.stats.kw_spec_hits
-    spec0 = engine.stats.specialized_hits
-    assert obj.combine(1, y=2) == 3
-    assert engine.stats.kw_spec_hits == kw0 + 1
-    assert engine.stats.specialized_hits == spec0 + 1
-    # positional calls on the same site are straight-line too
-    assert obj.combine(3, 4) == 7
-    assert engine.stats.specialized_hits == spec0 + 2
-    assert engine.stats.kw_spec_hits == kw0 + 1  # not a kwargs call
-
-
-@pytest.mark.requires_specialization
-def test_kwargs_layout_site_still_rejects_bad_arguments():
+def test_kwargs_calls_at_promoted_site_still_reject_bad_arguments():
+    """A site promoted under keyword traffic compiles no keyword path:
+    the full dynamic check of the generic tier rejects the bad slot."""
     engine = spec_engine()
     obj = _kwargs_world(engine)()
     for i in range(THRESHOLD + 5):
         obj.combine(i, y=2)
-    assert engine.stats.kw_promotions == 1
+    assert engine.stats.promotions == 1
     with pytest.raises(ArgumentTypeError):
         obj.combine(1, y="nope")
     assert obj.combine(1, y=2) == 3  # site healthy afterwards
@@ -554,14 +485,13 @@ def test_kwargs_layout_site_still_rejects_bad_arguments():
 
 @pytest.mark.requires_specialization
 def test_unseen_kwargs_shapes_fall_back_to_generic():
-    """Shapes the layout was not compiled for — different names, a
-    permuted all-keyword call — bail and produce exactly the generic
-    tier's outcome."""
+    """Keyword shapes — different names, a permuted all-keyword call —
+    bail and produce exactly the generic tier's outcome."""
     engine = spec_engine()
     obj = _kwargs_world(engine)()
     for i in range(THRESHOLD + 5):
         obj.combine(i, y=2)
-    assert engine.stats.kw_promotions == 1
+    assert engine.stats.promotions == 1
     assert obj.combine(y=2, x=1) == 3   # all-keyword: different shape
     assert obj.combine(x=5, y=6) == 11
     with pytest.raises(TypeError):
@@ -570,55 +500,17 @@ def test_unseen_kwargs_shapes_fall_back_to_generic():
 
 @pytest.mark.requires_specialization
 def test_unstable_kwargs_shapes_promote_without_a_layout():
-    """Two distinct semantic layouts pre-promotion: the compiled
-    wrapper keeps the unconditional kwargs bail (a single compiled
-    reorder would thrash), and both shapes keep working generically."""
+    """Two distinct keyword shapes pre-promotion: the compiled wrapper
+    bails every keyword call, and both shapes keep working
+    generically."""
     engine = spec_engine()
     obj = _kwargs_world(engine)()
     for i in range(THRESHOLD + 5):
         assert obj.combine(i, y=2) == i + 2
         assert obj.combine(x=i, y=3) == i + 3
     assert engine.stats.promotions == 1
-    assert engine.stats.kw_promotions == 0
     assert obj.combine(1, y=2) == 3
     assert obj.combine(x=1, y=2) == 3
-
-
-@pytest.mark.requires_specialization
-def test_tier1_kwargs_fast_path_profiles_keyword_calls():
-    """The engine-side kwargs fast path (tier 1, site not promoted):
-    a warm keyword call with a memoized layout skips the signature
-    re-bind and conformance walk via the profile set, and feeds the
-    pre-promotion per-profile hit counts."""
-    engine = Engine(EngineConfig(specialize_threshold=1000))
-    obj = _kwargs_world(engine)()
-    obj.combine(1, y=2)          # cold build
-    obj.combine(1, y=2)          # full check; memoizes the layout
-    obj.combine(1, y=2)          # full check via layout; learns the profile
-    plan = engine._plans.get(("SpecKw", "SpecKw", "combine", "instance"))
-    assert plan is not None
-    assert plan.kw_layouts == {(1, ("y",)): ("y",)}
-    assert (int, int) in plan.profiles
-    hits0 = plan.profile_hits.get((int, int), 0)
-    assert obj.combine(4, y=5) == 9
-    assert plan.profile_hits.get((int, int), 0) == hits0 + 1
-
-
-@pytest.mark.requires_specialization
-def test_kwargs_site_repromotes_with_layout_after_deopt():
-    engine = spec_engine()
-    cls = _kwargs_world(engine)
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        obj.combine(i, y=2)
-    assert engine.stats.kw_promotions == 1
-    engine.types.replace("SpecKw", "combine", "(Integer, Integer) -> Integer",
-                         check=True)  # same-signature reload churn
-    assert not _slot_is_specialized(cls, "combine")
-    for i in range(THRESHOLD):  # reduced threshold: re-warm is short
-        obj.combine(i, y=2)
-    assert engine.stats.kw_promotions == 2
-    assert engine.stats.repromotions == 1
 
 
 # -- dominant-profile selection (regression) ----------------------------------
@@ -929,51 +821,6 @@ def test_ret_check_elided_for_provable_trusted_return():
         obj.lie(1)
 
 
-@pytest.mark.requires_elision
-def test_kw_traffic_recompiles_promoted_site_in_place():
-    """A positional-only promotion later seeing a stable kwargs layout
-    recompiles in place (no new promotion, no deopt): keyword calls move
-    from the tier-1 fallback onto the straight-line path."""
-    engine = spec_engine()
-    cls = _kwargs_world(engine)
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        obj.combine(i, i)               # positional-only promotion
-    assert engine.stats.promotions == 1
-    assert engine.stats.kw_promotions == 0
-    for i in range(THRESHOLD + 5):
-        assert obj.combine(i, y=2) == i + 2   # kwargs traffic arrives later
-    assert engine.stats.promotions == 1       # no second promotion
-    assert engine.stats.kw_promotions == 1    # the in-place recompile
-    assert engine.stats.deopts == 0
-    kw0 = engine.stats.kw_spec_hits
-    assert obj.combine(1, y=2) == 3
-    assert engine.stats.kw_spec_hits == kw0 + 1  # straight-line now
-    assert obj.combine(3, 4) == 7                # positional path intact
-
-
-@pytest.mark.requires_specialization
-def test_gap_kwargs_layout_binds_skipped_defaults():
-    """A call shape that skips a defaulted parameter (``mix(1, z=5)``)
-    compiles a layout with the declared default bound into the gap slot
-    — instead of bailing to the generic tier forever."""
-    engine = spec_engine()
-    cls = type("SpecGap", (object,), {})
-    _define(engine, cls, "mix",
-            "def mix(self, x, y=2, z=3):\n    return x + y + z\n",
-            "(Integer, Integer, Integer) -> Integer")
-    obj = cls()
-    for i in range(THRESHOLD + 5):
-        assert obj.mix(i, z=5) == i + 2 + 5
-    assert engine.stats.kw_promotions == 1
-    kw0 = engine.stats.kw_spec_hits
-    assert obj.mix(1, z=5) == 8
-    assert engine.stats.kw_spec_hits == kw0 + 1
-    with pytest.raises(ArgumentTypeError):
-        obj.mix(1, z="nope")
-    assert obj.mix(1, z=5) == 8  # site healthy afterwards
-
-
 def test_gap_kwargs_call_checks_the_right_slots():
     """Slot alignment for gap shapes in *every* tier: z's value must be
     checked against z's declared type, not slide into y's slot.  (Runs
@@ -1005,8 +852,9 @@ _STRESS_BODIES = {
 }
 
 #: receivers the stress scripts dispatch through: the base class, two
-#: subclasses (bursts on different receivers drive 2-entry polymorphic
-#: promotion), and "newest" — the most recently created mid-flight
+#: subclasses (bursts on different receivers hit a slot promoted for
+#: another receiver class, so they exercise the bail to the generic
+#: tier), and "newest" — the most recently created mid-flight
 #: subclass (the "subclass" op replaces it), so leaf-exactness facts
 #: get revoked under live traffic.
 _STRESS_RECEIVERS = ("base", "suba", "subb", "newest")
@@ -1017,7 +865,7 @@ stress_ops = st.lists(
         st.tuples(st.just("burst"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(_STRESS_RECEIVERS),
                   st.integers(min_value=1, max_value=12)),
-        # keyword-call bursts: drive the kwargs-layout machinery
+        # keyword-call bursts: promoted sites bail them to the generic tier
         st.tuples(st.just("kwburst"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(_STRESS_RECEIVERS),
                   st.integers(min_value=1, max_value=12)),
@@ -1114,8 +962,8 @@ def _stress_replay(script, *, disable):
 @settings(max_examples=40, deadline=None)
 def test_promote_deopt_repromote_matches_oracle(script):
     """Random promote/deopt/re-promote interleavings — across three
-    receiver classes (polymorphic dispatch) and keyword-call bursts
-    (kwargs layouts) — never change a single observable outcome versus
+    receiver classes and keyword-call bursts, both of which bail out of
+    a promoted site — never change a single observable outcome versus
     the cache-free oracle."""
     tiered, _ = _stress_replay(script, disable=False)
     oracle, _ = _stress_replay(script, disable=True)
@@ -1131,24 +979,6 @@ def test_stress_scenarios_actually_promote():
     _, engine = _stress_replay(script, disable=False)
     assert engine.stats.promotions >= 2
     assert engine.stats.deopts >= 1
-
-
-@pytest.mark.requires_specialization
-def test_stress_scenarios_actually_poly_promote():
-    """Bursts on two subclass receivers build a 2-entry dispatch."""
-    script = [("burst", "m0", "suba", 8), ("burst", "m0", "subb", 8)]
-    _, engine = _stress_replay(script, disable=False)
-    assert engine.stats.poly_promotions >= 1
-    assert engine.stats.poly_spec_hits > 0
-
-
-@pytest.mark.requires_specialization
-def test_stress_scenarios_actually_kw_promote():
-    """Keyword bursts compile a kwargs layout in."""
-    script = [("kwburst", "m0", "base", 10)]
-    _, engine = _stress_replay(script, disable=False)
-    assert engine.stats.kw_promotions >= 1
-    assert engine.stats.kw_spec_hits > 0
 
 
 @pytest.mark.requires_elision

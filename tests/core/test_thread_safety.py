@@ -392,12 +392,12 @@ def test_invalidation_waves_race_specialized_calls():
 @pytest.mark.requires_threads
 @pytest.mark.requires_specialization
 def test_invalidation_waves_race_poly_and_kwargs_sites():
-    """The 2-entry/kwargs variant of the specialization race: caller
-    threads drive a base-class method hot under *two* subclass
-    receivers (building and rebuilding the polymorphic dispatch) with a
-    mix of positional and keyword calls, while mutator threads fire
-    retype waves that deopt one or both entries mid-flight.  Properties:
-    no crash or wedge, polymorphic and kwargs promotion both actually
+    """The shared-slot/kwargs variant of the specialization race:
+    caller threads drive a base-class method hot under *two* subclass
+    receivers (one promotes the slot, the other bails to the generic
+    tier) with a mix of positional and keyword calls, while mutator
+    threads fire retype waves that deopt the site mid-flight.
+    Properties: no crash or wedge, promotion and deopt both actually
     happened, and after quiescing judgments equal a fresh cache-free
     oracle."""
     sig_cycle = ["(Integer) -> Integer", "(Integer) -> String",
@@ -452,22 +452,6 @@ def test_invalidation_waves_race_poly_and_kwargs_sites():
     stats = engine.stats
     assert stats.promotions > 0, "the race never promoted a site"
     assert stats.deopts > 0, "the waves never deoptimized a site"
-    # Quiesced: start a fresh plan generation (the race may have
-    # promoted plans positionally before any kwargs shape was
-    # learnable), then force the 2-entry + kwargs shape
-    # deterministically — keyword calls first, so the layout is
-    # memoized before the reduced re-promotion threshold fires.
-    engine.types.replace("PolyRace", "m0", "(Integer) -> Integer",
-                         check=True)
-    for i in range(8):
-        assert b.m0(n=i) == i + 1
-        assert a.m0(i) == i + 1
-    assert stats.poly_promotions > 0
-    assert stats.kw_promotions > 0
-    poly0 = stats.poly_spec_hits
-    for i in range(4):
-        assert a.m0(i) == i + 1 and b.m0(i) == i + 1
-    assert stats.poly_spec_hits > poly0
 
     oracle_engine = Engine(disable_caches=True)
     oa, ob = build(oracle_engine)

@@ -1,6 +1,8 @@
 """Tests for run-time value typing and deep conformance checks."""
 
 import datetime
+import gc
+import weakref
 
 import pytest
 
@@ -87,6 +89,23 @@ class TestTypeOf:
         assert class_name_of([1]) == "Array"
         assert class_name_of({}) == "Hash"
         assert class_name_of(Widget()) == "Widget"
+
+    def test_class_name_memo_does_not_pin_classes(self):
+        """The memo must not keep a host class (and through its methods
+        whatever engine wrapped them) alive, and a dead class's entry
+        must go with it."""
+        from repro.rtypes import typeof
+
+        transient = type("Transient", (object,), {})
+        assert class_name_of(transient()) == "Transient"
+        key = id(transient)
+        assert typeof._CLASS_NAME_MEMO[key] == "Transient"
+        ref = weakref.ref(transient)
+        del transient
+        gc.collect()
+        assert ref() is None
+        assert key not in typeof._CLASS_NAME_MEMO
+        assert key not in typeof._CLASS_NAME_REFS
 
 
 class TestValueConforms:

@@ -3,7 +3,7 @@
 The contract under test (see ``repro.snapshot.warmstate``):
 
 * save→load on an identical world restores the check verdicts, call
-  plans (profiles, kwargs layouts, hit counts), and promotion
+  plans (profiles, hit counts), and promotion
   decisions the warm engine had — and a warm-started engine serves
   traffic without re-paying static checks, while staying
   outcome-identical to a cache-free oracle;
@@ -239,22 +239,27 @@ def test_load_into_cache_free_oracle_is_refused():
 
 
 def test_old_version_snapshot_rejected_with_cold_start():
-    """Format-version evolution is fail-closed in *both* directions: a
-    version-1 snapshot (single ``guard_profile`` tuples, no
-    ``chain_conforms``, no callee re-validation) is rejected wholesale —
-    never half-decoded under version-2 rules — and the engine cold-starts
-    cleanly, oracle-identical."""
+    """Format-version evolution is fail-closed in *both* directions:
+    version-2 snapshots (plans with ``kw_layouts``, verdicts with
+    ``chain_conforms``) and version-1 snapshots (single
+    ``guard_profile`` tuples, no callee re-validation) are rejected
+    wholesale — never half-decoded under version-3 rules — and the
+    engine cold-starts cleanly, oracle-identical."""
+    assert SNAPSHOT_VERSION == 3
     engine, _, _ = _warm_world()
     doc = save_snapshot(engine)
-    old = dict(doc, version=SNAPSHOT_VERSION - 1)
+    assert all("kw_layouts" not in rec for rec in doc["plans"])
+    assert all("chain_conforms" not in rec for rec in doc["elisions"])
 
     engine2, world2 = _fresh_world()
     plans_before = len(engine2._plans)
-    report = load_snapshot(engine2, old)
-    assert not report.loaded and "version" in report.reason
-    assert report.checks_restored == 0 and report.plans_restored == 0
-    assert report.elisions_seeded == 0
-    assert len(engine2._plans) == plans_before
+    for version in (2, 1):
+        old = dict(doc, version=version)
+        report = load_snapshot(engine2, old)
+        assert not report.loaded and "version" in report.reason
+        assert report.checks_restored == 0 and report.plans_restored == 0
+        assert report.elisions_seeded == 0
+        assert len(engine2._plans) == plans_before
 
     cold = _outcomes(scenario_thunks(world2, "read"), passes=1)
     oracle_world = build_serving_world(
@@ -266,7 +271,7 @@ def test_old_version_snapshot_rejected_with_cold_start():
 def _pinned_world(engine):
     """A hot ``%any``-typed site whose frame verdict holds only under
     the learned Integer profile: the elision carries a pinned guard
-    chain (``guard_profiles``), exercising the version-2 fields."""
+    chain (``guard_profiles``)."""
     cls = type("SnapPinned", (object,), {})
     body = "def relay(self, x):\n    return x + 1\n"
     namespace = {}
@@ -283,21 +288,19 @@ def _pinned_elision(engine):
 
 @pytest.mark.requires_elision
 def test_pinned_guard_chains_roundtrip():
-    """The version-2 elision fields — multi-profile ``guard_profiles``
-    chains and ``chain_conforms`` — survive save/load bit-for-bit, and
-    the warm-started wrapper still enforces the pinned chain (an
-    off-profile argument class bails to the generic tier)."""
+    """Multi-profile ``guard_profiles`` chains survive save/load
+    bit-for-bit, and the warm-started wrapper still enforces the pinned
+    chain (an off-profile argument class bails to the generic tier)."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     obj = _pinned_world(engine)()
     for i in range(THRESHOLD + 8):
         obj.relay(i)
     saved = _pinned_elision(engine)
     assert saved.guard_profiles == ((int,),)
-    assert saved.chain_conforms
     doc = save_snapshot(engine)
     rec = next(r for r in doc["elisions"]
                if r.get("guard_profiles") is not None)
-    assert rec["chain_conforms"] is True
+    assert rec["guard_profiles"] == [[["builtin", "int"]]]
 
     engine2 = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     cls2 = _pinned_world(engine2)
@@ -306,7 +309,6 @@ def test_pinned_guard_chains_roundtrip():
     assert report.elisions_seeded >= 1
     restored = _pinned_elision(engine2)
     assert restored.guard_profiles == saved.guard_profiles
-    assert restored.chain_conforms == saved.chain_conforms
     assert restored.frame == saved.frame
 
     # the restored pinned wrapper serves on-profile traffic and the
