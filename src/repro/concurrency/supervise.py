@@ -22,11 +22,11 @@ dead process, drains whatever made it through the pipe, and computes
 the remainder.
 
 **Delivery is at-most-once, and that is sufficient.**  A killed worker
-can lose queue messages still buffered in its feeder thread, so the
-supervisor may respawn work that actually completed — the replay
-re-executes it.  Conversely a message can arrive *after* its worker was
-declared dead and its slice reassigned, so the same schedule index can
-be reported twice.  Outcomes are deduplicated by schedule index (first
+loses the report of the request it was running, so the supervisor may
+respawn work that actually completed — the replay re-executes it.
+Conversely a message can arrive *after* its worker was declared dead
+and its slice reassigned, so the same schedule index can be reported
+twice.  Outcomes are deduplicated by schedule index (first
 report wins), which is sound because request recipes are deterministic
 over disjoint resources: any two executions of the same schedule index
 produce the same outcome, and the differential harness asserts exactly
@@ -64,6 +64,37 @@ from .driver import (
 #: how often the supervisor wakes to check for dead/hung workers when
 #: no messages are arriving.
 _POLL_INTERVAL_S = 0.05
+#: how long a worker that reported its own crash may take to exit
+#: before it is terminated.
+_CRASH_EXIT_GRACE_S = 5.0
+
+
+class _ResultPipe:
+    """Worker -> supervisor messages: one pipe, each send made
+    synchronously under a cross-process lock.
+
+    A ``multiprocessing.Queue`` sends from a feeder thread that holds
+    the queue's cross-process write lock while it writes.  A worker
+    killed (``os._exit``, SIGTERM) while that thread writes leaves the
+    lock held for good, so every later worker blocks on its first
+    report and is declared hung.  Here a send runs in the worker's own
+    thread, so an injected kill, which fires between requests, never
+    lands inside one."""
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, message) -> None:
+        with self._lock:
+            self._writer.send(message)
+
+    def get(self, timeout: float):
+        """The next message; raises ``queue.Empty`` after ``timeout``
+        seconds without one."""
+        if not self._reader.poll(timeout):
+            raise queue_module.Empty
+        return self._reader.recv()
 
 
 @dataclass
@@ -230,7 +261,7 @@ class SupervisedDriver(MultiProcessDriver):
 
     def run(self) -> SupervisedRun:
         ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
+        result_queue = _ResultPipe(ctx)
         run = SupervisedRun(self.workers, self.requests)
         run.stats_delta = {name: 0 for name in STATS_DELTA_FIELDS}
         states: Dict[int, _WorkerState] = {}
@@ -269,10 +300,7 @@ class SupervisedDriver(MultiProcessDriver):
         def drain_once(timeout: Optional[float]) -> bool:
             """Process one queue message; False when none arrived."""
             try:
-                if timeout is None:
-                    message = result_queue.get_nowait()
-                else:
-                    message = result_queue.get(timeout=timeout)
+                message = result_queue.get(timeout or 0.0)
             except queue_module.Empty:
                 return False
             except Exception as exc:  # noqa: BLE001 - truncated pickle
@@ -310,6 +338,10 @@ class SupervisedDriver(MultiProcessDriver):
             # finished flag is what stops it re-entering us.
             state.finished = True
             process = state.process
+            if reason == "crashed":
+                # It is exiting on its own; a SIGTERM could land before
+                # its send released the pipe lock.
+                process.join(_CRASH_EXIT_GRACE_S)
             if process.is_alive():
                 process.terminate()
             process.join(5.0)

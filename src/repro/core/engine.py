@@ -29,8 +29,9 @@ Different :class:`EngineConfig` settings give the paper's measurement
 modes: ``intercept=False`` is "Orig", ``caching=False`` is "No$", defaults
 are "Hum".  Setting ``REPRO_DISABLE_CACHES=1`` in the environment (or
 ``Engine(..., disable_caches=True)``) builds a *cache-free oracle*: call
-plans off, check memoization off, subtype/linearization memos off — every
-judgment recomputed from scratch.  The differential soundness harness
+plans off, check memoization off, subtype/linearization memos off, every
+body lowered from its source (no shared lowering memo) — every judgment
+recomputed from scratch.  The differential soundness harness
 runs workloads in both modes and asserts identical outcomes.
 
 Concurrency discipline (lock-free read, locked write):
@@ -213,6 +214,8 @@ class Engine:
         self.types = TypeRegistry()
         self.types.lock = self.write_lock
         self.cfgs = CFGRegistry()
+        if disable_caches:
+            self.cfgs.memo_enabled = False
         self.cache = CheckCache()
         self.stats = Stats()
         self.checker = Checker(self)
@@ -395,6 +398,7 @@ class Engine:
             self.hier.add_class(owner_name)
         existing = self.types.lookup(owner_name, name, kind)
         arms_before = len(existing.arms) if existing is not None else 0
+        version = self.types.version
         entry = self.types.add(owner_name, name, sig, kind=kind, check=check,
                                generated=generated)
         if len(entry.arms) != arms_before:
@@ -409,10 +413,17 @@ class Engine:
             target = fn
             if target is None and pycls is not None:
                 target = _find_callable(pycls, name, kind)
-            if pycls is not None and target is not None:
-                self._install_wrapper(pycls, name, kind, target)
-            else:
+            if pycls is None or target is None:
                 self._pending_wraps.add((owner_name, name, kind))
+            elif (self.types.version == version
+                  and self._wrapper_current(pycls, name, kind, target,
+                                            entry.check)):
+                # "Adding the same type again is harmless": nothing to
+                # re-lower, and re-wrapping would only throw away the
+                # slot's specialization.
+                self._pending_wraps.discard((owner_name, name, kind))
+            else:
+                self._install_wrapper(pycls, name, kind, target)
         return entry
 
     def field_type(self, owner, field_name: str, type_text) -> None:
@@ -958,6 +969,22 @@ class Engine:
         if self.config.intercept:
             wrap_method(self, pycls, name, kind=kind, fn=fn)
         self._pending_wraps.discard((pycls.__name__, name, kind))
+
+    def _wrapper_current(self, pycls: type, name: str, kind: str, fn,
+                         checked: bool) -> bool:
+        """True when ``_install_wrapper(pycls, name, kind, fn)`` would
+        change nothing: the slot along the MRO already holds this
+        engine's wrapper (generic or specialized) of ``kind`` around
+        ``fn``, and for a ``checked`` signature the registered IR is
+        ``fn``'s with its closure captures unchanged."""
+        raw = next((klass.__dict__[name] for klass in pycls.__mro__
+                    if name in klass.__dict__), None)
+        inner = raw.__func__ if isinstance(raw, classmethod) else raw
+        if (getattr(inner, "__hb_engine__", None) is not self
+                or getattr(inner, "__hb_original__", None) is not fn
+                or getattr(inner, "__hb_kind__", None) != kind):
+            return False
+        return not checked or self.cfgs.is_current(pycls.__name__, name, fn)
 
     def _rewrap_pending(self, owner_name: str) -> None:
         pycls = self._app_classes.get(owner_name)

@@ -627,6 +627,7 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     wrapper.__module__ = getattr(fn, "__module__", __name__)
     wrapper.__hb_original__ = fn
     wrapper.__hb_engine__ = engine
+    wrapper.__hb_kind__ = kind
     wrapper.__hb_specialized__ = True
     wrapper.__hb_source__ = source  # introspection for tests/debugging
     wrapper.__hb_entry_keys__ = (key,)

@@ -114,6 +114,7 @@ def wrap_method(engine, pycls: type, name: str, *, kind: str = INSTANCE,
 
     wrapper.__hb_original__ = original
     wrapper.__hb_engine__ = engine
+    wrapper.__hb_kind__ = kind
     installed = classmethod(wrapper) if (kind == CLASS or was_classmethod) \
         else wrapper
     setattr(def_cls, name, installed)

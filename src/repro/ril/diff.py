@@ -17,9 +17,13 @@ Key = Tuple[str, str]
 
 
 def bodies_differ(old: MethodIR, new: MethodIR) -> bool:
-    """True when the two bodies differ structurally (positions ignored)."""
-    return (old.fingerprint != new.fingerprint
-            or old.params != new.params)
+    """True when the two bodies differ structurally (positions ignored).
+
+    Two registrations of one code object share its lowered body, so the
+    common redefinition needs no fingerprint at all."""
+    if old.params != new.params:
+        return True
+    return old.body is not new.body and old.fingerprint != new.fingerprint
 
 
 def snapshot_fingerprints(reg: CFGRegistry) -> Dict[Key, str]:

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     ArgumentTypeError, Engine, EngineConfig, StaticTypeError,
 )
+from repro.rdl.registry import CLASS
 from repro.rdl.wrap import add_pre, is_wrapped, unwrap_method
 
 THRESHOLD = 5  # tiny, so tests cross the promotion boundary quickly
@@ -1017,3 +1018,169 @@ def test_stress_scenarios_actually_elide_and_survive_callee_churn():
     assert engine.stats.elide_promotions >= 1
     assert engine.stats.checks_elided > 0
     assert engine.stats.elide_deopts >= 1
+
+
+# -- idempotent re-annotation --------------------------------------------------
+
+
+class _RegisterSpy:
+    """Counts ``CFGRegistry.register_function`` calls."""
+
+    def __init__(self, monkeypatch):
+        from repro.ril.registry import CFGRegistry
+        self.calls = 0
+        real = CFGRegistry.register_function
+
+        def spy(registry, *args, **kwargs):
+            self.calls += 1
+            return real(registry, *args, **kwargs)
+
+        monkeypatch.setattr(CFGRegistry, "register_function", spy)
+
+
+def _slot(cls, name):
+    raw = cls.__dict__[name]
+    return raw.__func__ if isinstance(raw, classmethod) else raw
+
+
+@pytest.mark.requires_specialization
+def test_identical_reannotation_keeps_the_specialized_wrapper(monkeypatch):
+    engine = spec_engine()
+    cls = _hot_world(engine)
+    obj = cls()
+    _warm(obj)
+    promoted = _slot(cls, "bump")
+    assert promoted.__hb_specialized__
+    deopts = engine.stats.deopts
+    spy = _RegisterSpy(monkeypatch)
+    for _ in range(3):
+        engine.annotate(cls, "bump", "(Integer) -> Integer", check=True)
+    assert _slot(cls, "bump") is promoted
+    assert engine.stats.deopts == deopts
+    assert spy.calls == 0
+    assert obj.bump(1) == 2
+    with pytest.raises(ArgumentTypeError):
+        obj.bump("x")
+
+
+def _reannotation_rewraps(engine, cls, obj, monkeypatch, **annotate):
+    """Re-annotate a warm site; True when it re-registered and
+    re-wrapped (the promoted wrapper is gone from the slot)."""
+    _warm(obj)
+    before = _slot(cls, "bump")
+    spy = _RegisterSpy(monkeypatch)
+    engine.annotate(cls, "bump", **annotate)
+    return spy.calls == 1 and _slot(cls, "bump") is not before
+
+
+@pytest.mark.requires_specialization
+def test_new_arm_reregisters_and_rewraps(monkeypatch):
+    engine = spec_engine()
+    cls = _hot_world(engine)
+    obj = cls()
+    assert _reannotation_rewraps(engine, cls, obj, monkeypatch,
+                                 sig="(Float) -> Float", check=True)
+    assert len(engine.types.lookup("SpecHot", "bump").arms) == 2
+    assert obj.bump(1) == 2
+
+
+@pytest.mark.requires_specialization
+def test_check_upgrade_reregisters_and_rewraps(monkeypatch):
+    engine = spec_engine()
+    cls = type("SpecTrusted", (object,), {})
+    _define(engine, cls, "bump", _BUMP, "(Integer) -> Integer", check=False)
+    obj = cls()
+    assert _reannotation_rewraps(engine, cls, obj, monkeypatch,
+                                 sig="(Integer) -> Integer", check=True)
+    assert engine.types.lookup("SpecTrusted", "bump").check
+    assert engine.cfgs.lookup("SpecTrusted", "bump") is not None
+
+
+def _tagged_factory(tag):
+    def probe(self):
+        return tag
+
+    def retag(value):
+        nonlocal tag
+        tag = value
+
+    return probe, retag
+
+
+@pytest.mark.requires_specialization
+def test_capture_type_change_reregisters_and_rewraps(monkeypatch):
+    from repro.rtypes import NominalType
+
+    engine = spec_engine()
+    cls = type("SpecTagged", (object,), {})
+    probe, retag = _tagged_factory(1)
+    engine.define_method(cls, "probe", probe, sig="() -> %any", check=True)
+    obj = cls()
+    for _ in range(THRESHOLD + 5):
+        assert obj.probe() == 1
+    assert _slot(cls, "probe").__hb_specialized__
+    mir = engine.cfgs.lookup("SpecTagged", "probe")
+    assert mir.captures["tag"] == NominalType("Integer")
+
+    # Same value type: nothing to redo.
+    retag(2)
+    spy = _RegisterSpy(monkeypatch)
+    engine.annotate(cls, "probe", "() -> %any", check=True)
+    assert spy.calls == 0 and _slot(cls, "probe").__hb_specialized__
+
+    retag("two")
+    engine.annotate(cls, "probe", "() -> %any", check=True)
+    assert spy.calls == 1
+    assert not getattr(_slot(cls, "probe"), "__hb_specialized__", False)
+    mir = engine.cfgs.lookup("SpecTagged", "probe")
+    assert mir.captures["tag"] == NominalType("String")
+    assert obj.probe() == "two"
+
+
+@pytest.mark.requires_specialization
+def test_rolify_grant_loop_keeps_sites_promoted(monkeypatch):
+    """Fig. 2's pre-contract re-annotates ``is_<role>`` on every grant;
+    on a warmed world those identical annotations neither deopt nor
+    re-promote anything, and lower nothing."""
+    from repro.serving import recipes
+
+    engine = spec_engine()
+    world = recipes.build_serving_world("rolify", engine=engine)
+    user = world.extras["models"].User.all()[0]
+
+    def cycle():
+        assert user.grant("professor")
+        assert user.is_professor()
+        assert user.is_professor_of(user)
+        assert not user.revoke("professor")
+
+    for _ in range(THRESHOLD * 4):
+        cycle()
+    assert _slot(type(user), "is_professor").__hb_specialized__
+    cycle()
+    stats = engine.stats
+    deopts, promotions = stats.deopts, stats.promotions
+    spy = _RegisterSpy(monkeypatch)
+    for _ in range(50):
+        cycle()
+    assert (stats.deopts, stats.promotions) == (deopts, promotions)
+    assert spy.calls == 0
+
+
+def test_identical_reannotation_restores_the_annotated_kind():
+    """One slot, two signature kinds: re-annotating the class-method
+    signature puts a class-kind wrapper back even though the signature
+    itself is unchanged."""
+    engine = spec_engine()
+
+    class SpecKinds:
+        @classmethod
+        def make(cls, n):
+            return n
+
+    engine.annotate(SpecKinds, "make", "(Integer) -> Integer", kind=CLASS)
+    engine.annotate(SpecKinds, "make", "(String) -> String")
+    with pytest.raises(ArgumentTypeError):
+        SpecKinds.make(1)  # the instance-kind wrapper checks (String)
+    engine.annotate(SpecKinds, "make", "(Integer) -> Integer", kind=CLASS)
+    assert SpecKinds.make(1) == 1

@@ -1,11 +1,19 @@
 """Registry, JSON round-trip, and diff tests for the IR front end."""
 
+import gc
+import linecache
+import weakref
+
 import pytest
 
+from repro import Engine
+from repro.apps import all_builders
+from repro.rdl.registry import CLASS, INSTANCE
 from repro.ril import (
     CFGRegistry, RegistrationError, bodies_differ, diff_registries, dumps,
     fingerprint, from_json, ir, loads, snapshot_fingerprints, to_json,
 )
+from repro.ril.registry import _LOWERING_MEMO
 from repro.rtypes import NominalType
 
 
@@ -166,3 +174,135 @@ class TestFingerprintAndDiff:
         assert diff.added == {("D", "fresh")}
         assert diff.removed == {("D", "dropped")}
         assert diff.invalidation_roots() == {("D", "edited"), ("D", "dropped")}
+
+
+class TestLoweringMemo:
+    def test_closures_share_the_body_not_the_captures(self):
+        reg = CFGRegistry()
+        a = reg.register_function("User", "is_a", _make_closure(1))
+        b = reg.register_function("User", "is_b", _make_closure("b"))
+        assert a.body is b.body
+        assert a.captures["role_name"] == NominalType("Integer")
+        assert b.captures["role_name"] == NominalType("String")
+
+    def test_hb_source_functions_bypass_the_memo(self):
+        namespace = {}
+        src = "def quad(self, x):\n    return x * 4\n"
+        exec(src, namespace)
+        fn = namespace["quad"]
+        fn.__hb_source__ = src
+        reg = CFGRegistry()
+        first = reg.register_function("Demo", "quad", fn)
+        second = reg.register_function("Demo", "quad", fn)
+        assert first.body is not second.body
+        assert first.body == second.body
+        assert fn.__code__ not in _LOWERING_MEMO
+
+    def test_entry_dies_with_its_code_object(self):
+        filename = "<memo-lifetime>"
+        src = "def short_lived(self):\n    return 1\n"
+        linecache.cache[filename] = (len(src), None,
+                                     src.splitlines(True), filename)
+        try:
+            namespace = {}
+            exec(compile(src, filename, "exec"), namespace)
+            reg = CFGRegistry()
+            reg.register_function("Demo", "short_lived",
+                                  namespace["short_lived"])
+            code = weakref.ref(namespace["short_lived"].__code__)
+            assert code() in _LOWERING_MEMO
+            size = len(_LOWERING_MEMO)
+            del namespace, reg
+            gc.collect()
+            assert code() is None
+            assert len(_LOWERING_MEMO) == size - 1
+        finally:
+            linecache.cache.pop(filename, None)
+
+    def test_equal_code_from_another_file_is_not_a_hit(self):
+        """Code objects compare by value, and a parameter default lives
+        outside the code: these two compile to equal code objects."""
+        sources = {"<memo-a>": "def twin(self, x=1):\n    return x\n",
+                   "<memo-b>": "def twin(self, x):\n    return x\n"}
+        fns = {}
+        try:
+            for filename, src in sources.items():
+                linecache.cache[filename] = (len(src), None,
+                                             src.splitlines(True), filename)
+                namespace = {}
+                exec(compile(src, filename, "exec"), namespace)
+                fns[filename] = namespace["twin"]
+            assert fns["<memo-a>"].__code__ == fns["<memo-b>"].__code__
+            reg = CFGRegistry()
+            a = reg.register_function("A", "twin", fns["<memo-a>"])
+            b = reg.register_function("B", "twin", fns["<memo-b>"])
+            assert a.params[0].optional and not b.params[0].optional
+            assert (a.source_file, b.source_file) == ("<memo-a>", "<memo-b>")
+        finally:
+            for filename in sources:
+                linecache.cache.pop(filename, None)
+
+    def test_cache_free_registry_never_hits_the_memo(self):
+        warm = CFGRegistry().register_function("Demo", "sample", _sample)
+        oracle = Engine(disable_caches=True).cfgs
+        assert not oracle.memo_enabled
+        first = oracle.register_function("Demo", "sample", _sample)
+        second = oracle.register_function("Demo", "sample", _sample)
+        assert first.body is not warm.body
+        assert second.body is not first.body
+        assert first == warm == second
+
+    def test_reregistration_is_not_a_body_change(self):
+        reg = CFGRegistry()
+        old = reg.register_function("Demo", "sample", _sample)
+        new = reg.register_function("Demo", "sample", _sample)
+        assert old.body is new.body
+        assert not bodies_differ(old, new)
+        assert "fingerprint" not in vars(new)  # short-circuited, not hashed
+
+    def test_is_current_tracks_code_and_capture_types(self):
+        reg = CFGRegistry()
+        fn = _make_closure("prof")
+        assert not reg.is_current("User", "is_prof", fn)
+        reg.register_function("User", "is_prof", fn)
+        assert reg.is_current("User", "is_prof", fn)
+        assert reg.is_current("User", "is_prof", _make_closure("other"))
+        assert not reg.is_current("User", "is_prof", _make_closure(7))
+        assert not reg.is_current("User", "is_prof", _sample)
+        reg.register_source("User", "is_prof",
+                            "def is_prof(self):\n    return 1\n")
+        assert not reg.is_current("User", "is_prof", fn)
+
+
+_APP_CFG = {"pubs": {"publications": 5}, "cct": {"repeats": 1},
+            "countries": {"repeats": 1}}
+
+
+@pytest.mark.parametrize("app", sorted(all_builders()))
+def test_memo_hits_equal_a_fresh_lowering(app):
+    """Every checked method of every app lowers, through the memo, to
+    exactly what a memo-free lowering of its source gives."""
+    world = all_builders()[app](Engine(), **_APP_CFG.get(app, {}))
+    world.seed()
+    world.workload()
+    engine = world.engine
+    fresh_reg = CFGRegistry()
+    fresh_reg.memo_enabled = False
+    compared = 0
+    for owner, name in engine.cfgs.keys():
+        mir = engine.cfgs.lookup(owner, name)
+        fn = (engine.lookup_callable(owner, name, INSTANCE)
+              or engine.lookup_callable(owner, name, CLASS))
+        if mir.code is None or getattr(fn, "__code__", None) is not mir.code:
+            continue
+        hit = CFGRegistry().register_function(owner, name, fn)
+        fresh = fresh_reg.register_function(owner, name, fn)
+        if (engine.cfgs.memo_enabled
+                and getattr(fn, "__hb_source__", None) is None):
+            assert hit.body is mir.body  # served by the memo
+        assert fresh.body is not hit.body
+        assert (hit.params, hit.fingerprint) == \
+            (fresh.params, fresh.fingerprint)
+        assert hit == fresh
+        compared += 1
+    assert compared > 0
