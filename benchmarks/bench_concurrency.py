@@ -10,9 +10,9 @@ Two ways to run:
 
 * ``PYTHONPATH=src python -m pytest benchmarks/bench_concurrency.py -q``
   — asserts the >= 3x aggregate-throughput scaling at 8 threads versus
-  1 thread on the warm path, identical outcome multisets between the
-  concurrent run and a single-threaded oracle (with and without
-  churn), and a still-warm hit rate under churn;
+  1 thread on the warm path, per-index identity between the concurrent
+  run's outcomes and a cache-free oracle's (with and without churn),
+  and a still-warm hit rate under churn;
 * ``PYTHONPATH=src python benchmarks/bench_concurrency.py [--smoke]``
   — prints a JSON report (the committed ``BENCH_concurrency.json``
   baseline format) for perf-trajectory tracking across PRs.
@@ -29,9 +29,7 @@ import json
 import os
 import sys
 
-from repro.concurrency import (
-    ConcurrentDriver, build_concurrent_world, churn_recipe, request_thunks,
-)
+from repro.serving import Scenario, run_scenario
 
 #: per-request simulated I/O window; chosen so the pubs request mix is
 #: I/O-dominated (CPU per request is ~a third of this on a dev box).
@@ -40,45 +38,53 @@ IO_WAIT_S = 0.004
 REQUESTS = 480
 #: thread counts compared for the scaling headline.
 THREADS_LOW, THREADS_HIGH = 1, 8
+#: warm passes before a scaling run: enough for every pubs site (some
+#: are hit only every few passes) to reach the default promotion
+#: threshold, so the timed run is the warm path, not a promotion wave
+#: stalling all eight threads on the GIL.
+SCALING_WARM_ROUNDS = 64
 
 
-def _warm(thunks, rounds: int = 2) -> None:
-    """Drive every request once (twice) so annotations have executed,
-    bodies are checked, and call plans are built before timing."""
-    for _ in range(rounds):
-        for thunk in thunks:
-            thunk()
+def _pubs(threads: int, requests: int, warm_rounds: int = 2, **overrides):
+    """The pubs read mix from ``threads`` request threads, after
+    ``warm_rounds`` warm passes (annotations executed, bodies checked,
+    plans built)."""
+    return run_scenario(Scenario(
+        name=f"pubs_{threads}t", app="pubs", mix="read", workers=threads,
+        requests=requests, warm_rounds=warm_rounds, **overrides))
+
+
+def _hit_rate(report) -> float:
+    """Share of the measured run's intercepted calls served by a plan."""
+    measured = report.transitions
+    return measured["fast_path_hits"] / max(1, measured["calls_intercepted"])
 
 
 def measure_scaling(requests: int = REQUESTS,
                     io_wait_s: float = IO_WAIT_S) -> dict:
     """Aggregate warm-path throughput at 1 vs 8 threads, same schedule."""
-    world = build_concurrent_world("pubs")
-    thunks = request_thunks(world)
-    _warm(thunks)
     runs = {}
     for threads in (THREADS_LOW, THREADS_HIGH):
-        driver = ConcurrentDriver(thunks, threads=threads,
-                                  requests=requests, io_wait_s=io_wait_s,
-                                  record_outcomes=False)
-        run = driver.run()
+        report = _pubs(threads, requests, SCALING_WARM_ROUNDS,
+                       io_wait_s=io_wait_s)
         # A crashed/hung worker would shrink elapsed time while its
         # requests went unserved — never let that inflate the headline.
-        assert not run.crashes, run.crashes
-        assert run.completed == requests, (run.completed, requests)
-        runs[threads] = run
+        assert not report.crashes, report.crashes
+        assert report.completed == requests, (report.completed, requests)
+        assert report.oracle_match, report.scenario
+        # The timed run is the warm path: no promotion wave inside it.
+        assert report.transitions["promotions"] == 0, report.transitions
+        runs[threads] = report
     low, high = runs[THREADS_LOW], runs[THREADS_HIGH]
-    stats = world.engine.stats
     return {
         "requests": requests,
         "io_wait_ms": round(io_wait_s * 1000, 3),
         "threads_low": THREADS_LOW,
         "threads_high": THREADS_HIGH,
-        "rps_1": round(low.throughput_rps, 1),
-        f"rps_{THREADS_HIGH}": round(high.throughput_rps, 1),
-        "scaling": round(high.throughput_rps / low.throughput_rps, 2),
-        "warm_hit_rate": round(
-            stats.fast_path_hits / max(1, stats.calls_intercepted), 4),
+        "rps_1": round(low.rps, 1),
+        f"rps_{THREADS_HIGH}": round(high.rps, 1),
+        "scaling": round(high.rps / low.rps, 2),
+        "warm_hit_rate": round(_hit_rate(high), 4),
     }
 
 
@@ -86,36 +92,21 @@ def measure_churn(threads: int = THREADS_HIGH,
                   requests: int = REQUESTS,
                   churn_interval_s: float = 0.005) -> dict:
     """8 request threads + a dev-mode reload churn thread retyping a hot
-    method every few milliseconds: outcomes must match the no-churn
-    oracle (semantics-preserving churn), nothing may crash, and most
-    calls must still ride warm plans between invalidation waves."""
-    world = build_concurrent_world("pubs")
-    thunks = request_thunks(world)
-    _warm(thunks)
-    stats = world.engine.stats
-    hits0, calls0 = stats.fast_path_hits, stats.calls_intercepted
-    invalidations0 = stats.plan_invalidations
-    driver = ConcurrentDriver(thunks, threads=threads, requests=requests,
-                              io_wait_s=IO_WAIT_S,
-                              churn=churn_recipe(world),
-                              churn_interval_s=churn_interval_s)
-    run = driver.run()
-    # Snapshot the deltas *before* the oracle replay: its fully-warm
-    # requests hit the same engine and would dilute the churn-period
-    # miss rate into a vacuously high number.
-    hits_delta = stats.fast_path_hits - hits0
-    calls = stats.calls_intercepted - calls0
-    oracle = driver.run_single_threaded_oracle()
+    method every few milliseconds: every outcome must match the
+    cache-free oracle (semantics-preserving churn), nothing may crash,
+    and most calls must still ride warm plans between invalidation
+    waves."""
+    report = _pubs(threads, requests, io_wait_s=IO_WAIT_S, churn="retype",
+                   churn_interval_s=churn_interval_s)
     return {
         "threads": threads,
         "requests": requests,
-        "churn_applied": run.churn_applied,
-        "plans_invalidated": stats.plan_invalidations - invalidations0,
-        "errors": len(run.error_outcomes),
-        "crashes": list(run.crashes),
-        "outcomes_match_oracle":
-            run.outcome_multiset() == oracle.outcome_multiset(),
-        "warm_hit_rate_under_churn": round(hits_delta / max(1, calls), 4),
+        "churn_applied": report.churn_applied,
+        "plans_invalidated": report.transitions["plan_invalidations"],
+        "errors": report.errors,
+        "crashes": list(report.crashes),
+        "outcomes_match_oracle": report.oracle_match,
+        "warm_hit_rate_under_churn": round(_hit_rate(report), 4),
     }
 
 
@@ -143,17 +134,14 @@ def test_concurrent_scaling_at_least_3x():
     assert result["warm_hit_rate"] > 0.9, result
 
 
-def test_concurrent_outcomes_match_single_thread_oracle():
-    """Threaded differential soundness, benchmark-sized: the concurrent
-    run's outcome multiset equals a single-threaded oracle replay."""
-    world = build_concurrent_world("pubs")
-    thunks = request_thunks(world)
-    _warm(thunks)
-    driver = ConcurrentDriver(thunks, threads=THREADS_HIGH, requests=160)
-    run = driver.run()
-    oracle = driver.run_single_threaded_oracle()
-    assert not run.crashes, run.crashes
-    assert run.outcome_multiset() == oracle.outcome_multiset()
+def test_concurrent_outcomes_match_cache_free_oracle():
+    """Threaded differential soundness, benchmark-sized: every outcome
+    of the concurrent run equals the cache-free oracle's outcome for its
+    schedule index."""
+    report = _pubs(THREADS_HIGH, 160, io_wait_s=0.0)
+    assert not report.crashes, report.crashes
+    assert report.completed == 160
+    assert report.oracle_match
 
 
 def test_churn_under_load_is_sound_and_stays_warm():

@@ -18,10 +18,11 @@ ROADMAP item 3's two claims, measured end to end:
   over the request mix) faster — the cold-start deopt-storm window is
   the tail-latency enemy this kills.
 
-Every run is differentially verified per worker: each worker's outcome
-multiset must equal a cache-free oracle replay of that worker's exact
-schedule slice.  A report whose oracle bits are not 1 is a soundness
-bug, not a slow run.
+Every fleet runs the fork backend in fail-fast mode (``max_retries=0``)
+and is differentially verified per request: every outcome a worker
+reports must equal a cache-free oracle world's outcome for its schedule
+index.  A report whose oracle bits are not 1 is a soundness bug, not a
+slow run.
 
 Two ways to run:
 
@@ -42,8 +43,7 @@ import pytest
 from repro.concurrency import fork_available
 from repro.core import Engine, EngineConfig
 from repro.serving import (
-    MultiProcScenario, build_serving_world, run_multiproc_scenario,
-    scenario_thunks,
+    Scenario, build_serving_world, run_scenario, scenario_thunks,
 )
 from repro.snapshot import save_snapshot
 
@@ -63,6 +63,13 @@ WARM_REQUESTS = 240
 #: per thunk, so promotion (and tier-3 analysis) has fired.
 WARM_ROUNDS = 16
 
+
+def _fleet(name: str, **overrides):
+    """One fail-fast fork-backend run."""
+    return run_scenario(Scenario(name=name, backend="fork", max_retries=0,
+                                 **overrides))
+
+
 fork_missing = pytest.mark.skipif(
     not fork_available(),
     reason="multi-process serving requires the 'fork' start method")
@@ -74,10 +81,10 @@ def measure_scaling(requests: int = REQUESTS,
     the serving suite's read_heavy scenario."""
     runs = {}
     for workers in (WORKERS_LOW, WORKERS_HIGH):
-        report = run_multiproc_scenario(MultiProcScenario(
-            name=f"read_heavy_{workers}w", app="boxroom", mix="read",
+        report = _fleet(
+            f"read_heavy_{workers}w", app="boxroom", mix="read",
             workers=workers, requests=requests, io_wait_s=io_wait_s,
-            warm_rounds=4, cfg={"view_cost": 40}))
+            warm_rounds=4, cfg={"view_cost": 40})
         assert not report.crashes, report.crashes
         assert report.completed == requests, (report.completed, requests)
         runs[workers] = report
@@ -92,8 +99,7 @@ def measure_scaling(requests: int = REQUESTS,
         "rps_high": round(high.rps, 1),
         "scaling": round(high.rps / low.rps, 2),
         "p99_ms_high": round(high.latency.p99 * 1000, 3),
-        "oracle_match": int(low.oracle_match_cache_free
-                            and high.oracle_match_cache_free),
+        "oracle_match": int(low.oracle_match and high.oracle_match),
         "crashes": len(low.crashes) + len(high.crashes),
     }
 
@@ -110,7 +116,7 @@ def _fleet_view(report) -> dict:
         "tier_transitions": (transitions["promotions"]
                              + transitions["repromotions"]
                              + transitions["deopts"]),
-        "oracle_match": int(report.oracle_match_cache_free),
+        "oracle_match": int(report.oracle_match),
     }
 
 
@@ -132,15 +138,16 @@ def measure_warm_start(requests: int = WARM_REQUESTS) -> dict:
     save_snapshot(engine, snapshot_path)
 
     def fleet(name, snapshot):
-        return run_multiproc_scenario(MultiProcScenario(
-            name=name, app="countries", mix="read", workers=WARM_WORKERS,
+        return _fleet(
+            name, app="countries", mix="read", workers=WARM_WORKERS,
             requests=requests, io_wait_s=0.0, warm_rounds=0,
-            specialize_threshold=WARM_THRESHOLD, snapshot=snapshot))
+            specialize_threshold=WARM_THRESHOLD, snapshot=snapshot)
 
     cold = fleet("cold_start", None)
     warm = fleet("warm_start", snapshot_path)
-    assert not cold.crashes, cold.crashes
-    assert not warm.crashes, warm.crashes
+    for fleet_report in (cold, warm):
+        assert not fleet_report.crashes, fleet_report.crashes
+        assert fleet_report.completed == requests, fleet_report.restart_log
     cold_view, warm_view = _fleet_view(cold), _fleet_view(warm)
     cold_first = max(cold.first_pass_s, 1e-9)
     warm_first = max(warm.first_pass_s, 1e-9)
@@ -159,8 +166,7 @@ def measure_warm_start(requests: int = WARM_REQUESTS) -> dict:
         "static_checks_saved": (cold_view["static_checks"]
                                 - warm_view["static_checks"]),
         "steady_speedup": round(cold_first / warm_first, 2),
-        "oracle_match": int(cold.oracle_match_cache_free
-                            and warm.oracle_match_cache_free),
+        "oracle_match": int(cold.oracle_match and warm.oracle_match),
     }
 
 
@@ -209,16 +215,16 @@ def test_warm_start_skips_cold_start_work():
 
 @fork_missing
 def test_multiproc_outcomes_match_cache_free_oracle():
-    """Benchmark-sized differential soundness: every forked worker's
-    outcome multiset equals the cache-free oracle replay of its own
-    schedule slice."""
-    report = run_multiproc_scenario(MultiProcScenario(
-        name="oracle_check", app="boxroom", mix="read", workers=4,
-        requests=96, io_wait_s=0.0, warm_rounds=2, cfg={"view_cost": 40}))
+    """Benchmark-sized differential soundness: every outcome any forked
+    worker reports equals the cache-free oracle's outcome for its
+    schedule index."""
+    report = _fleet(
+        "oracle_check", app="boxroom", mix="read", workers=4,
+        requests=96, io_wait_s=0.0, warm_rounds=2, cfg={"view_cost": 40})
     assert not report.crashes, report.crashes
     assert report.errors == 0
-    assert report.worker_oracle_matches == [True] * 4
-    assert report.oracle_match_cache_free
+    assert report.completed == 96
+    assert report.oracle_match
 
 
 # -- baseline script ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""``repro.concurrency`` — the multi-threaded request workload layer.
+"""``repro.concurrency`` — the request drivers under the serving harness.
 
 The ROADMAP north star is a production-scale system serving heavy
 traffic, which means many request threads hitting the same engine — the
@@ -8,47 +8,32 @@ epoch-guarded memo stores; see ``docs/performance.md`` "Concurrency")
 makes that safe; this package makes it *drivable and measurable*:
 
 * :class:`~repro.concurrency.driver.ConcurrentDriver` — replays a
-  request mix through an app from N worker threads, optionally with a
-  dev-mode churn thread retyping/redefining methods mid-flight, and
-  reports aggregate throughput, per-request outcomes, and warm-path
-  hit rates;
-* :class:`~repro.concurrency.driver.MultiProcessDriver` — the pre-fork
-  serving mode: forks N workers that inherit the parent's (optionally
-  snapshot-warmed) engine copy-on-write, run disjoint slices of the
-  same schedule, and ship outcomes/latency samples/stats deltas back
-  over a queue for exact aggregate percentiles and per-worker oracle
-  comparison;
-* :mod:`~repro.concurrency.workload` — the pubs/cct/talks request
-  mixes (read-only, so concurrent outcomes are deterministic and
-  comparable against a single-threaded oracle) and reload-churn
-  recipes.
+  request schedule through an app from N worker threads, optionally
+  with dev-mode churn threads retyping/redefining methods mid-flight,
+  recording each request's outcome by schedule index;
+* :class:`~repro.concurrency.supervise.SupervisedDriver` — the pre-fork
+  mode: forks N workers that inherit the parent's (optionally
+  snapshot-warmed) engine copy-on-write, reports each request's outcome
+  and latency back in batches, and respawns dead or hung workers from
+  the warm parent (``max_retries=0`` is the fail-fast measurement mode).
 
-``benchmarks/bench_concurrency.py`` builds the committed
-``BENCH_concurrency.json`` baseline on top of these, and
-``tests/core/test_thread_safety.py`` uses the same driver for the
-threaded differential-soundness harness.
+Both deal the schedule with :func:`~repro.concurrency.driver.schedule_slice`.
+The request mixes live in :mod:`repro.serving.recipes`, and
+:func:`repro.serving.run_scenario` drives either backend and verifies
+every outcome against a cache-free oracle.
 """
 
 from .driver import (
-    ConcurrentDriver, DriverRun, MultiProcessDriver, MultiProcessRun,
-    WorkerReport, fork_available, normalize_outcome,
+    ConcurrentDriver, DriverRun, normalize_outcome, schedule_slice,
 )
-from .supervise import SupervisedDriver, SupervisedRun
-from .workload import (
-    build_concurrent_world, churn_recipe, request_thunks,
-)
+from .supervise import SupervisedDriver, SupervisedRun, fork_available
 
 __all__ = [
     "ConcurrentDriver",
     "DriverRun",
-    "MultiProcessDriver",
-    "MultiProcessRun",
     "SupervisedDriver",
     "SupervisedRun",
-    "WorkerReport",
     "fork_available",
     "normalize_outcome",
-    "build_concurrent_world",
-    "churn_recipe",
-    "request_thunks",
+    "schedule_slice",
 ]

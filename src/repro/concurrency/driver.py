@@ -15,22 +15,21 @@ off-CPU.  With it at zero the driver measures pure interpreter
 throughput (GIL-bound by construction — useful for overhead and
 soundness runs, meaningless for scaling).
 
-Outcomes are recorded per request with :func:`normalize_outcome` — the
-same ``("ok", repr) | ("err", type, str)`` shape the differential
-cache-soundness harness uses — so a concurrent run can be compared
-against a single-threaded oracle replay of the same schedule.
+Outcomes are recorded per schedule index with :func:`normalize_outcome`
+— the same ``("ok", repr) | ("err", type, str)`` shape the differential
+cache-soundness harness uses — so a concurrent run can be compared,
+index by index, against a cache-free oracle replay of the same schedule
+(:func:`repro.serving.run_scenario` does exactly that).  The forked
+counterpart is :class:`repro.concurrency.supervise.SupervisedDriver`;
+both deal the schedule with :func:`schedule_slice`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 import threading
 import time
-import traceback
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 Churn = Callable[[int], object]
 
@@ -48,6 +47,17 @@ def normalize_outcome(thunk: Callable[[], object]) -> tuple:
         return ("err", type(exc).__name__, str(exc))
 
 
+def schedule_slice(requests: int, workers: int, worker: int) -> range:
+    """The schedule indices dealt to ``worker`` out of ``requests``
+    split over ``workers``: contiguous, sizes differing by at most one,
+    every index in exactly one slice.  Both drivers deal this way, so an
+    index means the same request (``thunks[index % len(thunks)]``) on
+    every backend and in the oracle."""
+    per, extra = divmod(requests, workers)
+    start = worker * per + min(worker, extra)
+    return range(start, start + per + (1 if worker < extra else 0))
+
+
 @dataclass
 class DriverRun:
     """One driver execution: timings, outcomes, and error census."""
@@ -58,6 +68,9 @@ class DriverRun:
     #: requests that actually completed (== ``requests`` unless a worker
     #: crashed); throughput is computed from this, never the schedule.
     completed: int = 0
+    #: scheduled requests a crashed worker never ran: the unfinished
+    #: rest of its slice.
+    abandoned: int = 0
     #: flat list of (thread index, schedule index, outcome tuple).
     outcomes: List[Tuple[int, int, tuple]] = field(default_factory=list)
     #: how many mutations the churn (mutator) threads applied, summed
@@ -66,19 +79,6 @@ class DriverRun:
     #: exceptions that escaped a *worker loop* (not a request — request
     #: errors are outcomes); always a bug when non-empty.
     crashes: List[str] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def error_outcomes(self) -> List[Tuple[int, int, tuple]]:
-        return [o for o in self.outcomes if o[2][0] == "err"]
-
-    def outcome_multiset(self) -> Counter:
-        """Outcome tuple -> count, ignoring thread/schedule position —
-        the comparable view when requests interleave nondeterministically."""
-        return Counter(outcome for _, _, outcome in self.outcomes)
 
 
 class ConcurrentDriver:
@@ -95,7 +95,6 @@ class ConcurrentDriver:
                  io_wait_s: float = 0.0,
                  churn: Union[Churn, Sequence[Churn], None] = None,
                  churn_interval_s: float = 0.01,
-                 record_outcomes: bool = True,
                  faults=None) -> None:
         if not thunks:
             raise ValueError("need at least one request thunk")
@@ -118,19 +117,14 @@ class ConcurrentDriver:
             self.churns = [churn]
         else:
             self.churns = list(churn)
-        self.churn = self.churns[0] if self.churns else None
         self.churn_interval_s = churn_interval_s
-        self.record_outcomes = record_outcomes
 
     def schedule_for(self, worker: int) -> List[Tuple[int, Callable]]:
         """Worker ``worker``'s (schedule index, thunk) list."""
-        per = self.requests // self.threads
-        extra = self.requests % self.threads
-        count = per + (1 if worker < extra else 0)
-        start = worker * per + min(worker, extra)
         thunks = self.thunks
         n = len(thunks)
-        return [(start + i, thunks[(start + i) % n]) for i in range(count)]
+        return [(idx, thunks[idx % n]) for idx in
+                schedule_slice(self.requests, self.threads, worker)]
 
     def run(self) -> DriverRun:
         result = DriverRun(self.threads, self.requests, 0.0)
@@ -144,8 +138,8 @@ class ConcurrentDriver:
         def worker(idx: int) -> None:
             mine: List[Tuple[int, int, tuple]] = []
             done = 0
+            schedule = self.schedule_for(idx)
             try:
-                schedule = self.schedule_for(idx)
                 start_barrier.wait(timeout=JOIN_TIMEOUT_S)
                 for ordinal, (sched_idx, thunk) in enumerate(schedule):
                     if faults is not None:
@@ -158,13 +152,13 @@ class ConcurrentDriver:
                     done += 1
                     if io_wait:
                         time.sleep(io_wait)
-                    if self.record_outcomes:
-                        mine.append((idx, sched_idx, outcome))
+                    mine.append((idx, sched_idx, outcome))
             except Exception as exc:  # noqa: BLE001 - driver-level crash
                 result.crashes.append(f"worker {idx}: {exc!r}")
             finally:
                 with outcomes_lock:
                     result.completed += done
+                    result.abandoned += len(schedule) - done
                     if mine:
                         result.outcomes.extend(mine)
 
@@ -218,315 +212,3 @@ class ConcurrentDriver:
         result.outcomes.sort(key=lambda o: o[1])
         return result
 
-    def run_single_threaded_oracle(self) -> DriverRun:
-        """The comparison baseline: the same total schedule, one thread,
-        no churn — deterministic outcomes for multiset comparison."""
-        single = ConcurrentDriver(
-            self.thunks, threads=1, requests=self.requests,
-            io_wait_s=0.0, churn=None,
-            record_outcomes=self.record_outcomes)
-        return single.run()
-
-
-# -- pre-fork multi-process serving ------------------------------------------
-
-
-def fork_available() -> bool:
-    """Whether this platform can pre-fork workers.  The multi-process
-    mode requires the ``fork`` start method: request thunks close over
-    live app objects and are deliberately unpicklable, so workers must
-    inherit the warm world copy-on-write."""
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
-
-
-#: engine counters whose per-worker delta the parent aggregates — the
-#: tier-transition story of each worker's run (how much cold start it
-#: actually paid), shipped back over the result queue.
-STATS_DELTA_FIELDS = (
-    "static_checks", "cache_hits", "cache_misses", "promotions",
-    "repromotions", "deopts", "elide_promotions", "plan_invalidations",
-)
-
-
-@dataclass
-class WorkerReport:
-    """One forked worker's shipped-back results."""
-
-    worker: int
-    completed: int = 0
-    #: wall-clock of the worker's whole request loop.
-    elapsed_s: float = 0.0
-    #: wall-clock from loop start until the first full pass over the
-    #: thunk list completed — the cold-start window where this worker
-    #: pays static checks, profiling, and promotions (near zero when
-    #: warm-started from a snapshot).
-    first_pass_s: float = 0.0
-    #: (worker index, schedule index, outcome tuple), as in DriverRun.
-    outcomes: List[Tuple[int, int, tuple]] = field(default_factory=list)
-    #: the worker's latency reservoir, shipped raw so the parent can
-    #: merge across workers for exact aggregate percentiles.
-    samples: List[float] = field(default_factory=list)
-    #: how many latencies were recorded (== len(samples) unless the
-    #: reservoir overflowed into sampling).
-    sample_count: int = 0
-    #: per-worker deltas of STATS_DELTA_FIELDS across the run.
-    stats_delta: Dict[str, int] = field(default_factory=dict)
-
-    def outcome_multiset(self) -> Counter:
-        return Counter(outcome for _, _, outcome in self.outcomes)
-
-
-@dataclass
-class MultiProcessRun:
-    """One multi-process execution: per-worker reports + aggregates."""
-
-    workers: int
-    requests: int
-    elapsed_s: float
-    completed: int = 0
-    #: scheduled requests that never completed — the slices of crashed
-    #: or silent workers, computed from the schedule split (not derived
-    #: as ``requests - completed``, so ``completed + lost == requests``
-    #: is a real accounting check rather than a tautology).
-    lost: int = 0
-    reports: List[WorkerReport] = field(default_factory=list)
-    #: worker tracebacks and lost-worker diagnoses; a crash means the
-    #: run proves nothing — always assert this is empty.
-    crashes: List[str] = field(default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def error_outcomes(self) -> List[Tuple[int, int, tuple]]:
-        return [o for r in self.reports for o in r.outcomes
-                if o[2][0] == "err"]
-
-    @property
-    def first_pass_s(self) -> float:
-        """Time-to-steady-state for the run: the *slowest* worker's
-        first full pass (the deploy is warm when the last worker is)."""
-        return max((r.first_pass_s for r in self.reports), default=0.0)
-
-    def outcome_multiset(self) -> Counter:
-        merged: Counter = Counter()
-        for report in self.reports:
-            merged.update(report.outcome_multiset())
-        return merged
-
-    def merged_samples(self) -> Tuple[List[float], int]:
-        """(all workers' latency samples, total recorded count) — exact
-        aggregate percentiles whenever no per-worker reservoir
-        overflowed (count == len(samples))."""
-        samples: List[float] = []
-        count = 0
-        for report in self.reports:
-            samples.extend(report.samples)
-            count += report.sample_count
-        return samples, count
-
-    def stats_total(self) -> Dict[str, int]:
-        """STATS_DELTA_FIELDS summed across workers."""
-        total = {name: 0 for name in STATS_DELTA_FIELDS}
-        for report in self.reports:
-            for name, value in report.stats_delta.items():
-                total[name] = total.get(name, 0) + value
-        return total
-
-
-class MultiProcessDriver:
-    """Replay the round-robin schedule from ``workers`` forked processes.
-
-    The pre-fork serving shape: the parent builds (and optionally
-    snapshot-warms) the world, then forks; each worker inherits the
-    whole warm engine copy-on-write — plans, check cache, promoted
-    wrappers and all — runs its slice of the schedule against its own
-    engine copy, and ships outcomes, latency samples, and stats deltas
-    back over a queue.  Nothing is shared after the fork, so there is
-    no cross-process locking to validate — what this mode buys is
-    N cores instead of one, and what the snapshot buys is each worker
-    skipping the cold-start window.
-
-    The schedule split is identical to :class:`ConcurrentDriver`'s
-    (same formula over ``workers``), so a worker's outcome multiset can
-    be replayed index-by-index against a cache-free oracle world.
-    """
-
-    def __init__(self, thunks: Sequence[Callable[[], object]], *,
-                 workers: int = 4, requests: int = 400,
-                 io_wait_s: float = 0.0, engine=None,
-                 reservoir_capacity: int = 16384,
-                 first_pass: Optional[int] = None,
-                 faults=None) -> None:
-        if not thunks:
-            raise ValueError("need at least one request thunk")
-        if not fork_available():
-            raise RuntimeError(
-                "multi-process driver requires the 'fork' start method")
-        self.thunks = list(thunks)
-        self.workers = workers
-        self.requests = requests
-        self.io_wait_s = io_wait_s
-        #: optional :class:`repro.faults.FaultPlan`; in forked workers a
-        #: KILL fault calls ``os._exit`` — no cleanup, no queue flush —
-        #: so the parent sees a silent worker with a nonzero exit code.
-        self.faults = faults
-        #: the engine the thunks run against, for per-worker stats
-        #: deltas (optional: without it deltas are empty).
-        self.engine = engine
-        self.reservoir_capacity = reservoir_capacity
-        #: requests counted as the worker's first pass (default: one
-        #: full trip around the thunk list).
-        self.first_pass = (first_pass if first_pass is not None
-                           else len(self.thunks))
-
-    def schedule_for(self, worker: int) -> List[Tuple[int, Callable]]:
-        """Worker ``worker``'s (schedule index, thunk) list — the same
-        deal as the threaded driver, over processes."""
-        per = self.requests // self.workers
-        extra = self.requests % self.workers
-        count = per + (1 if worker < extra else 0)
-        start = worker * per + min(worker, extra)
-        thunks = self.thunks
-        n = len(thunks)
-        return [(start + i, thunks[(start + i) % n]) for i in range(count)]
-
-    def schedule_indices(self, worker: int) -> List[int]:
-        """Just the schedule indices — what an oracle replay maps back
-        onto its own thunk list (``index % len(thunks)``)."""
-        return [sched_idx for sched_idx, _ in self.schedule_for(worker)]
-
-    def _stats_probe(self) -> Dict[str, int]:
-        if self.engine is None:
-            return {}
-        snap = self.engine.stats_snapshot()
-        return {name: int(snap.get(name, 0))
-                for name in STATS_DELTA_FIELDS}
-
-    def _child_main(self, idx: int, barrier, result_queue) -> None:
-        # Imported lazily: repro.serving imports this module back.
-        from ..serving.latency import Reservoir
-        payload: Dict[str, object] = {"worker": idx, "error": None}
-        try:
-            schedule = self.schedule_for(idx)
-            reservoir = Reservoir(self.reservoir_capacity, seed=idx + 1)
-            before = self._stats_probe()
-            io_wait = self.io_wait_s
-            first_pass = min(self.first_pass, len(schedule))
-            outcomes: List[Tuple[int, int, tuple]] = []
-            clock = time.perf_counter
-            barrier.wait(JOIN_TIMEOUT_S)
-            loop_start = clock()
-            first_pass_s = 0.0
-            faults = self.faults
-            for done, (sched_idx, thunk) in enumerate(schedule, start=1):
-                if faults is not None:
-                    faults.on_request(idx, 0, done - 1, in_process=True)
-                started = clock()
-                outcome = normalize_outcome(thunk)
-                # thunk-only latency: the simulated I/O sleep below
-                # models off-CPU time, same as LatencyRecorder.timed.
-                reservoir.record(clock() - started)
-                if done == first_pass:
-                    first_pass_s = clock() - loop_start
-                outcomes.append((idx, sched_idx, outcome))
-                if io_wait:
-                    time.sleep(io_wait)
-            elapsed = clock() - loop_start
-            after = self._stats_probe()
-            payload.update(
-                completed=len(outcomes), elapsed_s=elapsed,
-                first_pass_s=first_pass_s, outcomes=outcomes,
-                samples=reservoir.samples(),
-                sample_count=reservoir.count,
-                stats_delta={name: after[name] - before[name]
-                             for name in before})
-        except Exception:  # noqa: BLE001 - ship the whole traceback
-            payload["error"] = traceback.format_exc()
-        result_queue.put(payload)
-
-    def run(self) -> MultiProcessRun:
-        ctx = multiprocessing.get_context("fork")
-        result_queue = ctx.Queue()
-        # workers + the parent: timing starts when every forked child
-        # is imported, scheduled, and standing at the line.
-        barrier = ctx.Barrier(self.workers + 1)
-        processes = [
-            ctx.Process(target=self._child_main,
-                        args=(idx, barrier, result_queue), daemon=True)
-            for idx in range(self.workers)]
-        for process in processes:
-            process.start()
-        barrier.wait(JOIN_TIMEOUT_S)
-        started = time.perf_counter()
-        deadline = started + JOIN_TIMEOUT_S
-        run = MultiProcessRun(self.workers, self.requests, 0.0)
-        # Drain results BEFORE joining: a child flushing a large result
-        # through the queue's pipe cannot exit until the parent reads
-        # it — join-first would deadlock.
-        pending = self.workers
-        reported: set = set()
-        graced = False
-        while pending:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            try:
-                payload = result_queue.get(timeout=min(0.25, remaining))
-            except queue_module.Empty:
-                # A dead child can never report; waiting out the full
-                # deadline for one would stall a crashed run for
-                # minutes.  One extra grace poll covers a payload still
-                # in flight through the queue's feeder pipe.
-                dead = sum(1 for idx in range(self.workers)
-                           if idx not in reported
-                           and not processes[idx].is_alive())
-                if dead == pending:
-                    if graced:
-                        break
-                    graced = True
-                continue
-            graced = False
-            reported.add(payload["worker"])
-            pending -= 1
-            if payload.get("error"):
-                run.crashes.append(
-                    f"worker {payload['worker']}: {payload['error']}")
-                continue
-            run.reports.append(WorkerReport(
-                worker=payload["worker"],
-                completed=payload["completed"],
-                elapsed_s=payload["elapsed_s"],
-                first_pass_s=payload["first_pass_s"],
-                outcomes=payload["outcomes"],
-                samples=payload["samples"],
-                sample_count=payload["sample_count"],
-                stats_delta=payload["stats_delta"]))
-            run.completed += payload["completed"]
-        run.elapsed_s = time.perf_counter() - started
-        if pending:
-            missing = sorted(set(range(self.workers)) - reported)
-            run.crashes.append(
-                f"{pending} worker(s) sent no report "
-                f"(workers {missing})")
-        for process in processes:
-            process.join(timeout=max(0.1, deadline - time.perf_counter()))
-        for idx, process in enumerate(processes):
-            if process.is_alive():
-                process.terminate()
-                process.join(5.0)
-                run.crashes.append(f"worker {idx}: terminated (hung)")
-            elif process.exitcode not in (0, None) and not any(
-                    f"worker {idx}:" in crash for crash in run.crashes):
-                run.crashes.append(
-                    f"worker {idx}: exit code {process.exitcode}")
-        run.reports.sort(key=lambda report: report.worker)
-        reported = {report.worker: report.completed
-                    for report in run.reports}
-        run.lost = sum(len(self.schedule_for(idx)) - reported.get(idx, 0)
-                       for idx in range(self.workers))
-        return run

@@ -1,28 +1,41 @@
-"""Supervised multi-process serving: crash detection, warm respawn,
-and exact work accounting.
+"""Pre-fork multi-process serving under supervision: crash detection,
+warm respawn, and exact work accounting.
 
-:class:`~repro.concurrency.driver.MultiProcessDriver` is the pre-fork
-measurement harness — a worker crash simply voids the run.  This module
-is the fault-*tolerant* sibling the ROADMAP's production framing calls
-for: a parent supervisor that watches forked workers, detects crashes
-and hangs, respawns replacements forked from the parent's still-warm
-engine (plans, check cache, promoted wrappers — the same copy-on-write
-inheritance a snapshot-warmed deploy gets), reassigns the unfinished
-remainder of the dead worker's schedule slice, and gives up only after
-a bounded retry budget with exponential backoff.
+The parent builds (and optionally snapshot-warms) the world, then forks
+one worker per slot; each inherits the whole warm engine copy-on-write
+— plans, check cache, promoted wrappers and all — and runs its
+:func:`~repro.concurrency.driver.schedule_slice` of the schedule
+against its own engine copy.  Nothing is shared after the fork, so
+there is no cross-process locking to validate: what this mode buys is
+N cores instead of one, and what a snapshot buys is each worker
+skipping the cold-start window.
 
-**Protocol.**  Each worker streams one queue message per completed
-request — ``("req", slot, attempt, sched_idx, outcome, dt)`` — and a
-terminal ``("done", slot, attempt, stats_delta)``.  The per-request
-messages double as heartbeats: a live worker is never silent for longer
-than one request, so the supervisor needs no side channel to detect a
-hang.  A worker that dies mid-request (``os._exit``, OOM-kill, a
-poisoned deserializer) just stops talking; the supervisor notices the
-dead process, drains whatever made it through the pipe, and computes
-the remainder.
+The parent supervises: it watches the workers, detects crashes and
+hangs, respawns replacements forked from its still-warm engine,
+reassigns the unfinished remainder of the dead worker's slice, and
+gives up only after a bounded retry budget with exponential backoff.
+With ``max_retries=0`` this is the fail-fast pre-fork measurement mode:
+a dead worker's unfinished slice is abandoned at once, and the death is
+also a crash — nothing recovers from it, so the run is void.
+
+**Protocol.**  First attempts wait at a start barrier with the parent,
+so the fleet's clock starts once every worker is forked and standing at
+the line; respawns start at once.  Each worker reports its completed
+requests in batches — ``("req", slot, attempt, [(sched_idx, outcome,
+dt), ...])`` — flushed once ``_REPORT_INTERVAL_S`` has passed since the
+last flush (and before every fault hook, so a scripted fault never
+loses a report), then a terminal ``("done", slot, attempt,
+stats_delta, first_pass_s)``.
+Batching keeps the supervisor off the workers' CPUs while they serve;
+the batches double as heartbeats: a live worker is never silent for
+longer than one request or one report interval, so the supervisor
+needs no side channel to detect a hang.  A worker that dies
+mid-request (``os._exit``, OOM-kill, a poisoned deserializer) just
+stops talking; the supervisor notices the dead process, drains whatever
+made it through the pipe, and computes the remainder.
 
 **Delivery is at-most-once, and that is sufficient.**  A killed worker
-loses the report of the request it was running, so the supervisor may
+loses the reports it had not flushed yet, so the supervisor may
 respawn work that actually completed — the replay re-executes it.
 Conversely a message can arrive *after* its worker was declared dead
 and its slice reassigned, so the same schedule index can be reported
@@ -51,22 +64,34 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Counter as CounterType, Dict, List, Optional, Sequence, Set, Tuple
-from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .driver import (
-    JOIN_TIMEOUT_S, STATS_DELTA_FIELDS, MultiProcessDriver,
-    normalize_outcome,
-)
+from ..core.stats import TRANSITION_FIELDS
+from .driver import JOIN_TIMEOUT_S, normalize_outcome, schedule_slice
 
 #: how often the supervisor wakes to check for dead/hung workers when
 #: no messages are arriving.
 _POLL_INTERVAL_S = 0.05
+#: how long a worker may hold completed reports before flushing them.
+_REPORT_INTERVAL_S = 0.05
 #: how long a worker that reported its own crash may take to exit
 #: before it is terminated.
 _CRASH_EXIT_GRACE_S = 5.0
+
+
+def fork_available() -> bool:
+    """Whether this platform can pre-fork workers.  The fork backend
+    requires the ``fork`` start method: request thunks close over live
+    app objects and are deliberately unpicklable, so workers must
+    inherit the warm world copy-on-write."""
+    try:
+        return "fork" in multiprocessing.get_all_start_methods()
+    except Exception:  # pragma: no cover - exotic platforms
+        return False
 
 
 class _ResultPipe:
@@ -142,23 +167,26 @@ class SupervisedRun:
     #: so recovery cost shows up in its own percentile column instead
     #: of silently fattening the steady-state tail.
     replay_samples: List[float] = field(default_factory=list)
-    #: STATS_DELTA_FIELDS summed over every attempt that sent "done".
-    stats_delta: Dict[str, int] = field(default_factory=dict)
+    #: per slot: TRANSITION_FIELDS deltas summed over that slot's
+    #: attempts that sent "done" — how much cold start (checks, misses,
+    #: promotions, deopts) each worker actually paid.
+    per_worker: List[Dict[str, int]] = field(default_factory=list)
+    #: the slowest finished attempt's first full pass over the thunk
+    #: list — the deploy's cold-start window (near zero when the parent
+    #: was snapshot-warmed).
+    first_pass_s: float = 0.0
     #: human-readable supervision events (deaths, hangs, respawns,
     #: budget exhaustion) in order.
     restart_log: List[str] = field(default_factory=list)
     abandoned_indices: List[int] = field(default_factory=list)
     #: protocol violations and diagnoses that void the run's guarantees
-    #: (garbled messages, outcome-dedup disagreement, deadline hit).
+    #: (garbled messages, outcome-dedup disagreement, deadline hit, and
+    #: with ``max_retries=0`` any worker death).
     crashes: List[str] = field(default_factory=list)
 
     @property
     def completed(self) -> int:
         return self.completed_first + self.completed_retried
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
 
     def accounting_ok(self) -> bool:
         """The invariant: every scheduled request is in exactly one
@@ -167,23 +195,17 @@ class SupervisedRun:
                 == self.completed_first + self.completed_retried
                 + self.abandoned)
 
-    def outcome_multiset(self) -> CounterType:
-        return Counter(outcome for _, _, outcome in self.outcomes.values())
 
-
-class SupervisedDriver(MultiProcessDriver):
-    """A :class:`MultiProcessDriver` wrapped in a supervision loop.
-
-    The schedule split, fork inheritance, and per-worker stats probes
-    are inherited unchanged; what changes is the child protocol (one
-    streamed message per request instead of one payload at the end) and
-    the parent loop (an event loop that heartbeats workers and respawns
-    the dead instead of a drain-then-join).
+class SupervisedDriver:
+    """Replay the schedule from ``workers`` forked, supervised processes.
 
     ``max_retries`` bounds respawns *per slot* (attempt numbers run
-    0..max_retries); ``backoff_base_s`` doubles per attempt up to
-    ``backoff_cap_s``; ``hang_timeout_s`` is how long a worker may go
-    silent before it is declared hung, terminated, and replayed.
+    0..max_retries; 0 is the fail-fast mode); ``backoff_base_s`` doubles
+    per attempt up to ``backoff_cap_s``; ``hang_timeout_s`` is how long
+    a worker may go silent before it is declared hung, terminated, and
+    replayed.  ``engine`` (optional) is the engine the thunks run
+    against: workers report its TRANSITION_FIELDS deltas, and the
+    parent's copy counts restarts and replays.
     """
 
     def __init__(self, thunks: Sequence[Callable[[], object]], *,
@@ -194,61 +216,101 @@ class SupervisedDriver(MultiProcessDriver):
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 1.0,
                  hang_timeout_s: float = 5.0) -> None:
-        super().__init__(thunks, workers=workers, requests=requests,
-                         io_wait_s=io_wait_s, engine=engine,
-                         faults=faults)
+        if not thunks:
+            raise ValueError("need at least one request thunk")
+        if not fork_available():
+            raise RuntimeError(
+                "the supervised driver requires the 'fork' start method")
+        self.thunks = list(thunks)
+        self.workers = workers
+        self.requests = requests
+        self.io_wait_s = io_wait_s
+        self.engine = engine
+        #: optional :class:`repro.faults.FaultPlan`; in forked workers a
+        #: KILL fault calls ``os._exit`` — no cleanup, no flush — so the
+        #: parent sees a silent worker with a nonzero exit code.
+        self.faults = faults
         self.max_retries = max(0, max_retries)
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.hang_timeout_s = hang_timeout_s
 
+    def _stats_probe(self) -> Dict[str, int]:
+        if self.engine is None:
+            return {}
+        stats = self.engine.stats
+        return {name: int(getattr(stats, name))
+                for name in TRANSITION_FIELDS}
+
     # -- child ---------------------------------------------------------------
 
     def _supervised_child(self, slot: int, attempt: int,
-                          indices: List[int], result_queue) -> None:
+                          indices: List[int], result_queue,
+                          start_barrier) -> None:
         thunks = self.thunks
         n = len(thunks)
         faults = self.faults
         clock = time.perf_counter
         io_wait = self.io_wait_s
+        # One full trip around the thunk list: the window in which this
+        # attempt pays static checks, profiling, and promotions.
+        first_pass = min(n, len(indices))
+        first_pass_s = 0.0
+        pending: List[Tuple[int, tuple, float]] = []
         try:
             before = self._stats_probe()
+            if start_barrier is not None:
+                start_barrier.wait(JOIN_TIMEOUT_S)
+            loop_start = last_flush = clock()
             for ordinal, sched_idx in enumerate(indices):
                 if faults is not None:
-                    # KILL faults os._exit here: no cleanup, no queue
-                    # flush — buffered messages are lost, exactly the
-                    # at-most-once delivery the supervisor assumes.
+                    # KILL faults os._exit here: no cleanup, no flush.
+                    # Reporting first keeps a scripted kill's losses
+                    # to the request it pre-empts.
+                    if pending:
+                        result_queue.put(("req", slot, attempt, pending))
+                        pending = []
                     faults.on_request(slot, attempt, ordinal,
                                       in_process=True)
                 started = clock()
                 outcome = normalize_outcome(thunks[sched_idx % n])
-                dt = clock() - started
-                result_queue.put(
-                    ("req", slot, attempt, sched_idx, outcome, dt))
+                finished = clock()
+                pending.append((sched_idx, outcome, finished - started))
+                if ordinal + 1 == first_pass:
+                    first_pass_s = finished - loop_start
+                if finished - last_flush >= _REPORT_INTERVAL_S:
+                    result_queue.put(("req", slot, attempt, pending))
+                    pending = []
+                    last_flush = clock()
                 if io_wait:
                     time.sleep(io_wait)
+            if pending:
+                result_queue.put(("req", slot, attempt, pending))
             after = self._stats_probe()
             delta = {name: after[name] - before[name] for name in before}
-            result_queue.put(("done", slot, attempt, delta))
+            result_queue.put(("done", slot, attempt, delta, first_pass_s))
         except BaseException:  # noqa: BLE001 - infra failure, not outcome
             # An injected ERROR (or any infrastructure exception) kills
             # this attempt; tell the supervisor rather than making it
             # wait out the hang timeout.  Never an outcome: the request
             # it pre-empted completes on replay.
-            import traceback as tb
             try:
+                if pending:
+                    result_queue.put(("req", slot, attempt, pending))
                 result_queue.put(
-                    ("crash", slot, attempt, tb.format_exc()))
+                    ("crash", slot, attempt, traceback.format_exc()))
             except Exception:  # pragma: no cover - queue already broken
                 pass
 
     # -- parent --------------------------------------------------------------
 
     def _spawn(self, ctx, result_queue, slot: int, attempt: int,
-               indices: List[int], received: Set[int]) -> _WorkerState:
+               indices: List[int], received: Set[int],
+               start_barrier=None) -> _WorkerState:
         process = ctx.Process(
             target=self._supervised_child,
-            args=(slot, attempt, indices, result_queue), daemon=True)
+            args=(slot, attempt, indices, result_queue, start_barrier),
+            daemon=True)
         process.start()
         return _WorkerState(slot=slot, attempt=attempt, indices=indices,
                             process=process, received=received,
@@ -263,13 +325,25 @@ class SupervisedDriver(MultiProcessDriver):
         ctx = multiprocessing.get_context("fork")
         result_queue = _ResultPipe(ctx)
         run = SupervisedRun(self.workers, self.requests)
-        run.stats_delta = {name: 0 for name in STATS_DELTA_FIELDS}
+        run.per_worker = [dict.fromkeys(self._stats_probe(), 0)
+                          for _ in range(self.workers)]
+        # workers + the parent: the clock starts when every first
+        # attempt is forked, probed, and standing at the line.
+        start_barrier = ctx.Barrier(self.workers + 1)
         states: Dict[int, _WorkerState] = {}
         for slot in range(self.workers):
+            indices = list(schedule_slice(self.requests, self.workers, slot))
             states[slot] = self._spawn(ctx, result_queue, slot, 0,
-                                       self.schedule_indices(slot), set())
+                                       indices, set(), start_barrier)
+        try:
+            start_barrier.wait(JOIN_TIMEOUT_S)
+        except threading.BrokenBarrierError:
+            # A worker died before the line; the loop below finds it.
+            pass
         started = time.perf_counter()
         deadline = started + JOIN_TIMEOUT_S
+        for state in states.values():
+            state.last_seen = started
 
         def active() -> List[_WorkerState]:
             return [s for s in states.values() if not s.finished]
@@ -310,15 +384,17 @@ class SupervisedDriver(MultiProcessDriver):
                 return True
             kind = message[0]
             if kind == "req":
-                _, slot, attempt, sched_idx, outcome, dt = message
-                accept(slot, attempt, sched_idx, outcome, dt)
+                _, slot, attempt, batch = message
+                for sched_idx, outcome, dt in batch:
+                    accept(slot, attempt, sched_idx, outcome, dt)
             elif kind == "done":
-                _, slot, attempt, delta = message
+                _, slot, attempt, delta, first_pass_s = message
                 state = states[slot]
                 state.last_seen = time.perf_counter()
+                totals = run.per_worker[slot]
                 for name, value in delta.items():
-                    run.stats_delta[name] = (
-                        run.stats_delta.get(name, 0) + value)
+                    totals[name] += value
+                run.first_pass_s = max(run.first_pass_s, first_pass_s)
                 if attempt == state.attempt:
                     state.finished = True
             elif kind == "crash":
@@ -351,13 +427,20 @@ class SupervisedDriver(MultiProcessDriver):
                 pass
             remainder = [idx for idx in state.indices
                          if idx not in run.outcomes]
+            if not self.max_retries:
+                # Fail-fast: nothing recovers a worker, so losing one
+                # (even after its last report) voids the run.
+                run.crashes.append(
+                    f"slot {state.slot} {reason} (exit code "
+                    f"{process.exitcode}) before reporting done")
             if not remainder:
                 return
             if state.attempt >= self.max_retries:
                 run.restart_log.append(
                     f"slot {state.slot} {reason} on attempt "
-                    f"{state.attempt}; retry budget exhausted, "
-                    f"abandoning {len(remainder)} request(s)")
+                    f"{state.attempt} (exit code {process.exitcode}); "
+                    f"retry budget exhausted, abandoning "
+                    f"{len(remainder)} request(s)")
                 run.abandoned += len(remainder)
                 run.abandoned_indices.extend(remainder)
                 return

@@ -460,6 +460,13 @@ class Engine:
                 if existing is not None:
                     self._install_wrapper(owner, name, kind, fn)
             new = self.cfgs.lookup(owner_name, name)
+            if (new is not None and new is old
+                    and not self.cfgs.is_current(owner_name, name, fn)):
+                # An unchecked slot keeps whatever IR promotion lowered
+                # from the body this definition just replaced; a later
+                # check (or a caller's analysis) must never read it.
+                self.cfgs.forget(owner_name, name)
+                new = None
             if old is not None and (new is None or bodies_differ(old, new)):
                 self.invalidate(owner_name, name)
 

@@ -48,6 +48,27 @@ HOT_COUNTER_FIELDS = (
 )
 
 
+#: the counters a serving run reports per phase and per worker: the tier
+#: transitions that show up as tail latency when they wave, the
+#: cold-start work (static checks, check-cache traffic) a worker pays,
+#: and how much of the traffic rode call plans.
+TRANSITION_FIELDS = (
+    "calls_intercepted",
+    "fast_path_hits",
+    "static_checks",
+    "cache_hits",
+    "cache_misses",
+    "promotions",
+    "repromotions",
+    "deopts",
+    "elide_promotions",
+    "elide_deopts",
+    "plan_invalidations",
+    "invalidations",
+    "annotations_total",
+)
+
+
 class HotCounters:
     """One thread's shard of the hot-path counters (plain ints, no lock:
     only the owning thread ever writes them)."""

@@ -6,9 +6,9 @@ transit, and mutator threads die between invalidation waves.  This
 module is the *instrumentation* half of the fault-tolerance story: a
 :class:`FaultPlan` is a finite script of :class:`Fault` records keyed
 by **(worker slot, attempt, request ordinal)** — pure data, installed
-into the drivers (``ConcurrentDriver``, ``MultiProcessDriver``,
-``SupervisedDriver``) and the serving harness through an optional
-``faults=`` parameter.
+into the two drivers (``ConcurrentDriver``, ``SupervisedDriver``) and
+the serving harness (``run_scenario``) through an optional ``faults=``
+parameter.
 
 Design rules:
 

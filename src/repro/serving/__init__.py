@@ -1,40 +1,38 @@
-"""``repro.serving`` — the end-to-end load harness (ROADMAP item 4).
+"""``repro.serving`` — the end-to-end load harness.
 
-The concurrency layer proved the engine sound and scalable under
-read-only traffic; this package proves it under *production-shaped*
-traffic: write-heavy and mixed read/write request mixes over the
-boxroom / countries / rolify apps (the ``sqldb`` create/update/destroy
-paths), dev-mode reload and schema-retype churn running from dedicated
-mutator threads while N request threads are in flight, and per-request
-latency percentiles (p50/p95/p99/p999) so promotion and deopt waves
-surface as tail latency instead of averaging away.
+The concurrency layer drives requests; this package turns them into
+*production-shaped* traffic and verifies it: read, write-heavy and
+mixed request mixes over all six subject apps (the ``sqldb``
+create/update/destroy paths on boxroom / countries / rolify), dev-mode
+reload and schema-retype churn running from dedicated mutator threads
+while N request threads are in flight, pre-fork fleets (fail-fast or
+supervised) forked from a warm or snapshot-restored parent, and
+per-request latency percentiles (p50/p95/p99/p999) so promotion and
+deopt waves surface as tail latency instead of averaging away.
 
 * :mod:`~repro.serving.latency` — per-thread reservoir latency
   recorder, nearest-rank percentiles, exact merge;
-* :mod:`~repro.serving.recipes` — request mixes built on a
+* :mod:`~repro.serving.recipes` — the request catalog, built on a
   disjoint-resource discipline that keeps every outcome
   interleaving-independent (so the differential oracle bar stays
   absolute even for writes);
 * :mod:`~repro.serving.churn` — reloader/typegen/retype mutator
   recipes plus deopt-storm accounting;
-* :mod:`~repro.serving.harness` — scenario runner producing
-  :class:`~repro.serving.harness.ServingReport` (rps, percentiles,
-  per-phase tier transitions, oracle verdicts).
+* :mod:`~repro.serving.harness` — one :class:`Scenario`, one
+  :func:`run_scenario` for the thread and fork backends, one
+  :class:`Report` (rps, percentiles, per-phase tier transitions,
+  recovery accounting, the per-index cache-free oracle verdict).
 
-``benchmarks/bench_serving.py`` builds the committed
-``BENCH_serving.json`` baseline on top of these;
+``benchmarks/bench_{serving,concurrency,multiproc,chaos}.py`` build the
+committed ``BENCH_*.json`` baselines on top of these;
 ``tests/serving/`` holds the differential and stress suites.
 """
 
 from .churn import churn_suite, count_storms, reload_churn, retype_churn, typegen_churn
-from .harness import (
-    MultiProcReport, MultiProcScenario, ServingReport, ServingScenario,
-    SupervisedReport, SupervisedScenario, run_multiproc_scenario,
-    run_scenario, run_supervised_scenario,
-)
+from .harness import Report, Scenario, run_scenario
 from .latency import (
     DEFAULT_CAPACITY, LatencyRecorder, LatencySummary, Reservoir, nearest_rank,
-    summarize_partitioned, summarize_samples,
+    summarize_samples,
 )
 from .recipes import (
     build_serving_world, mask_ids, mixed_thunks, read_thunks, scenario_thunks,
@@ -45,13 +43,9 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "LatencyRecorder",
     "LatencySummary",
-    "MultiProcReport",
-    "MultiProcScenario",
+    "Report",
     "Reservoir",
-    "ServingReport",
-    "ServingScenario",
-    "SupervisedReport",
-    "SupervisedScenario",
+    "Scenario",
     "build_serving_world",
     "churn_suite",
     "count_storms",
@@ -61,11 +55,8 @@ __all__ = [
     "read_thunks",
     "reload_churn",
     "retype_churn",
-    "run_multiproc_scenario",
     "run_scenario",
-    "run_supervised_scenario",
     "scenario_thunks",
-    "summarize_partitioned",
     "summarize_samples",
     "typegen_churn",
     "write_heavy_thunks",

@@ -6,8 +6,8 @@ list of churn callables):
 
 * **retype** — ``engine.types.replace`` of a hot checked method with
   its unchanged signature, plus a fresh-class registration every few
-  steps: the same semantics-preserving invalidation wave the
-  concurrency workload already models;
+  steps and an identical ``field_type``: a semantics-preserving
+  invalidation wave (every app has a target);
 * **reload** — a real ``rails.reloader`` dev-mode reload: two
   *textually different but behaviorally identical* versions of a hot
   method's source alternate, so every step is a genuine IR-diff "body
@@ -43,6 +43,9 @@ RETYPE_TARGETS: Dict[str, Tuple[str, str, str]] = {
     "boxroom": ("Folder", "path", "() -> String"),
     "countries": ("Country", "summary_line", "() -> String"),
     "rolify": ("User", "display_name", "() -> String"),
+    "pubs": ("Author", "last_name", "() -> String"),
+    "cct": ("CardValidator", "masked", "(String) -> String"),
+    "talks": ("User", "display_name", "() -> String"),
 }
 
 #: alternating-source reload versions per app: (class, method, sig,
@@ -136,7 +139,7 @@ def churn_suite(world: World, kind: str = "full") -> List[Churn]:
     """The mutator-thread recipes for a scenario.
 
     ``kind``: ``none`` (no mutators), ``retype`` (the single-recipe
-    wave matching the concurrency workload), or ``full`` (retype +
+    wave, available for every app), or ``full`` (retype +
     dev-mode reload + typegen regeneration, each on its own thread —
     Rails apps only get all three; countries gets retype).
     """

@@ -1,536 +1,299 @@
-"""The end-to-end serving harness: scenarios in, latency-graded and
-differentially-verified reports out.
+"""The end-to-end serving harness: one scenario model, one report, and
+one runner for every backend.
 
-One :class:`ServingScenario` names an app, a request mix (read / write
-/ mixed), a thread count, and a churn kind; :func:`run_scenario`:
+A :class:`Scenario` names an app and request mix (see ``recipes``), a
+backend, a worker count and a schedule length.  :func:`run_scenario`
+takes every backend through the same steps:
 
-1. builds and seeds the world, warms the schedule (annotations
-   executed, bodies checked, plans built — tier promotion is left to
-   happen *during* the measured run unless the scenario warms past the
-   promotion threshold, because promotion waves are part of the tail
-   story);
-2. replays the schedule from N worker threads through
-   :class:`~repro.concurrency.driver.ConcurrentDriver`, with one
-   dedicated mutator thread per churn recipe, every request timed into
-   the per-thread reservoirs of a
-   :class:`~repro.serving.latency.LatencyRecorder`;
-3. snapshots tier-transition counters (promotions, deopts, plan
-   invalidations, re-annotations) at each phase boundary, so a deopt
-   storm is attributable to the phase whose p999 it poisoned;
-4. verifies the run differentially: the outcome multiset must equal a
-   single-threaded replay on the same warm engine **and** a replay on a
-   fresh cache-free oracle world (``Engine(disable_caches=True)``) —
-   the acceptance bar every scale of this repo answers to.
+1. **build** and seed the world, on an engine with the scenario's
+   promotion threshold;
+2. optionally **load a snapshot** into it (fail-closed: a rejected
+   snapshot is a cold start, recorded in ``Report.snapshot``);
+3. **warm** it with ``warm_rounds`` sequential passes over the mix.
+   Tier promotion is otherwise left to happen *during* the measured
+   run, because promotion waves are part of the tail story;
+4. **drive** the round-robin schedule through the backend:
 
-The recipes' disjoint-resource discipline (see ``recipes``) is what
-makes step 4 exact: each thunk's outcome is interleaving-independent,
-so any divergence is a soundness bug, not scheduling noise.
+   * ``thread`` — N request threads share the warm engine
+     (:class:`~repro.concurrency.driver.ConcurrentDriver`), with one
+     mutator thread per churn recipe;
+   * ``fork`` — N workers forked from the warm parent, copy-on-write
+     (:class:`~repro.concurrency.supervise.SupervisedDriver`).  With
+     ``max_retries=0`` a dead worker's unfinished slice is abandoned at
+     once (the fail-fast measurement mode); above that, dead or hung
+     workers are respawned from the parent and their remainder is
+     replayed;
+
+5. **verify** every completed request against a fresh cache-free
+   oracle world (``Engine(disable_caches=True)``): the outcome at
+   schedule index ``i`` must equal the oracle's outcome for request
+   ``i mod n``.
+
+Step 5 is exact because the recipes' disjoint-resource discipline makes
+each request's outcome independent of the interleaving and of how often
+it ran before (the warm rounds already lean on that), so one oracle
+pass over the mix pins every index.  Comparing per index rather than as
+a multiset also catches outcomes delivered under the wrong index.
+
+Each step's tier transitions are recorded (``Report.phases``), so a
+deopt storm is attributable to the phase whose p999 it poisoned.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..concurrency import (
-    ConcurrentDriver, MultiProcessDriver, SupervisedDriver,
-)
+from ..concurrency import ConcurrentDriver, SupervisedDriver
 from ..concurrency.driver import normalize_outcome
 from ..core import Engine, EngineConfig
+from ..core.stats import TRANSITION_FIELDS
 from ..snapshot import load_snapshot
 from .churn import churn_suite, count_storms
-from .latency import (
-    LatencyRecorder, LatencySummary, summarize_partitioned,
-    summarize_samples,
-)
+from .latency import LatencyRecorder, LatencySummary, summarize_samples
 from .recipes import build_serving_world, scenario_thunks
 
-#: the stats attributes snapshotted at phase boundaries — the tier
-#: transitions that show up as tail latency when they wave.
-TRANSITION_FIELDS = (
-    "promotions", "repromotions", "deopts", "elide_promotions",
-    "elide_deopts", "plan_invalidations", "invalidations",
-    "annotations_total",
-)
-
 
 @dataclass
-class ServingScenario:
-    """One serving measurement configuration."""
+class Scenario:
+    """One serving configuration, for either backend."""
 
     name: str
+    backend: str = "thread"        # thread | fork
     app: str = "boxroom"
-    mix: str = "mixed"             # read | write | mixed
-    threads: int = 8
+    mix: str = "read"              # read | write | mixed
+    #: request threads (thread backend) or forked processes (fork).
+    workers: int = 4
     requests: int = 400
+    #: simulated off-CPU time per request (a GIL-releasing sleep).
     io_wait_s: float = 0.002
-    churn: str = "none"            # none | retype | full
-    churn_interval_s: float = 0.005
-    #: sequential passes over the schedule before timing starts.
-    warm_rounds: int = 4
+    #: sequential passes over the mix before the measured run — what
+    #: the request threads share, or the forked workers inherit.
+    warm_rounds: int = 0
     cfg: Optional[dict] = None
-    reservoir_capacity: int = 16384
+    #: a snapshot path or document to warm-start the engine from.
+    snapshot: Optional[object] = None
+    #: override EngineConfig.specialize_threshold (None = default).
+    specialize_threshold: Optional[int] = None
+    #: thread backend only: none | retype | full (see churn_suite).
+    churn: str = "none"
+    churn_interval_s: float = 0.005
+    #: fork backend only: respawns per worker slot (0 = fail-fast).
+    max_retries: int = 0
 
 
 @dataclass
-class ServingReport:
+class Report:
     """Everything one scenario run measured and verified."""
 
     scenario: str
+    backend: str
     app: str
     mix: str
-    threads: int
+    workers: int
     requests: int
-    completed: int
-    elapsed_s: float
-    rps: float
-    latency: LatencySummary
-    errors: int
-    crashes: List[str]
-    churn_applied: int
-    deopt_storms: int
-    #: phase name -> {counter: delta} for TRANSITION_FIELDS.
+    completed: int = 0
+    #: scheduled requests that never completed: a crashed thread's
+    #: unfinished slice, or a fork slot's remainder once its retries ran
+    #: out.  ``completed + abandoned == requests`` always holds.
+    abandoned: int = 0
+    elapsed_s: float = 0.0
+    #: first-attempt requests (every request, on the thread backend).
+    latency: Optional[LatencySummary] = None
+    #: fork backend: the replayed requests, kept apart so recovery cost
+    #: cannot hide in the steady-state tail (None when none replayed).
+    replay_latency: Optional[LatencySummary] = None
+    errors: int = 0
+    #: failures that void the run's guarantees: a thread's worker loop
+    #: raised, a mutator died, or the fork protocol broke.  Worker
+    #: deaths the supervisor handled are in ``restart_log`` instead.
+    crashes: List[str] = field(default_factory=list)
+    restarts: int = 0
+    completed_retried: int = 0
+    restart_log: List[str] = field(default_factory=list)
+    churn_applied: int = 0
+    #: churn steps that displaced at least one live specialized wrapper.
+    deopt_storms: int = 0
+    #: fork backend: the slowest worker's first full pass over the mix —
+    #: the deploy's cold-start window (near zero when snapshot-warmed).
+    first_pass_s: float = 0.0
+    #: "warmup" / "measured" -> TRANSITION_FIELDS deltas.  On the fork
+    #: backend "measured" sums the workers' own deltas.
     phases: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: threaded run vs single-threaded replay on the same warm engine.
+    #: fork backend: each worker slot's measured deltas.
+    per_worker: List[Dict[str, int]] = field(default_factory=list)
+    #: the SnapshotLoad.as_dict() of the warm-start attempt ({} = none).
+    snapshot: Dict[str, object] = field(default_factory=dict)
+    #: no crash, and every completed outcome equals the cache-free
+    #: oracle's outcome for its schedule index.
     oracle_match: bool = False
-    #: threaded run vs a fresh cache-free oracle world's replay.
-    oracle_match_cache_free: bool = False
+
+    @property
+    def rps(self) -> float:
+        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
+
+    @property
+    def transitions(self) -> Dict[str, int]:
+        """The measured run's TRANSITION_FIELDS deltas."""
+        return self.phases["measured"]
 
     def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario."""
+        """The committed-baseline JSON shape for this scenario.  Both
+        oracle keys carry the one per-index verdict."""
         out = {
+            "backend": self.backend,
             "app": self.app,
             "mix": self.mix,
-            "threads": self.threads,
+            "workers": self.workers,
             "requests": self.requests,
             "completed": self.completed,
+            "abandoned": self.abandoned,
             "rps": round(self.rps, 1),
             "errors": self.errors,
             "crashes": len(self.crashes),
+            "restarts": self.restarts,
+            "completed_retried": self.completed_retried,
             "churn_applied": self.churn_applied,
             "deopt_storms": self.deopt_storms,
+            "first_pass_ms": round(self.first_pass_s * 1000, 3),
+            "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
             "oracle_match": int(self.oracle_match),
-            "oracle_match_cache_free": int(self.oracle_match_cache_free),
+            "oracle_match_cache_free": int(self.oracle_match),
             "phases": self.phases,
         }
-        out.update(self.latency.as_ms_dict())
+        if self.latency is not None:
+            out.update(self.latency.as_ms_dict())
+        if self.replay_latency is not None:
+            out["replayed"] = self.replay_latency.as_ms_dict()
         return out
 
 
-def _transition_snapshot(stats) -> Dict[str, int]:
+def _transitions(stats) -> Dict[str, int]:
     return {name: int(getattr(stats, name)) for name in TRANSITION_FIELDS}
 
 
-def _transition_delta(before: Dict[str, int],
-                      after: Dict[str, int]) -> Dict[str, int]:
+def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in before}
 
 
-def _warm(thunks, rounds: int) -> None:
-    for _ in range(rounds):
-        for thunk in thunks:
-            thunk()
-
-
-def _oracle_multiset(thunks, requests: int) -> Counter:
-    """Single-threaded replay of the same round-robin schedule."""
-    driver = ConcurrentDriver(thunks, threads=1, requests=requests)
-    run = driver.run()
-    if run.crashes:
-        raise RuntimeError(f"oracle replay crashed: {run.crashes}")
-    return run.outcome_multiset()
-
-
-def run_scenario(scenario: ServingScenario, *,
-                 differential: bool = True,
-                 cache_free_oracle: bool = True,
-                 faults=None) -> ServingReport:
-    """Run one scenario end to end; see the module docstring.
-
-    ``faults`` (a :class:`repro.faults.FaultPlan`) scripts worker-thread
-    and mutator-thread failures into the measured run; injected faults
-    surface as driver crashes, never as request outcomes."""
-    world = build_serving_world(scenario.app, cfg=scenario.cfg)
-    thunks = scenario_thunks(world, scenario.mix)
+def _drive_threads(scenario: Scenario, world, thunks, faults,
+                   report: Report) -> Dict[int, tuple]:
     stats = world.engine.stats
-
-    recorder = LatencyRecorder(scenario.reservoir_capacity)
-    timed = [recorder.timed(t) for t in thunks]
-
-    phases: Dict[str, Dict[str, int]] = {}
-    mark = _transition_snapshot(stats)
-    _warm(thunks, scenario.warm_rounds)
-    after_warm = _transition_snapshot(stats)
-    phases["warmup"] = _transition_delta(mark, after_warm)
-
-    storm_dicts = []
+    storms: List[Dict[str, int]] = []
     churns = []
     for recipe in churn_suite(world, scenario.churn):
-        storms = {"count": 0}
-        storm_dicts.append(storms)
-        churns.append(count_storms(recipe, stats, storms))
-
-    driver = ConcurrentDriver(
-        timed, threads=scenario.threads, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, churn=churns or None,
-        churn_interval_s=scenario.churn_interval_s, faults=faults)
-    run = driver.run()
-    after_run = _transition_snapshot(stats)
-    phases["measured"] = _transition_delta(after_warm, after_run)
-
-    # Summarize latency before any oracle replay can touch the timed
-    # thunks again.
-    latency = recorder.summary()
-
-    report = ServingReport(
-        scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        threads=scenario.threads, requests=scenario.requests,
-        completed=run.completed, elapsed_s=run.elapsed_s,
-        rps=run.throughput_rps, latency=latency,
-        errors=len(run.error_outcomes), crashes=list(run.crashes),
-        churn_applied=run.churn_applied,
-        deopt_storms=sum(s["count"] for s in storm_dicts),
-        phases=phases)
-
-    if differential:
-        # (a) Same warm engine, one thread, no churn: isolates thread
-        # interleaving + churn as the only variables.
-        warm_oracle = _oracle_multiset(thunks, scenario.requests)
-        report.oracle_match = (run.outcome_multiset() == warm_oracle)
-        phases["oracle_replay"] = _transition_delta(
-            after_run, _transition_snapshot(stats))
-        if cache_free_oracle:
-            # (b) A fresh world on a cache-free engine: every judgment
-            # recomputed from scratch — the absolute acceptance bar.
-            oracle_world = build_serving_world(
-                scenario.app, engine=Engine(disable_caches=True),
-                cfg=scenario.cfg)
-            oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-            free_oracle = _oracle_multiset(oracle_thunks,
-                                           scenario.requests)
-            report.oracle_match_cache_free = (
-                run.outcome_multiset() == free_oracle)
-    return report
+        storms.append({"count": 0})
+        churns.append(count_storms(recipe, stats, storms[-1]))
+    recorder = LatencyRecorder()
+    before = _transitions(stats)
+    run = ConcurrentDriver(
+        [recorder.timed(t) for t in thunks], threads=scenario.workers,
+        requests=scenario.requests, io_wait_s=scenario.io_wait_s,
+        churn=churns or None, churn_interval_s=scenario.churn_interval_s,
+        faults=faults).run()
+    report.phases["measured"] = _delta(before, _transitions(stats))
+    report.completed = run.completed
+    report.abandoned = run.abandoned
+    report.elapsed_s = run.elapsed_s
+    report.latency = recorder.summary() if recorder.count else None
+    report.crashes = list(run.crashes)
+    report.churn_applied = run.churn_applied
+    report.deopt_storms = sum(s["count"] for s in storms)
+    return {idx: outcome for _, idx, outcome in run.outcomes}
 
 
-# -- pre-fork multi-process serving ------------------------------------------
+def _drive_fork(scenario: Scenario, world, thunks, faults,
+                report: Report) -> Dict[int, tuple]:
+    run = SupervisedDriver(
+        thunks, workers=scenario.workers, requests=scenario.requests,
+        io_wait_s=scenario.io_wait_s, engine=world.engine, faults=faults,
+        # A short first backoff: a serving slot waits on the respawn.
+        max_retries=scenario.max_retries, backoff_base_s=0.01).run()
+    report.phases["measured"] = {
+        name: sum(worker[name] for worker in run.per_worker)
+        for name in TRANSITION_FIELDS}
+    report.per_worker = run.per_worker
+    report.completed = run.completed
+    report.abandoned = run.abandoned
+    report.elapsed_s = run.elapsed_s
+    if run.first_samples:
+        report.latency = summarize_samples(run.first_samples)
+    if run.replay_samples:
+        report.replay_latency = summarize_samples(run.replay_samples)
+    report.crashes = list(run.crashes)
+    report.restarts = run.restarts
+    report.completed_retried = run.completed_retried
+    report.restart_log = list(run.restart_log)
+    report.first_pass_s = run.first_pass_s
+    return {idx: outcome for idx, (_, _, outcome) in run.outcomes.items()}
 
 
-@dataclass
-class MultiProcScenario:
-    """One multi-process serving measurement configuration."""
-
-    name: str
-    app: str = "boxroom"
-    mix: str = "read"              # read | write | mixed
-    workers: int = 4
-    requests: int = 480
-    io_wait_s: float = 0.002
-    #: sequential passes over the schedule in the *parent* before the
-    #: fork — what the children inherit copy-on-write.
-    warm_rounds: int = 0
-    #: a snapshot path or document to warm-start the parent engine from
-    #: (children inherit the restored state); None = cold start.
-    snapshot: Optional[object] = None
-    cfg: Optional[dict] = None
-    #: override EngineConfig.specialize_threshold (None = default).
-    specialize_threshold: Optional[int] = None
-    reservoir_capacity: int = 16384
+#: backend name -> drive step: runs the schedule over the warm world,
+#: fills the report's measurements, and returns the completed outcomes
+#: by schedule index.
+_BACKENDS = {
+    "thread": _drive_threads,
+    "fork": _drive_fork,
+}
 
 
-@dataclass
-class MultiProcReport:
-    """Everything one multi-process run measured and verified."""
-
-    scenario: str
-    app: str
-    mix: str
-    workers: int
-    requests: int
-    completed: int
-    #: scheduled requests that never completed (crashed workers'
-    #: slices); ``completed + lost == requests`` always — a crashed
-    #: worker's share can no longer silently vanish from the report.
-    lost: int
-    elapsed_s: float
-    rps: float
-    latency: LatencySummary
-    errors: int
-    crashes: List[str]
-    #: slowest worker's first full pass — the deploy's cold-start
-    #: window (near zero when snapshot-warmed).
-    first_pass_s: float
-    #: STATS_DELTA_FIELDS summed across workers: how much cold start
-    #: (checks, misses, promotions, deopts) the fleet actually paid.
-    transitions: Dict[str, int] = field(default_factory=dict)
-    #: per-worker stats deltas, in worker order.
-    per_worker: List[Dict[str, int]] = field(default_factory=list)
-    #: the SnapshotLoad.as_dict() of the warm-start attempt ({} = cold).
-    snapshot: Dict[str, object] = field(default_factory=dict)
-    #: per-worker: outcome multiset == cache-free oracle replay of the
-    #: worker's exact schedule slice.
-    worker_oracle_matches: List[bool] = field(default_factory=list)
-    #: all workers matched and none crashed.
-    oracle_match_cache_free: bool = False
-
-    def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario."""
-        out = {
-            "app": self.app,
-            "mix": self.mix,
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "lost": self.lost,
-            "rps": round(self.rps, 1),
-            "errors": self.errors,
-            "crashes": len(self.crashes),
-            "first_pass_ms": round(self.first_pass_s * 1000, 3),
-            "transitions": dict(self.transitions),
-            "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
-            "oracle_match_cache_free": int(self.oracle_match_cache_free),
-        }
-        out.update(self.latency.as_ms_dict())
-        return out
+def _matches_oracle(scenario: Scenario, outcomes: Dict[int, tuple]) -> bool:
+    """Whether every outcome equals the cache-free oracle's for its
+    schedule index: one pass over the mix on a fresh cache-free world
+    gives entry ``i mod n`` as the expected outcome of index ``i``."""
+    world = build_serving_world(
+        scenario.app, engine=Engine(disable_caches=True), cfg=scenario.cfg)
+    oracle = [normalize_outcome(t)
+              for t in scenario_thunks(world, scenario.mix)]
+    n = len(oracle)
+    return all(outcome == oracle[idx % n]
+               for idx, outcome in outcomes.items())
 
 
-def run_multiproc_scenario(scenario: MultiProcScenario, *,
-                           differential: bool = True,
-                           faults=None) -> MultiProcReport:
-    """Run one pre-fork scenario: build (and optionally snapshot-warm)
-    the parent world, fork ``workers`` processes over the shared
-    round-robin schedule, merge their reservoirs for exact aggregate
-    percentiles, and verify each worker's outcome multiset against a
-    cache-free oracle replay of that worker's exact schedule slice."""
+def run_scenario(scenario: Scenario, *, faults=None) -> Report:
+    """Run one scenario end to end; see the module docstring.
+
+    ``faults`` (a :class:`repro.faults.FaultPlan`) scripts worker and
+    mutator failures into the measured run; injected faults surface as
+    crashes or supervision events, never as request outcomes."""
+    drive = _BACKENDS.get(scenario.backend)
+    if drive is None:
+        raise ValueError(f"unknown backend {scenario.backend!r}; "
+                         f"expected one of {sorted(_BACKENDS)}")
+    if scenario.backend == "fork" and scenario.churn != "none":
+        raise ValueError("churn runs on mutator threads in the parent, "
+                         "which never reach a forked worker; use the "
+                         "thread backend")
     engine = None
     if scenario.specialize_threshold is not None:
         engine = Engine(EngineConfig(
             specialize_threshold=scenario.specialize_threshold))
     world = build_serving_world(scenario.app, engine=engine,
                                 cfg=scenario.cfg)
-    engine = world.engine
-
-    snapshot_report: Dict[str, object] = {}
+    report = Report(
+        scenario=scenario.name, backend=scenario.backend,
+        app=scenario.app, mix=scenario.mix, workers=scenario.workers,
+        requests=scenario.requests)
     if scenario.snapshot is not None:
-        snapshot_report = load_snapshot(engine, scenario.snapshot).as_dict()
+        report.snapshot = load_snapshot(world.engine,
+                                        scenario.snapshot).as_dict()
 
     thunks = scenario_thunks(world, scenario.mix)
-    _warm(thunks, scenario.warm_rounds)
+    stats = world.engine.stats
+    before = _transitions(stats)
+    for _ in range(scenario.warm_rounds):
+        for thunk in thunks:
+            thunk()
+    report.phases["warmup"] = _delta(before, _transitions(stats))
 
-    driver = MultiProcessDriver(
-        thunks, workers=scenario.workers, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, engine=engine,
-        reservoir_capacity=scenario.reservoir_capacity, faults=faults)
-    run = driver.run()
-
-    # Accounting identity: every scheduled request either completed or
-    # is explicitly counted lost — crashed slices must not vanish.
-    if run.completed + run.lost != scenario.requests:
+    outcomes = drive(scenario, world, thunks, faults, report)
+    if report.completed + report.abandoned != scenario.requests:
         raise RuntimeError(
-            f"multiproc accounting violated: completed={run.completed} "
-            f"+ lost={run.lost} != scheduled={scenario.requests}")
-    if run.lost and not run.crashes:
-        raise RuntimeError(
-            f"{run.lost} request(s) lost with no crash recorded")
-
-    samples, count = run.merged_samples()
-    latency = summarize_samples(samples, count)
-
-    report = MultiProcReport(
-        scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        workers=scenario.workers, requests=scenario.requests,
-        completed=run.completed, lost=run.lost, elapsed_s=run.elapsed_s,
-        rps=run.throughput_rps, latency=latency,
-        errors=len(run.error_outcomes), crashes=list(run.crashes),
-        first_pass_s=run.first_pass_s,
-        transitions=run.stats_total(),
-        per_worker=[dict(r.stats_delta) for r in run.reports],
-        snapshot=snapshot_report)
-
-    if differential:
-        # Fresh cache-free world; replay each worker's exact slice so a
-        # single worker gone wrong cannot hide in the aggregate.
-        oracle_world = build_serving_world(
-            scenario.app, engine=Engine(disable_caches=True),
-            cfg=scenario.cfg)
-        oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-        n = len(oracle_thunks)
-        matches = []
-        for worker_report in run.reports:
-            expected = Counter(
-                normalize_outcome(oracle_thunks[index % n])
-                for index in driver.schedule_indices(worker_report.worker))
-            matches.append(worker_report.outcome_multiset() == expected)
-        report.worker_oracle_matches = matches
-        report.oracle_match_cache_free = (
-            bool(matches) and all(matches) and not run.crashes
-            and len(matches) == scenario.workers)
-    return report
-
-
-# -- supervised fault-tolerant serving ---------------------------------------
-
-
-@dataclass
-class SupervisedScenario:
-    """One supervised (fault-tolerant) serving configuration."""
-
-    name: str
-    app: str = "boxroom"
-    mix: str = "read"              # read | write | mixed
-    workers: int = 4
-    requests: int = 480
-    io_wait_s: float = 0.002
-    #: parent-side warm passes before the first fork (children and
-    #: every respawn inherit the warm engine copy-on-write).
-    warm_rounds: int = 0
-    #: snapshot path/document to warm-start the parent from; respawned
-    #: workers fork from this restored state too.
-    snapshot: Optional[object] = None
-    cfg: Optional[dict] = None
-    specialize_threshold: Optional[int] = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 1.0
-    hang_timeout_s: float = 5.0
-
-
-@dataclass
-class SupervisedReport:
-    """Everything one supervised run measured, recovered, and verified."""
-
-    scenario: str
-    app: str
-    mix: str
-    workers: int
-    requests: int
-    completed_first: int
-    completed_retried: int
-    abandoned: int
-    restarts: int
-    elapsed_s: float
-    rps: float
-    #: {"first_attempt": {...}, "replayed": {...}|None, "combined":
-    #: {...}} — replay latency attributed separately so recovery cost
-    #: cannot hide in the steady-state tail.
-    latency: Dict[str, Optional[dict]] = field(default_factory=dict)
-    crashes: List[str] = field(default_factory=list)
-    restart_log: List[str] = field(default_factory=list)
-    #: STATS_DELTA_FIELDS summed over attempts that finished cleanly.
-    transitions: Dict[str, int] = field(default_factory=dict)
-    snapshot: Dict[str, object] = field(default_factory=dict)
-    #: parent-engine deltas of the fault-tolerance counters.
-    workers_restarted: int = 0
-    requests_replayed: int = 0
-    #: scheduled == completed_first + completed_retried + abandoned.
-    accounting_ok: bool = False
-    #: every accepted outcome (replays included) equals the cache-free
-    #: oracle's outcome for its exact schedule index.
-    oracle_match_cache_free: bool = False
-
-    @property
-    def completed(self) -> int:
-        return self.completed_first + self.completed_retried
-
-    def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario."""
-        return {
-            "app": self.app,
-            "mix": self.mix,
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "completed_first": self.completed_first,
-            "completed_retried": self.completed_retried,
-            "abandoned": self.abandoned,
-            "restarts": self.restarts,
-            "workers_restarted": self.workers_restarted,
-            "requests_replayed": self.requests_replayed,
-            "rps": round(self.rps, 1),
-            "crashes": len(self.crashes),
-            "accounting_ok": int(self.accounting_ok),
-            "oracle_match_cache_free": int(self.oracle_match_cache_free),
-            "latency": self.latency,
-        }
-
-
-def run_supervised_scenario(scenario: SupervisedScenario, *,
-                            differential: bool = True,
-                            faults=None) -> SupervisedReport:
-    """Run one supervised pre-fork scenario: build (and optionally
-    snapshot-warm) the parent world, fork workers under supervision,
-    recover from injected (or real) worker deaths by respawning from
-    the parent's warm engine, and verify every *accepted* outcome —
-    replays included — against a cache-free oracle replay of its exact
-    schedule index.
-
-    The accounting invariant is enforced, not just reported: a run
-    whose buckets do not partition the schedule raises."""
-    engine = None
-    if scenario.specialize_threshold is not None:
-        engine = Engine(EngineConfig(
-            specialize_threshold=scenario.specialize_threshold))
-    world = build_serving_world(scenario.app, engine=engine,
-                                cfg=scenario.cfg)
-    engine = world.engine
-
-    snapshot_report: Dict[str, object] = {}
-    if scenario.snapshot is not None:
-        snapshot_report = load_snapshot(engine, scenario.snapshot).as_dict()
-
-    thunks = scenario_thunks(world, scenario.mix)
-    _warm(thunks, scenario.warm_rounds)
-
-    stats = engine.stats
-    restarted_before = stats.workers_restarted
-    replayed_before = stats.requests_replayed
-
-    driver = SupervisedDriver(
-        thunks, workers=scenario.workers, requests=scenario.requests,
-        io_wait_s=scenario.io_wait_s, engine=engine, faults=faults,
-        max_retries=scenario.max_retries,
-        backoff_base_s=scenario.backoff_base_s,
-        backoff_cap_s=scenario.backoff_cap_s,
-        hang_timeout_s=scenario.hang_timeout_s)
-    run = driver.run()
-
-    if not run.accounting_ok():
-        raise RuntimeError(
-            f"supervised accounting violated: "
-            f"first={run.completed_first} retried={run.completed_retried} "
-            f"abandoned={run.abandoned} != scheduled={scenario.requests}")
-
-    report = SupervisedReport(
-        scenario=scenario.name, app=scenario.app, mix=scenario.mix,
-        workers=scenario.workers, requests=scenario.requests,
-        completed_first=run.completed_first,
-        completed_retried=run.completed_retried,
-        abandoned=run.abandoned, restarts=run.restarts,
-        elapsed_s=run.elapsed_s, rps=run.throughput_rps,
-        latency=summarize_partitioned(run.first_samples,
-                                      run.replay_samples),
-        crashes=list(run.crashes), restart_log=list(run.restart_log),
-        transitions=dict(run.stats_delta), snapshot=snapshot_report,
-        workers_restarted=stats.workers_restarted - restarted_before,
-        requests_replayed=stats.requests_replayed - replayed_before,
-        accounting_ok=run.accounting_ok())
-
-    if differential:
-        # Per-index (not multiset) equality: each accepted outcome —
-        # first attempt or replay — must equal the cache-free oracle's
-        # outcome for that exact schedule index.
-        oracle_world = build_serving_world(
-            scenario.app, engine=Engine(disable_caches=True),
-            cfg=scenario.cfg)
-        oracle_thunks = scenario_thunks(oracle_world, scenario.mix)
-        n = len(oracle_thunks)
-        mismatches = 0
-        for sched_idx, (_, _, outcome) in sorted(run.outcomes.items()):
-            if normalize_outcome(oracle_thunks[sched_idx % n]) != outcome:
-                mismatches += 1
-        report.oracle_match_cache_free = (
-            mismatches == 0 and not run.crashes
-            and len(run.outcomes) == run.completed_first
-            + run.completed_retried)
+            f"accounting violated: completed={report.completed} + "
+            f"abandoned={report.abandoned} != "
+            f"scheduled={scenario.requests}")
+    report.errors = sum(1 for o in outcomes.values() if o[0] == "err")
+    report.oracle_match = (
+        not report.crashes and len(outcomes) == report.completed
+        and _matches_oracle(scenario, outcomes))
     return report

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -52,6 +53,9 @@ def nearest_rank(sorted_values: List[float], q: float) -> float:
 
 class Reservoir:
     """One thread's latency samples: a preallocated buffer of floats.
+    The buffer is an ``array``, which the cyclic GC does not track, so
+    a collection during a measured run never walks its slots inside
+    some request's latency.
 
     Below capacity every sample is kept (exact).  Past capacity, slot
     replacement follows uniform reservoir sampling so the kept subset
@@ -64,7 +68,7 @@ class Reservoir:
     def __init__(self, capacity: int = DEFAULT_CAPACITY, seed: int = 0):
         if capacity < 1:
             raise ValueError("reservoir capacity must be >= 1")
-        self._buf = [0.0] * capacity
+        self._buf = array("d", bytes(8 * capacity))
         self._cap = capacity
         self._count = 0
         self._rng = random.Random(seed)
@@ -92,15 +96,15 @@ class Reservoir:
 
     def samples(self) -> List[float]:
         """The kept samples (a copy; order is not meaningful)."""
-        return self._buf[:min(self._count, self._cap)]
+        return self._buf[:min(self._count, self._cap)].tolist()
 
 
 def summarize_samples(samples: List[float],
                       count: Optional[int] = None) -> "LatencySummary":
     """Build a summary from an unsorted merged sample list.  ``count``
     is the number of latencies *recorded* (>= the samples retained when
-    a reservoir overflowed) — e.g. the summed per-worker reservoir
-    counts in the multi-process merge path."""
+    a reservoir overflowed) — e.g. the summed per-thread reservoir
+    counts in :meth:`LatencyRecorder.summary`."""
     if not samples:
         raise ValueError("no latency samples recorded")
     merged = sorted(samples)
@@ -116,29 +120,6 @@ def summarize_samples(samples: List[float],
         max=merged[-1],
         mean=sum(merged) / len(merged),
     )
-
-
-def summarize_partitioned(first_samples: List[float],
-                          replay_samples: List[float]) -> dict:
-    """Latency attribution for supervised runs: first-attempt and
-    replayed requests summarized *separately*, plus the combined view.
-
-    Folding replays into one population would let recovery cost hide in
-    (or masquerade as) the steady-state tail; keeping the partitions
-    apart makes "replays are slower because they re-pay cold start"
-    visible as its own percentile column.  Keys without samples (e.g.
-    ``replayed`` in a fault-free run) are None.
-    """
-    out = {
-        "first_attempt": (summarize_samples(first_samples).as_ms_dict()
-                          if first_samples else None),
-        "replayed": (summarize_samples(replay_samples).as_ms_dict()
-                     if replay_samples else None),
-    }
-    combined = first_samples + replay_samples
-    out["combined"] = (summarize_samples(combined).as_ms_dict()
-                       if combined else None)
-    return out
 
 
 @dataclass(frozen=True)

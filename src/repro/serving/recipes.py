@@ -1,13 +1,14 @@
-"""Write-heavy and mixed read/write request recipes for the serving
-harness: boxroom, countries, and rolify — the apps (and the ``sqldb``
-write paths) the read-only concurrency workloads never touch.
+"""The request catalog of the serving harness, for all six subject
+apps: read, write-heavy and mixed read/write mixes over boxroom,
+countries and rolify (the ``sqldb`` write paths), and read mixes over
+pubs, cct and talks.
 
-The differential acceptance bar is *oracle-identical outcome
-multisets*: a threaded run (with or without churn) must produce exactly
-the outcomes a single-threaded — or cache-free — replay of the same
-schedule produces.  Writes make that non-trivial, so every recipe obeys
-a **disjoint-resource discipline**, the serving analog of real traffic
-where distinct users touch distinct rows:
+The differential acceptance bar is *oracle-identical outcomes per
+schedule index*: a run on any backend (with or without churn) must
+produce, at every index, exactly the outcome a cache-free replay of
+the same request produces.  Writes make that non-trivial, so every
+recipe obeys a **disjoint-resource discipline**, the serving analog of
+real traffic where distinct users touch distinct rows:
 
 * write thunks are *self-contained cycles* (create → read → update →
   destroy) over rows they themselves create, leaving the database
@@ -20,9 +21,11 @@ where distinct users touch distinct rows:
   autoincrement id, which :func:`mask_ids` strips from the outcome.
 
 With that discipline every thunk's outcome is deterministic under any
-interleaving, so cross-thread interference — a torn row, a stale cached
-check, a lost invalidation — surfaces as a *multiset divergence* rather
-than hiding inside benign nondeterminism.
+interleaving, and independent of how often it ran before, so
+cross-thread interference — a torn row, a stale cached check, a lost
+invalidation — surfaces as a *per-index divergence* rather than hiding
+inside benign nondeterminism.  The pubs/cct/talks mixes are GETs and
+pure computations that never mutate app state.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ DEFAULT_CFG: Dict[str, dict] = {
     "boxroom": {"view_cost": 40},
     "countries": {},
     "rolify": {"view_cost": 40},
+    "pubs": {"publications": 12},
+    "cct": {"repeats": 1},
+    "talks": {},
 }
 
 #: the fixed role vocabulary the rolify recipes grant/revoke.  Keeping
@@ -124,6 +130,12 @@ def read_thunks(world: World, *, with_index: bool = False) -> List[Thunk]:
         return _countries_reads(world)
     if world.name == "rolify":
         return _rolify_reads(world, with_index)
+    if world.name == "pubs":
+        return _pubs_reads(world)
+    if world.name == "cct":
+        return _cct_reads(world)
+    if world.name == "talks":
+        return _talks_reads(world)
     raise ValueError(f"no serving read mix for {world.name!r}")
 
 
@@ -175,6 +187,45 @@ def _rolify_reads(world: World, with_index: bool) -> List[Thunk]:
     ]
     if with_index:
         thunks.append(lambda: app.request("GET", "/roles"))
+    return thunks
+
+
+def _pubs_reads(world: World) -> List[Thunk]:
+    app = world.extras["app"]
+
+    def get(path: str) -> Thunk:
+        return lambda: app.request("GET", path)
+
+    thunks = [get("/pubs"), get("/pubs/bibtex"), get("/venues")]
+    thunks += [get(f"/pubs/year/{year}")
+               for year in ("2008", "2010", "2012")]
+    thunks += [get(f"/pubs/{pub_id}") for pub_id in ("1", "3", "7")]
+    return thunks
+
+
+def _cct_reads(world: World) -> List[Thunk]:
+    runner = world.extras["state"]["runner"]
+    # Runner methods build fresh locals per call (no shared mutable
+    # state), so many threads may share one runner.
+    return [
+        lambda: runner.process_transactions(),
+        lambda: runner.count_valid(),
+        lambda: runner.summary(),
+        lambda: runner.audit_lines(),
+    ]
+
+
+def _talks_reads(world: World) -> List[Thunk]:
+    app = world.extras["app"]
+
+    def get(path: str) -> Thunk:
+        return lambda: app.request("GET", path)
+
+    thunks = [get("/talks"), get("/talks/upcoming"), get("/lists"),
+              get("/users")]
+    thunks += [get(f"/talks/{talk_id}") for talk_id in ("1", "2", "5")]
+    thunks += [get("/talks/by_owner/1"), get("/users/1/talks"),
+               get("/lists/2")]
     return thunks
 
 

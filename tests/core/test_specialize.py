@@ -24,7 +24,7 @@ promotion boundary many times.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     ArgumentTypeError, Engine, EngineConfig, StaticTypeError,
@@ -960,6 +960,13 @@ def _stress_replay(script, *, disable):
 
 
 @given(stress_ops)
+# A promoted unchecked site, redefined and then retyped with check=True,
+# once ran its new body against the IR lowered from the old one.
+@example([("burst", "m1", "base", 3),
+          ("retype", "m0", "(Integer) -> String"),
+          ("redefine", "m1", "chain"),
+          ("retype", "m1", "(Integer) -> Integer"),
+          ("burst", "m1", "base", 1)])
 @settings(max_examples=40, deadline=None)
 def test_promote_deopt_repromote_matches_oracle(script):
     """Random promote/deopt/re-promote interleavings — across three

@@ -2,9 +2,11 @@
 
 Four properties, each a concrete production failure when violated:
 
-* **outcome soundness** — N request threads sharing one engine produce
-  exactly the outcomes a single-threaded oracle produces (read-only
-  traffic is deterministic, so multisets must be *equal*, not similar);
+* **outcome soundness** — N request threads sharing one engine, with a
+  dev-mode retype wave firing every few milliseconds, produce at every
+  schedule index exactly the outcome a cache-free oracle produces
+  (read-only traffic is deterministic, so outcomes must be *equal*, not
+  similar);
 * **phase-barrier differential** — serialized mutation waves with
   concurrent call batches in between agree, phase by phase, with a
   cache-free oracle replaying the same script, including mutations
@@ -25,8 +27,9 @@ import threading
 import pytest
 
 from repro import Engine, EngineConfig
-from repro.concurrency import (
-    ConcurrentDriver, build_concurrent_world, churn_recipe, request_thunks,
+from repro.concurrency import ConcurrentDriver
+from repro.serving import (
+    Scenario, build_serving_world, read_thunks, retype_churn, run_scenario,
 )
 
 THREADS = 8
@@ -132,37 +135,19 @@ def test_fast_path_hits_exact_under_threads():
 @pytest.mark.requires_threads
 @pytest.mark.parametrize("app", ["pubs", "cct", "talks"])
 def test_concurrent_outcomes_match_oracle(app):
-    """N threads replaying the read-only request mix produce exactly the
-    single-threaded outcome multiset, for every subject app."""
-    world = build_concurrent_world(app)
-    thunks = request_thunks(world)
-    for thunk in thunks:  # warm: annotations executed, checks cached
-        thunk()
-    driver = ConcurrentDriver(thunks, threads=THREADS, requests=96)
-    run = driver.run()
-    oracle = driver.run_single_threaded_oracle()
-    assert not run.crashes, run.crashes
-    assert run.outcome_multiset() == oracle.outcome_multiset()
-
-
-@pytest.mark.requires_threads
-def test_semantics_preserving_churn_does_not_change_outcomes():
-    """A dev-mode reload wave (same-signature retype + fresh class +
-    identical field_type) firing every few ms under 8-thread load must
-    not change a single outcome — stale *or* torn caches both surface
-    as a divergence here."""
-    world = build_concurrent_world("pubs")
-    thunks = request_thunks(world)
-    for thunk in thunks:
-        thunk()
-    driver = ConcurrentDriver(thunks, threads=THREADS, requests=160,
-                              churn=churn_recipe(world),
-                              churn_interval_s=0.002)
-    run = driver.run()
-    oracle = driver.run_single_threaded_oracle()
-    assert not run.crashes, run.crashes
-    assert run.churn_applied > 0
-    assert run.outcome_multiset() == oracle.outcome_multiset()
+    """N threads replay the read-only request mix while a dev-mode
+    reload wave (same-signature retype + fresh class + identical
+    field_type) fires every few ms: not a single outcome may change.
+    Stale *or* torn caches both surface as a per-index divergence from
+    the cache-free oracle."""
+    report = run_scenario(Scenario(
+        name=f"threads-{app}", app=app, mix="read", workers=THREADS,
+        requests=160, io_wait_s=0.0005, warm_rounds=1, churn="retype",
+        churn_interval_s=0.002))
+    assert not report.crashes, report.crashes
+    assert report.completed == 160
+    assert report.churn_applied > 0
+    assert report.oracle_match
 
 
 # -- phase-barrier differential ---------------------------------------------
@@ -507,12 +492,12 @@ def test_churned_plans_rebuild_and_stay_per_key():
     """After a churn run, warm sites for *unchurned* methods must still
     be plan hits (per-key invalidation survived concurrency), and the
     churned method's plan must have been rebuilt, not wedged."""
-    world = build_concurrent_world("pubs")
-    thunks = request_thunks(world)
+    world = build_serving_world("pubs")
+    thunks = read_thunks(world)
     for thunk in thunks:
         thunk()
     driver = ConcurrentDriver(thunks, threads=4, requests=80,
-                              churn=churn_recipe(world),
+                              churn=retype_churn(world),
                               churn_interval_s=0.002)
     run = driver.run()
     assert not run.crashes, run.crashes

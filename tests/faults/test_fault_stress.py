@@ -87,6 +87,7 @@ def test_thread_mode_completed_outcomes_match_oracle(script, churn_script):
     for _, sched_idx, outcome in run.outcomes:
         assert outcome == _expected(sched_idx), sched_idx
     assert len(run.outcomes) == run.completed <= REQUESTS
+    assert run.completed + run.abandoned == REQUESTS
     # Lost requests are exactly the crashed workers' unfinished tails.
     crashed_workers = {
         int(crash.split()[1].rstrip(":")) for crash in run.crashes

@@ -117,6 +117,7 @@ def test_thread_kill_loses_slice_and_is_reported():
     # Worker 1 completed 3 of its 20 before the kill; the rest is lost
     # and *visible* as completed < requests, never silently absorbed.
     assert run.completed == 80 - 20 + 3
+    assert run.abandoned == 20 - 3
     # The injected fault never shows up as a request outcome.
     assert all(outcome[0] == "ok" for _, _, outcome in run.outcomes)
 
@@ -128,7 +129,7 @@ def test_fault_free_plan_changes_nothing():
     run = driver.run()
     assert not run.crashes and run.completed == 80
     baseline = ConcurrentDriver(_thunks(), threads=4, requests=80).run()
-    assert run.outcome_multiset() == baseline.outcome_multiset()
+    assert run.outcomes == baseline.outcomes
 
 
 @pytest.mark.requires_threads

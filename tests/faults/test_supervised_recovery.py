@@ -17,10 +17,11 @@ The contract under test (see ``docs/robustness.md``):
 import pytest
 
 from repro.concurrency import SupervisedDriver
+from repro.core import Engine
 from repro.faults import (
     ERROR, HANG, KILL, Fault, FaultPlan, generate_fault_plan,
 )
-from repro.serving import SupervisedScenario, run_supervised_scenario
+from repro.serving import Scenario, run_scenario
 
 pytestmark = pytest.mark.requires_fork
 
@@ -63,12 +64,16 @@ def test_fault_free_run_needs_no_supervision():
 
 def test_killed_worker_is_respawned_and_completes():
     plan = FaultPlan([Fault(KILL, 0, 5)])
-    run = _driver(plan).run()
+    engine = Engine()
+    run = _driver(plan, engine=engine).run()
     _assert_full_oracle_identity(run, _thunks())
     assert run.restarts == 1
     assert run.completed_retried >= 1  # the remainder was replayed
     assert run.replay_samples  # replay latency attributed separately
     assert any("exit code 87" in line for line in run.restart_log)
+    # The parent engine's fault-tolerance counters are exact.
+    assert engine.stats.workers_restarted == run.restarts
+    assert engine.stats.requests_replayed == run.completed_retried
 
 
 def test_multiple_kills_across_workers_recover():
@@ -142,30 +147,29 @@ def test_accounting_identity_holds_on_every_path():
 
 
 def _scenario(**overrides):
-    kw = dict(app="boxroom", mix="read", workers=2, requests=40,
-              io_wait_s=0.0, warm_rounds=2, specialize_threshold=4,
-              backoff_base_s=0.01)
+    kw = dict(backend="fork", app="boxroom", mix="read", workers=2,
+              requests=40, io_wait_s=0.0, warm_rounds=2,
+              specialize_threshold=4, max_retries=2)
     kw.update(overrides)
-    return SupervisedScenario("recovery-test", **kw)
+    return Scenario("recovery-test", **kw)
 
 
 def test_scenario_recovers_and_counts(tmp_path):
     plan = FaultPlan([Fault(KILL, 0, 3), Fault(KILL, 1, 9)])
-    report = run_supervised_scenario(_scenario(), faults=plan)
-    assert report.accounting_ok
-    assert report.oracle_match_cache_free
+    report = run_scenario(_scenario(), faults=plan)
+    assert report.oracle_match
     assert report.completed == 40 and report.abandoned == 0
-    assert report.workers_restarted == report.restarts == 2
-    assert report.requests_replayed == report.completed_retried >= 2
-    assert report.latency["replayed"] is not None
-    assert report.latency["combined"]["count"] == 40
+    assert report.restarts == 2
+    assert report.completed_retried >= 2
+    assert report.replay_latency.count == report.completed_retried
+    assert report.latency.count + report.replay_latency.count == 40
 
 
 def test_scenario_fault_free_reports_no_recovery():
-    report = run_supervised_scenario(_scenario())
-    assert report.accounting_ok and report.oracle_match_cache_free
-    assert report.restarts == 0 and report.requests_replayed == 0
-    assert report.latency["replayed"] is None
+    report = run_scenario(_scenario())
+    assert report.oracle_match and report.completed == 40
+    assert report.restarts == 0 and report.completed_retried == 0
+    assert report.replay_latency is None
 
 
 @pytest.mark.requires_caches
@@ -174,10 +178,10 @@ def test_respawn_inherits_warm_state_from_parent():
     stats delta must not re-pay the parent's static checks (the
     cold-start work the warm rounds already did)."""
     plan = FaultPlan([Fault(KILL, 0, 0)])
-    report = run_supervised_scenario(
+    report = run_scenario(
         _scenario(warm_rounds=6, mix="read"), faults=plan)
-    assert report.accounting_ok and report.oracle_match_cache_free
+    assert report.oracle_match and report.completed == 40
     assert report.restarts == 1
     # The warmed parent already derived every check; no worker —
     # original or respawned — should re-derive them.
-    assert report.transitions.get("static_checks", 0) == 0
+    assert report.transitions["static_checks"] == 0

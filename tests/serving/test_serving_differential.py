@@ -1,6 +1,7 @@
 """Differential verification of the serving workloads: every
-write-heavy / mixed scenario must produce the exact outcome multiset of
-a cache-free oracle — single-threaded and under N-thread churn.
+write-heavy / mixed scenario must produce, at every schedule index, the
+outcome a cache-free oracle produces — single-threaded and under
+N-thread churn.
 
 The recipes' disjoint-resource discipline is what makes the comparison
 exact rather than statistical: each write thunk runs a self-contained
@@ -13,9 +14,10 @@ from collections import Counter
 
 import pytest
 
+from repro.concurrency import ConcurrentDriver, SupervisedDriver
 from repro.core import Engine
 from repro.serving import (
-    ServingScenario, build_serving_world, run_scenario, scenario_thunks,
+    Scenario, build_serving_world, run_scenario, scenario_thunks,
 )
 
 APPS = ["boxroom", "countries", "rolify"]
@@ -58,15 +60,15 @@ def test_sequential_outcomes_match_cache_free_oracle(app, mix):
         assert _outcomes(cached, mix) == _outcomes(oracle, mix)
 
 
-# -- threaded: multiset equality vs both oracles -----------------------------
+# -- threaded: per-index identity with the cache-free oracle -----------------
 
 
 @pytest.mark.requires_threads
 @pytest.mark.parametrize("app", APPS)
 @pytest.mark.parametrize("mix", MIXES)
 def test_threaded_scenario_matches_both_oracles(app, mix):
-    report = run_scenario(ServingScenario(
-        name=f"test-{app}-{mix}", app=app, mix=mix, threads=4,
+    report = run_scenario(Scenario(
+        name=f"test-{app}-{mix}", app=app, mix=mix, workers=4,
         requests=64, io_wait_s=0.0, warm_rounds=2, cfg=_cfg(app),
     ))
     assert report.crashes == []
@@ -74,10 +76,69 @@ def test_threaded_scenario_matches_both_oracles(app, mix):
     assert report.completed == report.requests
     assert report.oracle_match, (
         f"{app}/{mix}: threaded outcomes diverged from the "
-        f"single-threaded warm-engine replay")
-    assert report.oracle_match_cache_free, (
-        f"{app}/{mix}: threaded outcomes diverged from the "
         f"cache-free oracle")
+    doc = report.as_dict()
+    assert doc["oracle_match"] == doc["oracle_match_cache_free"] == 1
+
+
+def _permute(outcomes):
+    """Deliver every outcome under its neighbour's schedule index: the
+    multiset is unchanged, the index -> outcome map is not."""
+    indices = sorted(outcomes)
+    shifted = indices[1:] + indices[:1]
+    return {new: outcomes[old] for old, new in zip(indices, shifted)}
+
+
+def _permuting_thread_run(run):
+    def permuted(self):
+        result = run(self)
+        by_index = _permute({idx: (worker, outcome)
+                             for worker, idx, outcome in result.outcomes})
+        result.outcomes = [(worker, idx, outcome) for idx, (worker, outcome)
+                           in sorted(by_index.items())]
+        return result
+    return permuted
+
+
+def _permuting_fork_run(run):
+    def permuted(self):
+        result = run(self)
+        result.outcomes = _permute(result.outcomes)
+        return result
+    return permuted
+
+
+@pytest.mark.requires_threads
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("fork", marks=pytest.mark.requires_fork)])
+def test_outcomes_under_the_wrong_index_fail_the_oracle(backend,
+                                                        monkeypatch):
+    """A run whose outcomes are permuted across schedule indices has the
+    same outcome multiset as a correct run, so a multiset oracle passes
+    it.  The per-index oracle must not."""
+    scenario = Scenario(name=f"permuted-{backend}", backend=backend,
+                        app="countries", mix="mixed", workers=2,
+                        requests=27, io_wait_s=0.0)
+    honest = run_scenario(scenario)
+    assert honest.oracle_match
+
+    driver, wrap = ((ConcurrentDriver, _permuting_thread_run)
+                    if backend == "thread"
+                    else (SupervisedDriver, _permuting_fork_run))
+    monkeypatch.setattr(driver, "run", wrap(driver.run))
+    permuted = run_scenario(scenario)
+    assert permuted.completed == scenario.requests
+    assert not permuted.crashes
+    assert not permuted.oracle_match
+
+
+def test_fork_backend_rejects_churn():
+    """Mutator threads run in the parent and never reach a forked
+    worker, so a fork scenario with churn would measure nothing."""
+    with pytest.raises(ValueError, match="thread backend"):
+        run_scenario(Scenario(name="bad", backend="fork", churn="retype"))
+    with pytest.raises(ValueError, match="unknown backend"):
+        run_scenario(Scenario(name="bad", backend="asyncio"))
 
 
 @pytest.mark.requires_threads
@@ -87,8 +148,8 @@ def test_write_heavy_under_full_churn_is_oracle_identical(app):
     threads while reloader / typegen / retype mutators run from
     dedicated threads still reproduces the cache-free oracle's multiset
     exactly, with zero request errors."""
-    report = run_scenario(ServingScenario(
-        name=f"test-{app}-write-churn", app=app, mix="write", threads=4,
+    report = run_scenario(Scenario(
+        name=f"test-{app}-write-churn", app=app, mix="write", workers=4,
         requests=80, io_wait_s=0.001, churn="full",
         churn_interval_s=0.002, warm_rounds=2, cfg=_cfg(app),
     ))
@@ -96,21 +157,19 @@ def test_write_heavy_under_full_churn_is_oracle_identical(app):
     assert report.errors == 0
     assert report.churn_applied > 0, "mutator threads never ran"
     assert report.oracle_match
-    assert report.oracle_match_cache_free
 
 
 @pytest.mark.requires_threads
 def test_countries_mixed_under_retype_churn():
-    report = run_scenario(ServingScenario(
+    report = run_scenario(Scenario(
         name="test-countries-churn", app="countries", mix="mixed",
-        threads=4, requests=64, io_wait_s=0.001, churn="retype",
+        workers=4, requests=64, io_wait_s=0.001, churn="retype",
         churn_interval_s=0.002, warm_rounds=2,
     ))
     assert report.crashes == []
     assert report.errors == 0
     assert report.churn_applied > 0
     assert report.oracle_match
-    assert report.oracle_match_cache_free
 
 
 # -- exact stats totals ------------------------------------------------------
@@ -120,8 +179,8 @@ def test_countries_mixed_under_retype_churn():
 def test_request_accounting_is_exact():
     """Bookkeeping must be exact, not approximate: every scheduled
     request completes exactly once and is timed exactly once."""
-    scenario = ServingScenario(
-        name="test-accounting", app="boxroom", mix="mixed", threads=4,
+    scenario = Scenario(
+        name="test-accounting", app="boxroom", mix="mixed", workers=4,
         requests=64, io_wait_s=0.0, warm_rounds=1, cfg=CFG)
     report = run_scenario(scenario)
     assert report.completed == scenario.requests
