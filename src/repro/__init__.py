@@ -37,8 +37,7 @@ Subpackages:
 
 from .core import (
     Api, ArgumentTypeError, CastError, Engine, EngineConfig,
-    HummingbirdError, NoMethodBodyError, ReturnTypeError, StaticTypeError,
-    TypeSignatureError,
+    HummingbirdError, NoMethodBodyError, StaticTypeError, TypeSignatureError,
 )
 from .rtypes import Sym
 
@@ -46,6 +45,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Api", "ArgumentTypeError", "CastError", "Engine", "EngineConfig",
-    "HummingbirdError", "NoMethodBodyError", "ReturnTypeError",
-    "StaticTypeError", "Sym", "TypeSignatureError", "__version__",
+    "HummingbirdError", "NoMethodBodyError", "StaticTypeError", "Sym",
+    "TypeSignatureError", "__version__",
 ]

@@ -13,19 +13,16 @@ from .elide import Elider, Elision, elide_disabled_by_env
 from .engine import Engine, EngineConfig, caches_disabled_by_env
 from .errors import (
     ArgumentTypeError, CastError, HummingbirdError, NoMethodBodyError,
-    ReturnTypeError, StaticTypeError, TypeSignatureError,
+    StaticTypeError, TypeSignatureError,
 )
-from .specialize import (
-    Specializer, breaker_disabled_by_env, specialize_disabled_by_env,
-)
+from .specialize import Specializer, specialize_disabled_by_env
 from .stats import PhaseTracker, Stats
 
 __all__ = [
     "Api", "ArgumentTypeError", "CacheEntry", "CastError", "CheckCache",
     "CheckOutcome", "Checker", "DepGraph", "Elider", "Elision", "Engine",
     "EngineConfig", "HummingbirdError", "NoMethodBodyError", "PhaseTracker",
-    "ReturnTypeError", "Specializer", "StaticTypeError", "Stats",
-    "TypedMethod", "TypeSignatureError", "breaker_disabled_by_env",
-    "caches_disabled_by_env", "elide_disabled_by_env",
+    "Specializer", "StaticTypeError", "Stats", "TypedMethod",
+    "TypeSignatureError", "caches_disabled_by_env", "elide_disabled_by_env",
     "specialize_disabled_by_env",
 ]

@@ -93,18 +93,16 @@ class _Run:
         self.mir = mir
         self.hier = engine.hier
         self.types = engine.types
-        self.strict_nil = engine.config.strict_nil
-        self.narrowing = engine.config.narrowing
         self.outcome = CheckOutcome()
         self.expected_ret: Type = ANY
 
     # -- helpers -------------------------------------------------------------
 
     def le(self, s: Type, t: Type) -> bool:
-        return is_subtype(s, t, self.hier, strict_nil=self.strict_nil)
+        return is_subtype(s, t, self.hier)
 
     def join2(self, a: Type, b: Type) -> Type:
-        return join(a, b, self.hier, strict_nil=self.strict_nil)
+        return join(a, b, self.hier)
 
     def fail(self, node: ir.Node, message: str) -> None:
         raise StaticTypeError(
@@ -144,8 +142,7 @@ class _Run:
             extra = [arm.param_type_at(i)
                      for i in range(len(fixed), len(arm.params))]
             pool = vararg_types or [t for t in extra if t is not None] or [ANY]
-            env[rest[0].name] = array_of(join_all(
-                pool, self.hier, strict_nil=self.strict_nil))
+            env[rest[0].name] = array_of(join_all(pool, self.hier))
         return env
 
     def join_env(self, a: Env, b: Env) -> Env:
@@ -213,8 +210,8 @@ class _Run:
             return GenericType("Hash", (ANY, ANY)), env
         return GenericType(
             "Hash",
-            (join_all(key_ts, self.hier, strict_nil=self.strict_nil),
-             join_all(val_ts, self.hier, strict_nil=self.strict_nil))), env
+            (join_all(key_ts, self.hier),
+             join_all(val_ts, self.hier))), env
 
     def _visit_RangeLit(self, node, env):
         lo_t, env = self.visit(node.lo, env)
@@ -349,16 +346,15 @@ class _Run:
         if isinstance(t, TupleType):
             if not t.elems:
                 return ANY
-            return join_all(t.elems, self.hier, strict_nil=self.strict_nil)
+            return join_all(t.elems, self.hier)
         if isinstance(t, GenericType) and t.name == "Hash":
             return t.args[0]  # host iteration over a Hash yields keys
         if isinstance(t, FiniteHashType):
             return union_of(*(SingletonType(k, "Symbol")
                               for k, _ in t.fields)) if t.fields else ANY
         if isinstance(t, UnionType):
-            return join_all(
-                [self._element_type(node, a) for a in t.arms],
-                self.hier, strict_nil=self.strict_nil)
+            return join_all([self._element_type(node, a) for a in t.arms],
+                            self.hier)
         self.fail(node, f"cannot iterate over a value of type {t}")
 
     def _visit_Return(self, node, env):
@@ -402,7 +398,7 @@ class _Run:
         merged_env = branch_envs[0]
         for other in branch_envs[1:]:
             merged_env = self.join_env(merged_env, other)
-        result = join_all(branch_ts, self.hier, strict_nil=self.strict_nil)
+        result = join_all(branch_ts, self.hier)
         if node.final is not None:
             _, merged_env = self.visit(node.final, merged_env)
         return result, merged_env
@@ -414,14 +410,13 @@ class _Run:
         for i, part in enumerate(node.parts):
             t, env = self.visit(part, env)
             parts.append(t)
-            if self.narrowing and node.op == "and" and i < len(node.parts) - 1:
+            if node.op == "and" and i < len(node.parts) - 1:
                 env, _ = self._narrow(part, env)
         if node.op == "or":
             # a or b yields a (truthy, so nil is stripped) or b.
             collected = [_remove_nil(t) for t in parts[:-1]] + [parts[-1]]
-            return join_all(collected, self.hier,
-                            strict_nil=self.strict_nil), env
-        return join_all(parts, self.hier, strict_nil=self.strict_nil), env
+            return join_all(collected, self.hier), env
+        return join_all(parts, self.hier), env
 
     def _visit_Not(self, node, env):
         _, env = self.visit(node.value, env)
@@ -439,8 +434,6 @@ class _Run:
 
     def _narrow(self, test: ir.Node, env: Env) -> Tuple[Env, Env]:
         """Occurrence-typing extension for nil and isinstance tests."""
-        if not self.narrowing:
-            return env, env
         if isinstance(test, ir.Not):
             f, t = self._narrow(test.value, env)
             return t, f
@@ -552,8 +545,7 @@ class _Run:
                 t, env = self.check_call(node, env, arm, name, arg_ts, block,
                                          arg_nodes, bare_name)
                 results.append(t)
-            return join_all(results, self.hier,
-                            strict_nil=self.strict_nil), env
+            return join_all(results, self.hier), env
         if isinstance(recv_t, MethodType) and name == "call":
             fake = ir.Call(None, "call", (), None, node.pos)
             if not recv_t.accepts_arity(len(arg_ts)):
@@ -687,7 +679,7 @@ class _Run:
             pt = arm.param_type_at(i)
             if pt is None:
                 return False, {}, f"no parameter for argument {i + 1}"
-            _infer_vars(pt, at, bindings, self.hier, self.strict_nil)
+            _infer_vars(pt, at, bindings, self.hier)
             bound = substitute(pt, bindings)
             if not self.le(at, _open_vars_to_any(bound)):
                 return False, {}, (f"argument {i + 1} is {at}, "
@@ -753,38 +745,37 @@ def _class_name_of(t: Type) -> Optional[str]:
 
 
 def _infer_vars(expected: Type, actual: Type, bindings: Dict[str, Type],
-                hier, strict_nil: bool) -> None:
+                hier) -> None:
     """Bind method-level type variables from an (expected, actual) pair."""
     if isinstance(expected, VarType):
         if isinstance(actual, BotType):
             return
         prev = bindings.get(expected.name)
         bindings[expected.name] = (actual if prev is None else
-                                   join(prev, actual, hier,
-                                        strict_nil=strict_nil))
+                                   join(prev, actual, hier))
         return
     if isinstance(expected, GenericType) and isinstance(actual, GenericType) \
             and expected.name == actual.name \
             and len(expected.args) == len(actual.args):
         for e, a in zip(expected.args, actual.args):
-            _infer_vars(e, a, bindings, hier, strict_nil)
+            _infer_vars(e, a, bindings, hier)
         return
     if isinstance(expected, GenericType) and expected.name == "Array" \
             and isinstance(actual, TupleType) and len(expected.args) == 1:
         for e in actual.elems:
-            _infer_vars(expected.args[0], e, bindings, hier, strict_nil)
+            _infer_vars(expected.args[0], e, bindings, hier)
         return
     if isinstance(expected, GenericType) and expected.name == "Hash" \
             and isinstance(actual, FiniteHashType) \
             and len(expected.args) == 2:
         for k, v in actual.fields:
             _infer_vars(expected.args[0], SingletonType(k, "Symbol"),
-                        bindings, hier, strict_nil)
-            _infer_vars(expected.args[1], v, bindings, hier, strict_nil)
+                        bindings, hier)
+            _infer_vars(expected.args[1], v, bindings, hier)
         return
     if isinstance(expected, UnionType):
         for arm in expected.arms:
-            _infer_vars(arm, actual, bindings, hier, strict_nil)
+            _infer_vars(arm, actual, bindings, hier)
 
 
 def _open_vars_to_any(t: Type) -> Type:

@@ -2,13 +2,13 @@
 
 Tier 2 compiles a warm call plan into a straight-line wrapper that still
 *performs* every per-call safety operation — the check-cache membership
-probe, the argument-profile guard, the checked-frame push/pop, the
-dynamic return check.  Tier 3 runs the RIL forward dataflow pass
-(:mod:`repro.ril.analysis`) at promotion time and statically discharges
-the operations it proves redundant, so the wrapper *omits* them.
+probe, the argument-profile guard, the checked-frame push/pop.  Tier 3
+runs the RIL forward dataflow pass (:mod:`repro.ril.analysis`) at
+promotion time and statically discharges the operations it proves
+redundant, so the wrapper *omits* them.
 
 Per compiled entry the :class:`Elider` produces an :class:`Elision`
-verdict with four independent switches:
+verdict with three independent switches:
 
 ``cache_guard``
     The wrapper's ``key in cache`` membership probe re-validates the
@@ -33,15 +33,10 @@ verdict with four independent switches:
     the frame is dead and the ``try/finally`` around the call is
     dropped ("check once per call" becomes "check zero times").
 
-``ret_check``
-    When every return-class the body can produce conforms to the
-    signature's return type, the dynamic return check (or return
-    profile guard) is dead.
-
-Frame and return verdicts may hold only *under a seeded profile* (the
-body is safe when ``n`` is an Integer, not for arbitrary ``n``).  Then
-the verdict carries ``guard_profiles``: up to :data:`TOP_K_PROFILES`
-learned class chains, each independently re-proving every seeded
+The frame verdict may hold only *under a seeded profile* (the body is
+safe when ``n`` is an Integer, not for arbitrary ``n``).  Then the
+verdict carries ``guard_profiles``: up to :data:`TOP_K_PROFILES`
+learned class chains, each independently re-proving the seeded
 verdict, compiled as an **unconditional** OR-of-chains guard — no
 copy-on-write fallback set, a miss on every chain bails to the generic
 path — so the seeded facts hold on every call that runs the elided
@@ -75,7 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..rdl.registry import INSTANCE
 from ..ril.registry import RegistrationError
-from .deps import Resource, ir_resource, lin_resource
+from .deps import Resource, ir_resource
 from .plans import ARG_CHECK_NEVER, CallPlan, PlanKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,12 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: learned argument profiles the elider tries to prove under (and the
 #: wrapper pins) per site.  Hottest first; chains beyond the first only
-#: survive when they re-prove everything the first one proved.
+#: survive when they re-prove the frame verdict the first one proved.
 TOP_K_PROFILES = 3
 
-#: the four per-call check operations a verdict rules on, in report
+#: the three per-call check operations a verdict rules on, in report
 #: order.
-CHECK_KINDS = ("cache_guard", "arg_check", "frame", "ret_check")
+CHECK_KINDS = ("cache_guard", "arg_check", "frame")
 
 #: audit statuses.
 PROVED = "proved"              # elidable with no profile pin
@@ -110,12 +105,11 @@ def elide_disabled_by_env() -> bool:
 class Elision:
     """What one compiled entry may omit, and the facts that justify it."""
 
-    __slots__ = ("cache_guard", "frame", "arg_check", "ret_check",
+    __slots__ = ("cache_guard", "frame", "arg_check",
                  "guard_profiles", "arity", "count",
                  "resources", "callees")
 
     def __init__(self, *, cache_guard: bool, frame: bool, arg_check: bool,
-                 ret_check: bool,
                  guard_profiles: Optional[Tuple[tuple, ...]],
                  arity: Optional[int],
                  resources: Tuple[Resource, ...],
@@ -123,7 +117,6 @@ class Elision:
         self.cache_guard = cache_guard
         self.frame = frame
         self.arg_check = arg_check
-        self.ret_check = ret_check
         #: learned class chains to pin unconditionally (OR of chains),
         #: or ``None`` when every verdict holds seed-free.
         self.guard_profiles = guard_profiles
@@ -132,15 +125,13 @@ class Elision:
         self.arity = arity
         #: per-call check operations the wrapper omits — what the
         #: ``checks_elided`` counter advances by on every elided call.
-        self.count = (int(cache_guard) + int(frame) + int(arg_check)
-                      + int(ret_check))
+        self.count = int(cache_guard) + int(frame) + int(arg_check)
         self.resources = resources
         self.callees = callees
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Elision(cache_guard={self.cache_guard}, "
                 f"frame={self.frame}, arg_check={self.arg_check}, "
-                f"ret_check={self.ret_check}, "
                 f"pinned={len(self.guard_profiles or ())})")
 
 
@@ -245,8 +236,7 @@ class Elider:
         # module, which reaches back into repro.core — importing it at
         # module level here would dead-end when repro.ril loads first.
         from ..ril.analysis import (
-            BLOCK_NO_IR, analyze_method, class_conforms, is_vacuous,
-            rdl_class_name,
+            BLOCK_NO_IR, analyze_method, is_vacuous, rdl_class_name,
         )
 
         engine = self.engine
@@ -265,7 +255,6 @@ class Elider:
             # (the specializer refuses promotion), so no check op here
             # is ever discharged — report every applicable one blocked.
             arg_rel = bool(arms) and plan.arg_mode != ARG_CHECK_NEVER
-            ret_rel = bool(arms) and plan.ret_mode != ARG_CHECK_NEVER
             reason = (BLOCK_CONTRACT,)
             audit.blockers = ((BLOCK_CONTRACT, name),)
             if plan.checked:
@@ -277,10 +266,6 @@ class Elider:
             else:
                 audit.skipped("arg_check")
             audit.blocked("frame", reason)
-            if ret_rel:
-                audit.blocked("ret_check", reason)
-            else:
-                audit.skipped("ret_check")
             return None, audit
         mir = (engine.cfgs.lookup(def_owner, name)
                or engine.cfgs.lookup(recv_owner, name))
@@ -301,24 +286,12 @@ class Elider:
             and all(is_vacuous(arm.param_type_at(j)) for j in range(arity))
             for arm in arms))
 
-        # -- frame / return verdicts (dataflow over the body) ----------
-        ret_relevant = bool(arms) and plan.ret_mode != ARG_CHECK_NEVER
-        hier = engine.hier
-        strict = engine.config.strict_nil
+        # -- frame verdict (dataflow over the body) --------------------
         frame_ok = False
-        ret_ok = False
         guard_profiles: Optional[Tuple[tuple, ...]] = None
         resources: List[Resource] = []
         callees: Tuple[Tuple[str, str, str], ...] = ()
         blockers: List[Tuple[str, str]] = []
-
-        def ret_provable(report) -> bool:
-            if report.ret_classes is None:
-                return False
-            return all(
-                any(class_conforms(cls, arm.ret, hier, strict_nil=strict)
-                    for arm in arms)
-                for cls in report.ret_classes)
 
         if mir is None:
             blockers.append((BLOCK_NO_IR, f"{def_owner}#{name}"))
@@ -329,47 +302,28 @@ class Elider:
                 resources.append(ir_resource(def_owner, name))
             report = analyze_method(engine, mir, recv_owner, None)
             frame_ok = report.frame_elidable
-            ret_ok = ret_relevant and ret_provable(report)
             resources.extend(report.resources)
             callees = report.callees
             blockers.extend(report.blockers)
-            if ret_ok:
-                resources.extend(
-                    lin_resource(cls) for cls in report.ret_classes)
-            want_seed = (not frame_ok) or (ret_relevant and not ret_ok)
-            if want_seed and tops:
+            if not frame_ok and tops:
                 # Prove under each hot profile; the hottest sets the
                 # target verdict, and further chains are admitted only
-                # when they independently re-prove everything a seeded
-                # verdict will claim (the wrapper elides whenever *any*
-                # admitted chain matches).
+                # when they independently re-prove it (the wrapper
+                # elides whenever *any* admitted chain matches).
                 seeded = [
                     (p, analyze_method(
                         engine, mir, recv_owner,
                         tuple(rdl_class_name(c) for c in p)))
                     for p in tops]
-                t_frame = seeded[0][1].frame_elidable
-                t_ret = ret_relevant and ret_provable(seeded[0][1])
-                gain_frame = t_frame and not frame_ok
-                gain_ret = t_ret and not ret_ok
-                if gain_frame or gain_ret:
-                    admitted = []
-                    for p, rep in seeded:
-                        p_ret = ret_relevant and ret_provable(rep)
-                        if ((rep.frame_elidable or not gain_frame)
-                                and (p_ret or not gain_ret)):
-                            admitted.append((p, rep, p_ret))
-                    guard_profiles = tuple(p for p, _, _ in admitted)
-                    for _, rep, p_ret in admitted:
+                if seeded[0][1].frame_elidable:
+                    admitted = [(p, rep) for p, rep in seeded
+                                if rep.frame_elidable]
+                    guard_profiles = tuple(p for p, _ in admitted)
+                    for _, rep in admitted:
                         resources.extend(rep.resources)
                         callees = callees + rep.callees
-                        if p_ret and gain_ret:
-                            resources.extend(
-                                lin_resource(cls)
-                                for cls in rep.ret_classes)
                     audit.pinned = len(admitted)
-                    frame_ok = frame_ok or t_frame
-                    ret_ok = ret_ok or t_ret
+                    frame_ok = True
                 else:
                     for _, rep in seeded:
                         blockers.extend(rep.blockers)
@@ -392,21 +346,14 @@ class Elider:
             audit.proved("frame", pinned=pinned)
         else:
             audit.blocked("frame", reasons)
-        if not ret_relevant:
-            audit.skipped("ret_check")
-        elif ret_ok:
-            audit.proved("ret_check", pinned=pinned)
-        else:
-            audit.blocked("ret_check", reasons)
 
         cache_guard = plan.checked
-        if not (cache_guard or frame_ok or arg_ok or ret_ok):
+        if not (cache_guard or frame_ok or arg_ok):
             return None, audit
         return Elision(
             cache_guard=cache_guard,
             frame=frame_ok,
             arg_check=arg_ok,
-            ret_check=ret_ok,
             guard_profiles=guard_profiles,
             arity=arity if arg_ok else None,
             resources=tuple(dict.fromkeys(resources)),

@@ -90,12 +90,12 @@ from .deps import (
 )
 from .elide import Elider, elide_disabled_by_env
 from .errors import (
-    ArgumentTypeError, CastError, NoMethodBodyError, ReturnTypeError,
-    StaticTypeError, TypeSignatureError,
+    ArgumentTypeError, CastError, NoMethodBodyError, StaticTypeError,
+    TypeSignatureError,
 )
 from .plans import (
-    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, ARG_CHECK_NEVER, ARG_MODES,
-    RET_MODES, CallPlan, CallPlanCache,
+    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, ARG_MODES, CallPlan,
+    CallPlanCache,
 )
 from .specialize import Specializer, specialize_disabled_by_env
 from .stats import Stats
@@ -133,23 +133,11 @@ class EngineConfig:
 
     #: wrap annotated methods at all; False reproduces the "Orig" column.
     intercept: bool = True
-    #: perform JIT static checks; False turns wrapping into plain contracts.
-    static_checking: bool = True
     #: memoize static checks; False reproduces the "No$" column.
     caching: bool = True
     #: dynamic argument checks: "boundary" (only from unchecked callers —
     #: the paper's optimization), "always", or "never" (ablations).
     dynamic_arg_checks: str = "boundary"
-    #: dynamic *return* checks for trusted (unchecked) signatures — the
-    #: RDL-style contract Hummingbird's static check replaces for checked
-    #: methods.  "never" (paper semantics, default), "boundary" (only when
-    #: the immediate caller is statically checked, i.e. its derivation
-    #: relied on this return type), or "always".
-    dynamic_ret_checks: str = "never"
-    #: strict-nil subtyping ablation (the paper uses nil <= A).
-    strict_nil: bool = False
-    #: occurrence-typing narrowing extension.
-    narrowing: bool = True
     #: memoize warm call sites as CallPlans (the steady-state fast path);
     #: False falls back to full per-call resolution (perf ablation).
     call_plans: bool = True
@@ -169,8 +157,7 @@ class EngineConfig:
     #: deopt-storm circuit breaker: demote chronically flapping sites to
     #: tier 1 with a cooldown, and pause all promotion during an
     #: invalidation-wave storm (:mod:`repro.core.specialize`).  False
-    #: (or ``REPRO_DISABLE_BREAKER=1``) re-promotes forever — the
-    #: ungated-thrash ablation mode.
+    #: re-promotes forever — the ungated-thrash ablation mode.
     breaker: bool = True
     #: deopts of one site within ``breaker_window_s`` that count as a
     #: flap storm and trip the per-site breaker.
@@ -249,12 +236,6 @@ class Engine:
             self._elider = Elider(self)
         self._arg_mode: int = ARG_MODES.get(self.config.dynamic_arg_checks,
                                             ARG_CHECK_BOUNDARY)
-        if self.config.dynamic_ret_checks not in RET_MODES:
-            raise ValueError(
-                f"unknown dynamic_ret_checks mode "
-                f"{self.config.dynamic_ret_checks!r}; "
-                f"expected one of {sorted(RET_MODES)}")
-        self._ret_mode: int = RET_MODES[self.config.dynamic_ret_checks]
         self._contracts: Dict = {}  # populated by rdl.wrap pre/post hooks
         self.types.on_change(self._on_type_change)
         self.hier.on_change(self._on_hier_change)
@@ -561,7 +542,6 @@ class Engine:
                 checked = plan.checked
                 sig = plan.sig
                 stack = tls.stack
-                do_ret = False
                 if sig is not None:
                     if checked:
                         stats.cache_hits += 1
@@ -593,31 +573,11 @@ class Engine:
                         stats.dynamic_arg_checks += 1
                     else:
                         stats.dynamic_arg_checks_skipped += 1
-                    ret_mode = plan.ret_mode
-                    if ret_mode != ARG_CHECK_NEVER:
-                        # "boundary" returns: check when the *caller* was
-                        # statically checked (its derivation trusted this
-                        # return type); decided before our frame pushes.
-                        do_ret = (ret_mode == ARG_CHECK_ALWAYS
-                                  or bool(stack and stack[-1]))
                 stack.append(checked)
                 try:
-                    result = fn(recv, *args, **kwargs)
+                    return fn(recv, *args, **kwargs)
                 finally:
                     stack.pop()
-                if do_ret:
-                    if plan.ret_profile_eligible:
-                        rcls = type(result)
-                        if rcls in plan.ret_profiles:
-                            stats.ret_profile_hits += 1
-                        else:
-                            self._dynamic_ret_check(sig, result, owner,
-                                                    name)
-                            plan.learn_ret_profile(rcls)
-                    else:
-                        self._dynamic_ret_check(sig, result, owner, name)
-                    stats.dynamic_ret_checks += 1
-                return result
         return self._invoke_slow(def_owner, owner, name, kind, fn, recv,
                                  args, kwargs)
 
@@ -640,14 +600,12 @@ class Engine:
         checked = False
         sig_owner: Optional[str] = None
         sig: Optional[MethodSig] = None
-        do_ret = False
         tls = self._tls
-        stack = tls.stack
         hot = tls.counters
         if resolved is not None:
             sig_owner, sig = resolved
             key = (owner, name)
-            if sig.check and self.config.static_checking:
+            if sig.check:
                 self.jit_check(key, sig, def_owner, kind,
                                sig_owner=sig_owner)
                 checked = True
@@ -661,18 +619,10 @@ class Engine:
                 hot.dynamic_arg_checks += 1
             else:
                 hot.dynamic_arg_checks_skipped += 1
-            ret_mode = self._ret_mode
-            if ret_mode != ARG_CHECK_NEVER and not checked:
-                do_ret = (ret_mode == ARG_CHECK_ALWAYS
-                          or bool(stack and stack[-1]))
         if plannable:
-            ret_checking = (sig is not None and not checked
-                            and self._ret_mode != ARG_CHECK_NEVER)
             plan = CallPlan(
                 sig_owner, sig, checked, self._arg_mode,
-                sig is not None and _profile_eligible(sig),
-                self._ret_mode if ret_checking else ARG_CHECK_NEVER,
-                ret_checking and _ret_profile_eligible(sig))
+                sig is not None and _profile_eligible(sig))
             spec = self._specializer
             # Per-site adaptive threshold: a site the specializer saw
             # deoptimize re-promotes at a fraction of the global
@@ -682,15 +632,12 @@ class Engine:
                 if spec is not None else self._spec_threshold)
             plans.store((def_owner, owner, name, kind), plan, trace,
                         epoch=epoch)
+        stack = tls.stack
         stack.append(checked)
         try:
-            result = fn(recv, *args, **kwargs)
+            return fn(recv, *args, **kwargs)
         finally:
             stack.pop()
-        if do_ret:
-            self._dynamic_ret_check(sig, result, owner, name)
-            hot.dynamic_ret_checks += 1
-        return result
 
     def jit_check(self, key: Key, sig: MethodSig, def_owner: str,
                   kind: str = INSTANCE,
@@ -749,7 +696,7 @@ class Engine:
                     f"{key[0]}#{key[1]} has a type signature but no method "
                     f"body is registered for checking")
             self_type: Type = (ClassObjectType(key[0]) if kind == CLASS
-                               else self._self_type(key[0]))
+                               else NominalType(key[0]))
             with self.hier.trace() as hier_reads:
                 outcome = self.checker.check_method(mir, sig.intersection(),
                                                     self_type)
@@ -780,13 +727,6 @@ class Engine:
                 deps.discard(key)  # no self-loops; invalidate(key) covers it
                 self.cache.store(key, deps, outcome.field_deps, hier_reads,
                                  self.types.version)
-
-    def _self_type(self, owner: str) -> Type:
-        arity = self.hier.generic_arity(owner) if self.hier.is_known(owner) \
-            else 0
-        if arity:
-            return NominalType(owner)  # raw generic self
-        return NominalType(owner)
 
     def check_method_now(self, owner, name: str,
                          kind: str = INSTANCE) -> None:
@@ -834,19 +774,6 @@ class Engine:
             f"({', '.join(type(v).__name__ for v in values)}), which "
             f"matches no signature arm of {sig.arms}")
 
-    def _dynamic_ret_check(self, sig: MethodSig, result, owner: str,
-                           name: str) -> None:
-        """RDL-style dynamic return check for *trusted* signatures: the
-        result must conform to at least one arm's declared return type.
-        Statically checked methods never reach here — their return types
-        are verified by the derivation."""
-        for arm in sig.arms:
-            if self._value_ok(result, arm.ret):
-                return
-        raise ReturnTypeError(
-            f"{owner}#{name} returned {type(result).__name__}, which "
-            f"conforms to no declared return type of {sig.arms}")
-
     def _value_ok(self, value, expected: Optional[Type]) -> bool:
         if expected is None:
             return False
@@ -854,8 +781,7 @@ class Engine:
             # Higher-order contract checks are not implemented (section 4:
             # "simply assumes code block arguments are type safe").
             return True
-        return value_conforms(value, expected, self.hier,
-                              strict_nil=self.config.strict_nil)
+        return value_conforms(value, expected, self.hier)
 
     def cast(self, value, type_text: str):
         """``rdl_cast``: dynamic conformance check, returns the value.
@@ -865,8 +791,7 @@ class Engine:
         """
         t = parse_type(type_text)
         self.stats.local().casts += 1
-        if not value_conforms(value, t, self.hier,
-                              strict_nil=self.config.strict_nil):
+        if not value_conforms(value, t, self.hier):
             raise CastError(
                 f"value {value!r} does not conform to {type_text}")
         return value
@@ -875,8 +800,7 @@ class Engine:
         """Dynamic check for untrusted inputs (the Rails ``params`` hash is
         always checked, section 4)."""
         t = parse_type(type_text)
-        if not value_conforms(h, t, self.hier,
-                              strict_nil=self.config.strict_nil):
+        if not value_conforms(h, t, self.hier):
             raise ArgumentTypeError(
                 f"untrusted hash {h!r} does not conform to {type_text}")
 
@@ -1032,12 +956,6 @@ def _profile_eligible(sig: MethodSig) -> bool:
             if not is_class_determined(p.ty):
                 return False
     return True
-
-
-def _ret_profile_eligible(sig: MethodSig) -> bool:
-    """True when a passing result class soundly predicts future passes:
-    every arm's return type must be class-determined."""
-    return all(is_class_determined(arm.ret) for arm in sig.arms)
 
 
 def _staticmethod_slot(pycls: type, name: str) -> Optional[type]:

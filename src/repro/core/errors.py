@@ -5,8 +5,8 @@ Three families mirror the paper:
 * :class:`StaticTypeError` — the just-in-time *static* check of a method
   body failed at call time (the errors Table "Type Errors in Talks"
   reports);
-* :class:`ArgumentTypeError` / :class:`ReturnTypeError` / :class:`CastError`
-  — *dynamic* checks failed (the (EApp*) side conditions and ``rdl_cast``);
+* :class:`ArgumentTypeError` / :class:`CastError` — *dynamic* checks
+  failed (the (EApp*) side conditions and ``rdl_cast``);
 * :class:`NoMethodBodyError` — a method has a signature but no body/IR, the
   third blame case of the formalism.
 """
@@ -39,10 +39,6 @@ class StaticTypeError(HummingbirdError):
 class ArgumentTypeError(HummingbirdError):
     """A dynamic argument check at a statically-typed method's entry failed
     (the ``type_of(v2) <= tau1`` side condition of (EApp*))."""
-
-
-class ReturnTypeError(HummingbirdError):
-    """A dynamic return check (``post`` contract) failed."""
 
 
 class CastError(HummingbirdError):

@@ -35,11 +35,7 @@ Argument-class profiles: when every signature arm is *class-determined*
 (:func:`repro.rtypes.typeof.is_class_determined` — conformance depends only
 on each argument's host class), a plan additionally remembers the argument
 class tuples that already passed the dynamic check.  A repeat call with the
-same classes skips the conformance walk entirely: guard + set hit.  Plans
-for *trusted* (unchecked) signatures can likewise profile the dynamic
-return check (``EngineConfig.dynamic_ret_checks``): once a result class
-passed conformance against a class-determined return type, repeat results
-of the same class skip the walk (``Stats.ret_profile_hits``).
+same classes skips the conformance walk entirely: guard + set hit.
 
 Profiles are **copy-on-write frozensets**: the lock-free warm path reads
 ``plan.profiles`` (one attribute load of an immutable set) and learners
@@ -85,13 +81,6 @@ ARG_CHECK_ALWAYS = 2
 ARG_MODES = {"never": ARG_CHECK_NEVER, "boundary": ARG_CHECK_BOUNDARY,
              "always": ARG_CHECK_ALWAYS}
 
-#: ``EngineConfig.dynamic_ret_checks`` uses the same encoding, but its
-#: "boundary" is the *opposite* edge: a return check matters when the
-#: immediate caller **is** statically checked, because that caller's
-#: derivation trusted this signature's return type.
-RET_MODES = {"never": ARG_CHECK_NEVER, "boundary": ARG_CHECK_BOUNDARY,
-             "always": ARG_CHECK_ALWAYS}
-
 #: Cap on remembered passing argument-class profiles per plan; beyond it
 #: the dynamic check still runs, it just stops learning new profiles.
 MAX_PROFILES = 64
@@ -102,13 +91,10 @@ class CallPlan:
 
     __slots__ = ("sig_owner", "sig", "checked", "arg_mode",
                  "profile_eligible", "profiles", "profile_hits",
-                 "ret_mode", "ret_profile_eligible",
-                 "ret_profiles", "hits", "promote_at", "promoted")
+                 "hits", "promote_at", "promoted")
 
     def __init__(self, sig_owner: Optional[str], sig, checked: bool,
-                 arg_mode: int, profile_eligible: bool,
-                 ret_mode: int = ARG_CHECK_NEVER,
-                 ret_profile_eligible: bool = False) -> None:
+                 arg_mode: int, profile_eligible: bool) -> None:
         #: ancestor the signature was found on (None when unannotated).
         self.sig_owner = sig_owner
         #: the resolved MethodSig, or None for wrapped-but-unannotated.
@@ -128,12 +114,6 @@ class CallPlan:
         #: only bumped while the plan is unpromoted, so the steady state
         #: pays nothing.
         self.profile_hits: Dict[tuple, int] = {}
-        #: ARG_CHECK_NEVER unless this plan performs dynamic return checks
-        #: (trusted signature + engine mode), so the fast path pays one
-        #: attribute compare when the feature is off.
-        self.ret_mode = ret_mode
-        self.ret_profile_eligible = ret_profile_eligible
-        self.ret_profiles: FrozenSet[type] = frozenset()
         #: warm-hit counter driving tier-2 promotion; bumped lock-free,
         #: so lost increments merely postpone the threshold.
         self.hits = 0
@@ -184,12 +164,6 @@ class CallPlan:
             key=lambda p: (-counts.get(p, 0),
                            tuple(c.__qualname__ for c in p)))
         return tuple(ranked[:k])
-
-    def learn_ret_profile(self, rcls: type) -> None:
-        """COW-publish a passing result class (capped)."""
-        ret_profiles = self.ret_profiles
-        if len(ret_profiles) < MAX_PROFILES:
-            self.ret_profiles = ret_profiles | {rcls}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CallPlan(owner={self.sig_owner!r}, checked={self.checked}, "

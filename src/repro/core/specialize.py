@@ -3,7 +3,7 @@
 Tier 1 (:mod:`repro.core.plans`) made the steady state "a guard plus a
 cache hit", but the guard itself is still ~30 lines of interpreted Python
 per call inside ``Engine.invoke``: build the plan key tuple, run
-``class_name_of``, fetch thread-locals, branch on the arg/ret modes,
+``class_name_of``, fetch thread-locals, branch on the argument mode,
 push/pop the checked frame.  Lazy basic block versioning
 (Chevalier-Boisvert & Feeley) and "Transient Typechecks are (Almost)
 Free" (Roberts et al.) both make the same observation: type guards only
@@ -17,8 +17,7 @@ and its shape is stable — a class-profile-guardable or check-free
 configuration — the :class:`Specializer` generates a wrapper function
 specialized to exactly that plan: the receiver-class identity guard, the
 dominant argument-profile test (the *hottest* profile by pre-promotion
-hit counts), the checked-frame push/pop, and (when the plan performs
-them) the dynamic return check are emitted as straight-line
+hit counts) and the checked-frame push/pop are emitted as straight-line
 local-variable operations, ``exec``-compiled once, closing over the
 original function, the plan (whose COW profile sets it re-reads each
 call), and the engine's per-thread state.  ``rdl.wrap``'s generic
@@ -40,8 +39,8 @@ operations are *provably redundant* for this site
 (:class:`~repro.core.elide.Elision`); the codegen here then **omits**
 them instead of partially evaluating them: the check-cache membership
 probe, the argument-profile test (arity-guarded when every matching
-parameter type is vacuous), the checked-frame push/pop around the call,
-and the return conformance walk.  Verdicts that hold only under the
+parameter type is vacuous) and the checked-frame push/pop around the
+call.  Verdicts that hold only under the
 dominant argument profile pin that profile as an *unconditional* guard
 chain (no copy-on-write fallback — a miss bails to the generic tier),
 so the facts the analysis assumed hold on every call that runs the
@@ -63,8 +62,8 @@ ways: a site whose guard assumptions are invalidated *continuously* —
 adversarial reload churn retyping the same method every few
 milliseconds — would otherwise cycle promote/deopt forever, paying
 wrapper compilation and teardown on every lap.  Two breakers gate the
-cycle (``EngineConfig.breaker``; ``REPRO_DISABLE_BREAKER=1`` is the
-ungated-thrash ablation):
+cycle (``EngineConfig.breaker``; ``False`` is the ungated-thrash
+ablation):
 
 * **per-site**: each deopt of a key is a *flap*; ``breaker_flap_limit``
   flaps inside ``breaker_window_s`` trip the site — its re-warm
@@ -148,7 +147,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
 from ..rdl.registry import CLASS
 from .elide import _contract_blocks
 from .plans import (
-    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, ARG_CHECK_NEVER, CallPlan, PlanKey,
+    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, CallPlan, PlanKey,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -170,13 +169,6 @@ _FLAP_TRACK_MAX = 1024
 def specialize_disabled_by_env() -> bool:
     """True when ``REPRO_DISABLE_SPECIALIZE`` forces tier-1-only mode."""
     return os.environ.get("REPRO_DISABLE_SPECIALIZE", "") not in (
-        "", "0", "false", "no")
-
-
-def breaker_disabled_by_env() -> bool:
-    """True when ``REPRO_DISABLE_BREAKER`` forces ungated re-promotion
-    (the thrash ablation the chaos benchmark measures against)."""
-    return os.environ.get("REPRO_DISABLE_BREAKER", "") not in (
         "", "0", "false", "no")
 
 
@@ -247,7 +239,7 @@ class Specializer:
         # Circuit-breaker state (all mutated under the internal lock;
         # the promotion-path probes are lock-free dict reads).
         cfg = engine.config
-        self._breaker = bool(cfg.breaker) and not breaker_disabled_by_env()
+        self._breaker = bool(cfg.breaker)
         self._flap_limit = max(1, cfg.breaker_flap_limit)
         self._window = float(cfg.breaker_window_s)
         self._cooldown = float(cfg.breaker_cooldown_s)
@@ -569,16 +561,13 @@ def _plan_specializable(plan: CallPlan) -> bool:
     """Shape stability: every per-call decision must either fold into
     straight-line code or have a sound bail-to-generic exit.
 
-    A dynamic check with no class profile to guard on (arg) or no result
-    profile to guard on (ret) in ``always`` mode would bail or re-walk
-    conformance on *every* call — promotion would only add overhead."""
+    A dynamic argument check with no class profile to guard on in
+    ``always`` mode would bail on *every* call — promotion would only
+    add overhead."""
     if plan.sig is None:
         return True
-    if plan.arg_mode == ARG_CHECK_ALWAYS and not plan.profile_eligible:
-        return False
-    if plan.ret_mode == ARG_CHECK_ALWAYS and not plan.ret_profile_eligible:
-        return False
-    return True
+    return not (plan.arg_mode == ARG_CHECK_ALWAYS
+                and not plan.profile_eligible)
 
 
 #: synthetic filename stem for compiled wrappers (visible in tracebacks).
@@ -614,7 +603,6 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
         "_kind": kind,
         "_entries": engine.cache._entries,
         "_live": engine._plans._plans,
-        "_ret_check": engine._dynamic_ret_check,
         "_cls0": guard_cls,
     })
     source = "\n".join(lines) + "\n"
@@ -672,7 +660,7 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
         ]
         ns["_ckey0"] = (recv_owner, name)
     if gps:
-        # Pinned profile chains: the frame/return verdicts below were
+        # Pinned profile chains: the frame verdict below was
         # proved *under these argument classes*, so the chains guard
         # unconditionally — no copy-on-write fallback; a call matching
         # none of them (another learned profile, a new shape) bails to
@@ -691,12 +679,9 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
         ]
     frame_elided = el is not None and el.frame
     arg_elided = el is not None and el.arg_check
-    ret_elided = el is not None and el.ret_check
-    do_ret = sig is not None and plan.ret_mode != ARG_CHECK_NEVER
     need_stack = (not frame_elided
                   or (sig is not None
-                      and plan.arg_mode == ARG_CHECK_BOUNDARY)
-                  or (do_ret and plan.ret_mode != ARG_CHECK_ALWAYS))
+                      and plan.arg_mode == ARG_CHECK_BOUNDARY))
     lines.append("tls = _tls")
     if need_stack:
         lines.append("stack = tls.stack")
@@ -739,13 +724,6 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
             arg_counters = ["c.dynamic_arg_checks += 1"]
         else:  # ARG_CHECK_NEVER
             arg_counters = ["c.dynamic_arg_checks_skipped += 1"]
-    if do_ret:
-        # Decided from the *caller's* frame, before ours pushes —
-        # identical to the tier-1 ordering.
-        if plan.ret_mode == ARG_CHECK_ALWAYS:
-            lines.append("do_ret = True")
-        else:
-            lines.append("do_ret = True if stack and stack[-1] else False")
     lines += [
         "c = tls.counters",
         "c.calls_intercepted += 1",
@@ -764,61 +742,15 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
         # The body provably never re-enters intercepted code, so no
         # callee can read the checked-frame flag: the push/pop (and the
         # try/finally protecting it) are dead.
-        lines.append(f"result = {call}" if do_ret else f"return {call}")
+        lines.append(f"return {call}")
     else:
         lines += [
             f"stack.append({checked})",
             "try:",
-            f"    result = {call}" if do_ret else f"    return {call}",
+            f"    return {call}",
             "finally:",
             "    stack.pop()",
         ]
-    if do_ret:
-        if plan.ret_profile_eligible:
-            if ret_elided:
-                # Conformance is statically proved for every class the
-                # body can return; keep the membership probe purely for
-                # counter/profile parity with the generic tier, but the
-                # slow conformance walk is gone.
-                lines += [
-                    "if do_ret:",
-                    "    if type(result) in _plan0.ret_profiles:",
-                    "        c.ret_profile_hits += 1",
-                    "    else:",
-                    "        _plan0.learn_ret_profile(type(result))",
-                    "    c.dynamic_ret_checks += 1",
-                ]
-            else:
-                lines += [
-                    "if do_ret:",
-                    "    if type(result) in _plan0.ret_profiles:",
-                    "        c.ret_profile_hits += 1",
-                    "    else:",
-                    "        _ret_slow0(result)",
-                    "    c.dynamic_ret_checks += 1",
-                ]
-
-                def _ret_slow(result, _engine=engine, _plan=plan,
-                              _owner=recv_owner, _name=name):
-                    _engine._dynamic_ret_check(_plan.sig, result, _owner,
-                                               _name)
-                    _plan.learn_ret_profile(type(result))
-
-                ns["_ret_slow0"] = _ret_slow
-        elif ret_elided:
-            lines += [
-                "if do_ret:",
-                "    c.dynamic_ret_checks += 1",
-            ]
-        else:
-            lines += [
-                "if do_ret:",
-                "    _ret_check(_sig0, result, _recv_owner0, _name)",
-                "    c.dynamic_ret_checks += 1",
-            ]
-            ns["_sig0"] = sig
-            ns["_recv_owner0"] = recv_owner
-        lines.append("return result")
     return lines, ns
 
 

@@ -41,8 +41,6 @@ HOT_COUNTER_FIELDS = (
     "cache_misses",
     "dynamic_arg_checks",
     "dynamic_arg_checks_skipped",
-    "dynamic_ret_checks",
-    "ret_profile_hits",
     "checks_elided",
     "casts",
 )
@@ -140,9 +138,9 @@ class Stats:
         self.invalidations = 0
         self.invalidated_keys: Set[Key] = set()
         # dynamic checks and the call-plan fast path are all sharded:
-        # casts, dynamic_arg_checks(_skipped), dynamic_ret_checks,
-        # calls_intercepted, fast_path_hits, ret_profile_hits are
-        # aggregate properties over the per-thread HotCounters.
+        # casts, dynamic_arg_checks(_skipped), calls_intercepted and
+        # fast_path_hits are aggregate properties over the per-thread
+        # HotCounters.
         self.plan_invalidations = 0      # plans dropped by invalidation
         # tiered execution (the tier-2 specializer); promotions happen
         # under the writer lock and deopts under the specializer's lock,
@@ -315,8 +313,6 @@ class Stats:
             "breaker_demotions": self.breaker_demotions,
             "requests_replayed": self.requests_replayed,
             "workers_restarted": self.workers_restarted,
-            "ret_profile_hits": self.ret_profile_hits,
-            "dynamic_ret_checks": self.dynamic_ret_checks,
             "subtype_cache_hits": self.subtype_cache_hits,
             "subtype_cache_misses": self.subtype_cache_misses,
             "subtype_lru_evictions": self.subtype_lru_evictions,

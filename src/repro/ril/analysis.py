@@ -7,10 +7,9 @@ interpretation over the callee's lowered body, seeded by one of the
 site's observed profiles (receiver class, argument classes), and reports
 which per-call operations are statically discharged:
 
-* **return classes** — the exact RDL class names the body can return.
-  When every one of them conforms to the signature's return type, the
-  compiled wrapper's dynamic return check (or return-profile guard) is
-  provably dead and is omitted.
+* **return classes** — the exact RDL class names the body can return,
+  computed the same way the pass types a call that recurses into an
+  unchecked callee body.
 * **frame safety** — whether the body can re-enter intercepted code.
   The checked-frame push/pop around the call exists so *callees* can see
   whether their caller's body was statically checked; a body that
@@ -75,15 +74,12 @@ opaque host code that may call intercepted methods, so any call on one
 forfeits frame elision.
 
 Nil permissiveness: :func:`class_conforms` mirrors the dynamic check's
-permissive-nil rule, so exactness derived from declared types admits a
-nil witness in permissive mode.  The hole is benign for every consumer
-here: (1) return-conformance proofs are self-healing — where a body can
-return nil in place of a predicted class, nil *also* conforms to the
-declared return type under the same permissiveness, so the discharged
-check would have passed anyway; (2) ``NilClass`` is on the safe-receiver
-whitelist, so frame judgments are unaffected; (3) dispatching a method
-on ``None`` raises before any elided check could run.  The analysis
-never claims more than the dynamic checks it replaces would enforce.
+nil rule (nil conforms to every type), so exactness derived from
+declared types admits a nil witness.  The hole is benign for every
+consumer here: (1) ``NilClass`` is on the safe-receiver whitelist, so
+frame judgments are unaffected; (2) dispatching a method on ``None``
+raises before any elided check could run.  The analysis never claims
+more than the dynamic checks it replaces would enforce.
 """
 
 from __future__ import annotations
@@ -178,8 +174,7 @@ def is_vacuous(t: Type) -> bool:
     return False
 
 
-def class_conforms(name: str, t: Type, hier: Any, *,
-                   strict_nil: bool = False) -> bool:
+def class_conforms(name: str, t: Type, hier: Any) -> bool:
     """True when every value of RDL class ``name`` conforms to ``t``.
 
     The class-determined under-approximation of
@@ -192,21 +187,14 @@ def class_conforms(name: str, t: Type, hier: Any, *,
     if isinstance(t, (AnyType, VarType, SelfType)):
         return True
     if name == "NilClass":
-        # Mirrors value_conforms's None rule: nil conforms to anything
-        # unless strict_nil is on.
-        return (not strict_nil) or isinstance(t, NilType) or (
-            isinstance(t, NominalType) and t.name == "NilClass") or (
-            isinstance(t, UnionType)
-            and any(class_conforms(name, a, hier, strict_nil=strict_nil)
-                    for a in t.arms))
+        # Mirrors value_conforms's None rule: nil conforms to anything.
+        return True
     if isinstance(t, (NilType, BotType)):
         return False
     if isinstance(t, UnionType):
-        return any(class_conforms(name, a, hier, strict_nil=strict_nil)
-                   for a in t.arms)
+        return any(class_conforms(name, a, hier) for a in t.arms)
     if isinstance(t, IntersectionType):
-        return all(class_conforms(name, a, hier, strict_nil=strict_nil)
-                   for a in t.arms)
+        return all(class_conforms(name, a, hier) for a in t.arms)
     if isinstance(t, BoolType):
         return name == "Boolean"
     if isinstance(t, MethodType):
@@ -217,8 +205,7 @@ def class_conforms(name: str, t: Type, hier: Any, *,
         t = NominalType(t.name)
     if isinstance(t, NominalType):
         try:
-            return bool(is_subtype(NominalType(name), t, hier,
-                                   strict_nil=strict_nil))
+            return bool(is_subtype(NominalType(name), t, hier))
         except Exception:
             return False
     # SingletonType / TupleType / FiniteHashType / ClassObjectType /
@@ -1004,9 +991,7 @@ class _Analysis:
         """Could this intersection arm match a call with these arguments?
 
         False only on a proof of impossibility: the arity can never
-        match, or some position's entire class set fails (permissive)
-        conformance — permissive-fails implies strict-fails, so
-        exclusion is sound under either nil mode.
+        match, or some position's entire class set fails conformance.
         """
         if not arm.accepts_arity(len(arg_vals)):
             return False

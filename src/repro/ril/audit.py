@@ -27,7 +27,7 @@ engine's writer lock — it never mutates the engine, never consumes
 snapshot seeds, and never installs wrappers.  The headline
 ``elision_rate`` is proved check ops (seed-free or profile-pinned) over
 *applicable* check ops: a check that never runs at a site (an unchecked
-plan's cache guard, a ``ret_check`` in ``never`` mode) counts in
+plan's cache guard, an argument check in ``never`` mode) counts in
 neither numerator nor denominator.
 
 This module is deliberately not exported from ``repro.ril``'s package

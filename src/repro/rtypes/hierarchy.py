@@ -71,7 +71,7 @@ class UnknownClassError(KeyError):
 class SubtypeCache:
     """Memoized ``is_subtype`` answers for one hierarchy — a bounded LRU.
 
-    Each line maps ``(s, t, strict_nil)`` to ``(answer, reads)`` where
+    Each line maps ``(s, t)`` to ``(answer, reads)`` where
     ``reads`` is the frozenset of class names whose hierarchy placement
     the computation consulted.  The cache is owned by the hierarchy
     because answers depend on its edges: a structural mutation evicts

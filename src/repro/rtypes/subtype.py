@@ -3,7 +3,7 @@
 The relation follows the paper:
 
 * ``nil <= A`` for every ``A`` (formalism, section 3) — standard for
-  languages with ``nil``.  A *strict-nil* mode (ablation) turns this off.
+  languages with ``nil``.
 * ``A <= A`` and nominal subtyping through the class hierarchy (the
   implementation handles inheritance even though the formalism omits it).
 * ``%any`` is RDL's dynamic type: compatible in both directions.
@@ -35,12 +35,11 @@ MethodResolver = Callable[[str, str], Optional[Type]]
 
 
 def is_subtype(s: Type, t: Type, hier: ClassHierarchy, *,
-               strict_nil: bool = False,
                resolver: Optional[MethodResolver] = None) -> bool:
     """True when ``s <= t`` under hierarchy ``hier``.
 
     Memoized per hierarchy: answers live in ``hier.subtype_cache``, a
-    bounded LRU keyed ``(s, t, strict_nil)``.  Each line also records the
+    bounded LRU keyed ``(s, t)``.  Each line also records the
     class names whose hierarchy placement the computation consulted, so
     a structural mutation evicts exactly the lines it could have changed
     (dependency-tracked invalidation) and an overflow evicts the
@@ -54,8 +53,8 @@ def is_subtype(s: Type, t: Type, hier: ClassHierarchy, *,
         return True
     cache = hier.subtype_cache
     if resolver is not None or not cache.enabled:
-        return _is_subtype(s, t, hier, strict_nil, resolver)
-    key = (s, t, strict_nil)
+        return _is_subtype(s, t, hier, resolver)
+    key = (s, t)
     line = cache.table.get(key)
     if line is not None:
         cache.hits += 1      # approximate under threads (monotonic)
@@ -72,13 +71,12 @@ def is_subtype(s: Type, t: Type, hier: ClassHierarchy, *,
     # not be memoized after its eviction wave (lost-invalidation race).
     epoch = cache.epoch
     with hier.trace() as reads:
-        result = _is_subtype(s, t, hier, strict_nil, None)
+        result = _is_subtype(s, t, hier, None)
     cache.store(key, result, frozenset(reads), epoch=epoch)
     return result
 
 
 def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
-                strict_nil: bool,
                 resolver: Optional[MethodResolver]) -> bool:
     """The uncached structural dispatch behind :func:`is_subtype`.
 
@@ -92,30 +90,23 @@ def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
     if isinstance(s, AnyType) or isinstance(t, AnyType):
         return True
 
-    # nil <= A (paper); in strict mode nil only flows to nil/NilClass/unions.
+    # nil <= A (paper).
     if isinstance(s, NilType):
-        if not strict_nil:
-            return True
-        if isinstance(t, NominalType) and t.name == "NilClass":
-            return True
-        if isinstance(t, UnionType):
-            return any(is_subtype(s, arm, hier, strict_nil=strict_nil,
-                                  resolver=resolver) for arm in t.arms)
-        return False
+        return True
 
     # Union / intersection structural rules (left before right).
     if isinstance(s, UnionType):
-        return all(is_subtype(arm, t, hier, strict_nil=strict_nil,
-                              resolver=resolver) for arm in s.arms)
+        return all(is_subtype(arm, t, hier, resolver=resolver)
+                   for arm in s.arms)
     if isinstance(t, IntersectionType):
-        return all(is_subtype(s, arm, hier, strict_nil=strict_nil,
-                              resolver=resolver) for arm in t.arms)
+        return all(is_subtype(s, arm, hier, resolver=resolver)
+                   for arm in t.arms)
     if isinstance(t, UnionType):
-        return any(is_subtype(s, arm, hier, strict_nil=strict_nil,
-                              resolver=resolver) for arm in t.arms)
+        return any(is_subtype(s, arm, hier, resolver=resolver)
+                   for arm in t.arms)
     if isinstance(s, IntersectionType):
-        return any(is_subtype(arm, t, hier, strict_nil=strict_nil,
-                              resolver=resolver) for arm in s.arms)
+        return any(is_subtype(arm, t, hier, resolver=resolver)
+                   for arm in s.arms)
 
     # Everything is an Object.
     if isinstance(t, NominalType) and t.name == "Object":
@@ -130,11 +121,10 @@ def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
     if isinstance(s, SingletonType):
         if isinstance(t, SingletonType):
             return s == t
-        return is_subtype(NominalType(s.base), t, hier,
-                          strict_nil=strict_nil, resolver=resolver)
+        return is_subtype(NominalType(s.base), t, hier, resolver=resolver)
 
     if isinstance(t, StructuralType):
-        return _le_structural(s, t, hier, strict_nil, resolver)
+        return _le_structural(s, t, hier, resolver)
 
     if isinstance(s, NominalType):
         if isinstance(t, NominalType):
@@ -154,20 +144,18 @@ def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
                 return False
             if len(s.args) != len(t.args):
                 return False
-            return all(is_subtype(a, b, hier, strict_nil=strict_nil,
-                                  resolver=resolver)
+            return all(is_subtype(a, b, hier, resolver=resolver)
                        for a, b in zip(s.args, t.args))
         return False
 
     if isinstance(s, TupleType):
         if isinstance(t, TupleType):
             return (len(s.elems) == len(t.elems)
-                    and all(is_subtype(a, b, hier, strict_nil=strict_nil,
-                                       resolver=resolver)
+                    and all(is_subtype(a, b, hier, resolver=resolver)
                             for a, b in zip(s.elems, t.elems)))
         if isinstance(t, GenericType) and t.name == "Array" and len(t.args) == 1:
-            return all(is_subtype(e, t.args[0], hier, strict_nil=strict_nil,
-                                  resolver=resolver) for e in s.elems)
+            return all(is_subtype(e, t.args[0], hier, resolver=resolver)
+                       for e in s.elems)
         if isinstance(t, NominalType):
             return hier.is_subclass("Array", t.name)
         return False
@@ -176,16 +164,14 @@ def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
         if isinstance(t, FiniteHashType):
             mine = s.field_map()
             return all(k in mine and is_subtype(mine[k], v, hier,
-                                                strict_nil=strict_nil,
                                                 resolver=resolver)
                        for k, v in t.fields)
         if isinstance(t, GenericType) and t.name == "Hash" and len(t.args) == 2:
             key_t, val_t = t.args
             return all(
                 is_subtype(SingletonType(k, "Symbol"), key_t, hier,
-                           strict_nil=strict_nil, resolver=resolver)
-                and is_subtype(v, val_t, hier, strict_nil=strict_nil,
-                               resolver=resolver)
+                           resolver=resolver)
+                and is_subtype(v, val_t, hier, resolver=resolver)
                 for k, v in s.fields)
         if isinstance(t, NominalType):
             return hier.is_subclass("Hash", t.name)
@@ -198,7 +184,7 @@ def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
 
     if isinstance(s, MethodType):
         if isinstance(t, MethodType):
-            return _le_method(s, t, hier, strict_nil, resolver)
+            return _le_method(s, t, hier, resolver)
         return isinstance(t, NominalType) and t.name == "Proc"
 
     if isinstance(s, (SelfType, VarType)):
@@ -217,7 +203,7 @@ def _bool_le(t: Type, hier: ClassHierarchy) -> bool:
 
 
 def _le_method(s: MethodType, t: MethodType, hier: ClassHierarchy,
-               strict_nil: bool, resolver: Optional[MethodResolver]) -> bool:
+               resolver: Optional[MethodResolver]) -> bool:
     """``s <= t``: s is usable wherever t is expected (contra/co-variance)."""
     # s must accept every arity t accepts.
     if s.min_arity() > t.min_arity():
@@ -232,29 +218,25 @@ def _le_method(s: MethodType, t: MethodType, hier: ClassHierarchy,
             continue
         if sp is None:
             return False
-        if not is_subtype(tp, sp, hier, strict_nil=strict_nil,
-                          resolver=resolver):  # contravariant
+        if not is_subtype(tp, sp, hier, resolver=resolver):  # contravariant
             return False
     if t.block is not None:
         if s.block is None:
             if not t.block.optional:
                 return False
-        elif not _le_method(t.block.sig, s.block.sig, hier, strict_nil,
+        elif not _le_method(t.block.sig, s.block.sig, hier,
                             resolver):  # contravariant
             return False
     elif s.block is not None and not s.block.optional:
         return False
-    return is_subtype(s.ret, t.ret, hier, strict_nil=strict_nil,
-                      resolver=resolver)
+    return is_subtype(s.ret, t.ret, hier, resolver=resolver)
 
 
 def _le_structural(s: Type, t: StructuralType, hier: ClassHierarchy,
-                   strict_nil: bool,
                    resolver: Optional[MethodResolver]) -> bool:
     if isinstance(s, StructuralType):
         mine = s.method_map()
-        return all(m in mine and _le_method(mine[m], sig, hier, strict_nil,
-                                            resolver)
+        return all(m in mine and _le_method(mine[m], sig, hier, resolver)
                    for m, sig in t.methods)
     if resolver is None:
         return False
@@ -267,7 +249,7 @@ def _le_structural(s: Type, t: StructuralType, hier: ClassHierarchy,
             return False
         arms = got.arms if isinstance(got, IntersectionType) else (got,)
         if not any(isinstance(a, MethodType)
-                   and _le_method(a, want, hier, strict_nil, resolver)
+                   and _le_method(a, want, hier, resolver)
                    for a in arms):
             return False
     return True
@@ -289,38 +271,34 @@ def _class_name_of(t: Type) -> Optional[str]:
     return None
 
 
-def equivalent(s: Type, t: Type, hier: ClassHierarchy, *,
-               strict_nil: bool = False) -> bool:
+def equivalent(s: Type, t: Type, hier: ClassHierarchy) -> bool:
     """Mutual subtyping."""
-    return (is_subtype(s, t, hier, strict_nil=strict_nil)
-            and is_subtype(t, s, hier, strict_nil=strict_nil))
+    return is_subtype(s, t, hier) and is_subtype(t, s, hier)
 
 
-def join(a: Type, b: Type, hier: ClassHierarchy, *,
-         strict_nil: bool = False) -> Type:
+def join(a: Type, b: Type, hier: ClassHierarchy) -> Type:
     """Least upper bound used at conditional merges.
 
-    Follows the paper's (TIf): ``A ⊔ A = A``, ``nil ⊔ τ = τ`` (when nil is a
+    Follows the paper's (TIf): ``A ⊔ A = A``, ``nil ⊔ τ = τ`` (nil is a
     universal bottom-ish type); otherwise the union of the two sides, which
     is the most precise upper bound expressible in the language.
     """
-    if not strict_nil:
-        if isinstance(a, NilType):
-            return b
-        if isinstance(b, NilType):
-            return a
+    if isinstance(a, NilType):
+        return b
+    if isinstance(b, NilType):
+        return a
     if isinstance(a, BotType):
         return b
     if isinstance(b, BotType):
         return a
-    if is_subtype(a, b, hier, strict_nil=strict_nil):
+    if is_subtype(a, b, hier):
         return b
-    if is_subtype(b, a, hier, strict_nil=strict_nil):
+    if is_subtype(b, a, hier):
         return a
     return union_of(a, b)
 
 
-def join_all(types, hier: ClassHierarchy, *, strict_nil: bool = False) -> Type:
+def join_all(types, hier: ClassHierarchy) -> Type:
     """Fold :func:`join` over a non-empty iterable of types."""
     it = iter(types)
     try:
@@ -328,5 +306,5 @@ def join_all(types, hier: ClassHierarchy, *, strict_nil: bool = False) -> Type:
     except StopIteration:
         raise ValueError("join_all requires at least one type") from None
     for t in it:
-        acc = join(acc, t, hier, strict_nil=strict_nil)
+        acc = join(acc, t, hier)
     return acc

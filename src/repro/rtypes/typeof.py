@@ -180,8 +180,7 @@ def _elem_type(items: list) -> Type:
     return union_of(*arms) if arms else ANY
 
 
-def value_conforms(value: object, t: Type, hier: ClassHierarchy, *,
-                   strict_nil: bool = False) -> bool:
+def value_conforms(value: object, t: Type, hier: ClassHierarchy) -> bool:
     """Deep run-time conformance check ``value : t``.
 
     Unlike ``is_subtype(type_of(v), t)``, this iterates through collections
@@ -191,21 +190,15 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy, *,
     if isinstance(t, (AnyType, VarType)):
         return True
     if value is None:
-        return strict_nil is False or isinstance(t, NilType) or (
-            isinstance(t, NominalType) and t.name == "NilClass") or (
-            isinstance(t, UnionType)
-            and any(value_conforms(value, a, hier, strict_nil=strict_nil)
-                    for a in t.arms))
+        return True  # nil <= A
     if isinstance(t, NilType):
         return value is None
     if isinstance(t, BotType):
         return False
     if isinstance(t, UnionType):
-        return any(value_conforms(value, a, hier, strict_nil=strict_nil)
-                   for a in t.arms)
+        return any(value_conforms(value, a, hier) for a in t.arms)
     if isinstance(t, IntersectionType):
-        return all(value_conforms(value, a, hier, strict_nil=strict_nil)
-                   for a in t.arms)
+        return all(value_conforms(value, a, hier) for a in t.arms)
     if isinstance(t, BoolType):
         return isinstance(value, bool)
     if isinstance(t, SingletonType):
@@ -218,7 +211,7 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy, *,
         if not isinstance(value, (list, tuple)):
             return False
         return (len(value) == len(t.elems)
-                and all(value_conforms(v, e, hier, strict_nil=strict_nil)
+                and all(value_conforms(v, e, hier)
                         for v, e in zip(value, t.elems)))
     if isinstance(t, FiniteHashType):
         if not isinstance(value, dict):
@@ -229,24 +222,23 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy, *,
             elif key in value:
                 item = value[key]
             else:
-                return isinstance(ft, NilType) or _allows_nil(ft, hier,
-                                                              strict_nil)
-            if not value_conforms(item, ft, hier, strict_nil=strict_nil):
+                # An absent key reads as nil, which conforms to any type.
+                return True
+            if not value_conforms(item, ft, hier):
                 return False
         return True
     if isinstance(t, GenericType):
         if not is_subtype(NominalType(class_name_of(value)),
-                          NominalType(t.name), hier, strict_nil=strict_nil):
+                          NominalType(t.name), hier):
             return False
         if t.name in ("Array", "Set") and len(t.args) == 1 and isinstance(
                 value, (list, tuple, set)):
-            return all(value_conforms(v, t.args[0], hier,
-                                      strict_nil=strict_nil) for v in value)
+            return all(value_conforms(v, t.args[0], hier) for v in value)
         if t.name == "Hash" and len(t.args) == 2 and isinstance(value, dict):
             key_t, val_t = t.args
             return all(
-                value_conforms(k, key_t, hier, strict_nil=strict_nil)
-                and value_conforms(v, val_t, hier, strict_nil=strict_nil)
+                value_conforms(k, key_t, hier)
+                and value_conforms(v, val_t, hier)
                 for k, v in value.items())
         return True
     if isinstance(t, ClassObjectType):
@@ -261,8 +253,7 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy, *,
         # collection element sampling: against a *nominal* expectation the
         # subtype rules only consult the value's class name (GenericType /
         # SingletonType / %bool sources all reduce to their base class).
-        return is_subtype(NominalType(class_name_of(value)), t, hier,
-                          strict_nil=strict_nil)
+        return is_subtype(NominalType(class_name_of(value)), t, hier)
     return False
 
 
@@ -284,6 +275,3 @@ def is_class_determined(t: Type) -> bool:
         return all(is_class_determined(a) for a in t.arms)
     return False
 
-
-def _allows_nil(t: Type, hier: ClassHierarchy, strict_nil: bool) -> bool:
-    return is_subtype(NIL, t, hier, strict_nil=strict_nil)

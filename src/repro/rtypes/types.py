@@ -85,8 +85,7 @@ class BoolType(Type):
 class NilType(Type):
     """``nil`` — the type of ``nil`` (``None`` in the Python host).
 
-    Following the paper's formalism, ``nil <= A`` for every class ``A``
-    (unless the engine runs in strict-nil mode, an ablation).
+    Following the paper's formalism, ``nil <= A`` for every class ``A``.
     """
 
     def __str__(self) -> str:
@@ -471,8 +470,8 @@ def int_singleton(value: int) -> SingletonType:
 
 
 def optional(t: Type) -> Type:
-    """``t or nil`` — note that with the paper's ``nil <= A`` rule this is
-    mostly documentation, but strict-nil mode gives it teeth."""
+    """``t or nil`` — with the paper's ``nil <= A`` rule this is
+    documentation: it admits the same values as ``t``."""
     return union_of(t, NIL)
 
 

@@ -6,7 +6,7 @@ What gets serialized (the state a long-lived process paid for):
   dependency edges (signature, field, and hierarchy reads) exactly as
   the :class:`~repro.core.cache.CheckCache` recorded them;
 * **call plans** — per-site resolution results plus everything the site
-  *learned*: hit counts, argument/return class profiles with their hit
+  *learned*: hit counts, argument class profiles with their hit
   counts, and whether the site was promoted to tier 2;
 * **elision verdicts** — the tier-3 analysis results attached to
   promoted sites, with their full resource lists so the restored
@@ -57,18 +57,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.elide import Elision
-from ..core.engine import Engine, _profile_eligible, _ret_profile_eligible
-from ..core.plans import ARG_CHECK_NEVER, CallPlan, PlanKey
+from ..core.engine import Engine, _profile_eligible
+from ..core.plans import CallPlan, PlanKey
 from ..rdl.registry import INSTANCE
 
 SNAPSHOT_FORMAT = "hummingbird-warm-state"
-#: version 3: plans no longer carry kwargs-shape layouts and elision
-#: verdicts no longer carry a chain-conformance flag (every pinned chain
-#: is a learned profile, with no unpinned slots).  Version 2 added multi-profile
-#: ``guard_profiles`` chains and ``("lin", cls)`` leaf-exactness
-#: resources.  Any other version is rejected at the envelope (fail
-#: closed to cold start) rather than decoded under the wrong rules.
-SNAPSHOT_VERSION = 3
+#: version 4: plans no longer carry return-class profiles and elision
+#: verdicts no longer carry a return-check flag.  Version 3 dropped
+#: kwargs-shape layouts and the chain-conformance flag (every pinned
+#: chain is a learned profile, with no unpinned slots).  Version 2 added
+#: multi-profile ``guard_profiles`` chains and ``("lin", cls)``
+#: leaf-exactness resources.  Any other version is rejected at the
+#: envelope (fail closed to cold start) rather than decoded under the
+#: wrong rules.
+SNAPSHOT_VERSION = 4
 
 #: builtin receiver/argument classes a profile may mention by name.
 _BUILTIN_CLASSES: Dict[str, type] = {
@@ -113,9 +115,7 @@ def world_fingerprint(engine: Engine) -> str:
         # Semantics-affecting knobs only: two engines that differ in
         # perf tuning (thresholds, specialization, elision) derive the
         # *same* verdicts, so those knobs do not poison reuse.
-        "config": [bool(cfg.static_checking), bool(cfg.caching),
-                   cfg.dynamic_arg_checks, cfg.dynamic_ret_checks,
-                   bool(cfg.strict_nil), bool(cfg.narrowing)],
+        "config": [bool(cfg.caching), cfg.dynamic_arg_checks],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -215,18 +215,12 @@ def _capture_plans(engine: Engine) -> List[dict]:
             enc = _encode_profile(engine, profile)
             if enc is not None:
                 profile_hits.append([enc, int(hits)])
-        ret_profiles = []
-        for rcls in plan.ret_profiles:  # single classes, not tuples
-            enc = _encode_class(engine, rcls)
-            if enc is not None:
-                ret_profiles.append(enc)
         records.append({
             "key": list(key),
             "hits": int(plan.hits),
             "checked": bool(plan.checked),
             "profiles": sorted(profiles),
             "profile_hits": sorted(profile_hits),
-            "ret_profiles": sorted(ret_profiles),
             "promoted": key in promoted,
         })
     return records
@@ -265,7 +259,6 @@ def _capture_elisions(engine: Engine) -> List[dict]:
             "cache_guard": bool(elision.cache_guard),
             "frame": bool(elision.frame),
             "arg_check": bool(elision.arg_check),
-            "ret_check": bool(elision.ret_check),
             "guard_profiles": guard_profiles,
             "arity": elision.arity,
             "resources": sorted(list(r) for r in elision.resources),
@@ -376,7 +369,6 @@ def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
         cache_guard=bool(rec["cache_guard"]),
         frame=bool(rec["frame"]),
         arg_check=bool(rec["arg_check"]),
-        ret_check=bool(rec["ret_check"]),
         guard_profiles=guard_profiles,
         arity=int(arity) if arity is not None else None,
         resources=tuple(tuple(r) for r in rec.get("resources", [])),
@@ -423,7 +415,7 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
     checked = False
     if resolved is not None:
         sig_owner, sig = resolved
-        if sig.check and engine.config.static_checking:
+        if sig.check:
             # A checked plan skips the per-call jit_check; that is only
             # sound with a live memoized verdict backing it.
             if (not engine.config.caching
@@ -435,13 +427,9 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
         report.plans_skipped += 1
         return  # resolution shape drifted from the saved world
 
-    ret_checking = (sig is not None and not checked
-                    and engine._ret_mode != ARG_CHECK_NEVER)
     plan = CallPlan(
         sig_owner, sig, checked, engine._arg_mode,
-        sig is not None and _profile_eligible(sig),
-        engine._ret_mode if ret_checking else ARG_CHECK_NEVER,
-        ret_checking and _ret_profile_eligible(sig))
+        sig is not None and _profile_eligible(sig))
     plan.promote_at = (spec.promote_threshold(key) if spec is not None
                        else engine._spec_threshold)
     plan.hits = int(rec["hits"])
@@ -456,13 +444,6 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
             profile = _decode_profile(engine, enc)
             if profile is not None and profile in plan.profiles:
                 plan.profile_hits[profile] = int(hits)
-    if plan.ret_profile_eligible:
-        decoded_classes = []
-        for enc in rec.get("ret_profiles", []):
-            rcls = _decode_class(engine, enc)
-            if rcls is not None:
-                decoded_classes.append(rcls)
-        plan.ret_profiles = frozenset(decoded_classes)
 
     if not plans.store(key, plan, trace, epoch=epoch):
         report.plans_skipped += 1

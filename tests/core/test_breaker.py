@@ -234,22 +234,6 @@ def test_breaker_disabled_by_config():
 
 
 @pytest.mark.requires_specialization
-def test_breaker_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_BREAKER", "1")
-    engine, clock = breaker_engine()
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(6):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
-    assert engine.stats.breaker_trips == 0
-    promotions = engine.stats.promotions
-    _warm(obj)
-    assert engine.stats.promotions == promotions + 1
-
-
-@pytest.mark.requires_specialization
 def test_breaker_counters_in_snapshot():
     engine, clock = breaker_engine()
     cls = _hot_world(engine)

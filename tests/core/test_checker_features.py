@@ -1,9 +1,9 @@
 """Checker feature tests: unions, intersections, generics, blocks, fields,
-casts, narrowing, strict-nil — the section 4 feature set."""
+casts, narrowing, nil flow — the section 4 feature set."""
 
 import pytest
 
-from repro import Engine, EngineConfig, StaticTypeError
+from repro import Engine, StaticTypeError
 
 
 def fresh():
@@ -274,35 +274,7 @@ class TestNarrowing:
         with pytest.raises(StaticTypeError):
             Narrow().to_int(3)
 
-    def test_narrowing_can_be_disabled(self):
-        engine = Engine(EngineConfig(narrowing=False, strict_nil=True))
-        hb = engine.api()
-
-        class Narrow:
-            @hb.typed("(String or nil) -> String")
-            def orelse(self, s):
-                if s is None:
-                    return "default"
-                return s
-
-        with pytest.raises(StaticTypeError):
-            Narrow().orelse("x")
-
-
 class TestStrictNil:
-    def test_strict_nil_rejects_nil_flow(self):
-        """Ablation: with nil <= A disabled, nullable flows are errors."""
-        engine = Engine(EngineConfig(strict_nil=True))
-        hb = engine.api()
-
-        class Strict:
-            @hb.typed("() -> String")
-            def may_be_nil(self):
-                return None
-
-        with pytest.raises(StaticTypeError):
-            Strict().may_be_nil()
-
     def test_paper_mode_accepts_nil_flow(self):
         engine, hb = fresh()
 

@@ -10,7 +10,8 @@ flushed everything, which is what made dev-mode reload churn cold.
 
 import pytest
 
-from repro import Engine, EngineConfig, ReturnTypeError, StaticTypeError
+from repro import Engine, StaticTypeError
+from repro.core import specialize_disabled_by_env
 from repro.core.deps import DepGraph
 
 pytestmark = pytest.mark.requires_caches
@@ -243,90 +244,14 @@ class TestExplicitEdges:
         assert engine.stats.static_checks == checks
 
 
-# -- dynamic return checks and their plan profiles ---------------------------
+# -- trusted return types (paper semantics: never checked) ------------------
 
 
 class TestReturnChecks:
-    def build_trusted(self, engine, hb, body):
-        class Teller:
-            @hb.trusted("() -> Integer")
-            def tell(self):
-                return body()
-
-        return Teller()
-
-    def test_lying_trusted_return_raises_in_always_mode(self):
-        engine = Engine(EngineConfig(dynamic_ret_checks="always"))
-        t = self.build_trusted(engine, engine.api(), lambda: "a lie")
-        with pytest.raises(ReturnTypeError):
-            t.tell()
-
-    def test_ret_profile_skips_warm_conformance_walks(self):
-        engine = Engine(EngineConfig(dynamic_ret_checks="always"))
-        t = self.build_trusted(engine, engine.api(), lambda: 5)
-        for _ in range(10):
-            assert t.tell() == 5
-        # slow call + one learning fast call, then profile hits
-        assert engine.stats.ret_profile_hits == 8
-        assert engine.stats.dynamic_ret_checks == 10
-
-    def test_ret_profile_still_rejects_new_bad_classes(self):
-        engine = Engine(EngineConfig(dynamic_ret_checks="always"))
-        hb = engine.api()
-        results = [1, 2, 3, "surprise"]
-
-        class Popper:
-            @hb.trusted("() -> Integer")
-            def pop(self):
-                return results.pop(0)
-
-        p = Popper()
-        for _ in range(3):
-            p.pop()
-        with pytest.raises(ReturnTypeError):
-            p.pop()
-
-    def test_boundary_mode_checks_only_under_checked_callers(self):
-        """"boundary" returns guard the trust edge: a statically checked
-        caller relied on the trusted return type, an unchecked caller did
-        not."""
-        engine = Engine(EngineConfig(dynamic_ret_checks="boundary"))
-        hb = engine.api()
-
-        class Mixed:
-            @hb.trusted("() -> Integer")
-            def trusted_lie(self):
-                return "not an integer"
-
-            @hb.typed("() -> Integer")
-            def checked_caller(self):
-                return self.trusted_lie()
-
-        m = Mixed()
-        # top-level (unchecked) caller: no return check, the lie passes
-        assert m.trusted_lie() == "not an integer"
-        # checked caller: its derivation trusted the signature, so the
-        # dynamic return check fires and catches the lie
-        with pytest.raises(ReturnTypeError):
-            m.checked_caller()
-
-    def test_checked_methods_never_ret_checked(self):
-        """Static checking already verified checked methods' returns; the
-        dynamic return check applies to trusted signatures only."""
-        engine = Engine(EngineConfig(dynamic_ret_checks="always"))
-        hb = engine.api()
-
-        class Honest:
-            @hb.typed("() -> Integer")
-            def value(self):
-                return 3
-
-        h = Honest()
-        for _ in range(3):
-            h.value()
-        assert engine.stats.dynamic_ret_checks == 0
-
     def test_default_mode_is_never(self):
+        """A trusted signature's return type is believed, not checked
+        (the caller's static check relies on it) — on the generic tier
+        and through the promoted tier-2 wrapper alike."""
         engine, hb = fresh()
 
         class Liar:
@@ -334,8 +259,16 @@ class TestReturnChecks:
             def fib(self):
                 return "paper semantics: unchecked"
 
-        assert Liar().fib() == "paper semantics: unchecked"
-        assert engine.stats.dynamic_ret_checks == 0
+        liar = Liar()
+        assert liar.fib() == "paper semantics: unchecked"
+        for _ in range(engine.config.specialize_threshold + 1):
+            assert liar.fib() == "paper semantics: unchecked"
+        if specialize_disabled_by_env():
+            return
+        assert getattr(Liar.__dict__["fib"], "__hb_specialized__", False)
+        hits = engine.stats.specialized_hits
+        assert liar.fib() == "paper semantics: unchecked"
+        assert engine.stats.specialized_hits == hits + 1
 
 
 # -- subtype-memo LRU observability ------------------------------------------

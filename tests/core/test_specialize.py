@@ -587,30 +587,6 @@ def test_trusted_signature_site_promotes_and_checks_args():
         obj.bump([])
 
 
-@pytest.mark.requires_specialization
-def test_dynamic_ret_checks_survive_promotion():
-    """An always-mode return check on a trusted lying signature must
-    keep firing from the specialized wrapper."""
-    from repro import ReturnTypeError
-
-    engine = Engine(EngineConfig(specialize_threshold=THRESHOLD,
-                                 dynamic_ret_checks="always"))
-    cls = type("SpecLiar", (object,), {})
-    _define(engine, cls, "greet", "def greet(self, n):\n    return n + 1\n",
-            "(Integer) -> Integer", check=False)
-    _define(engine, cls, "lie", "def lie(self, n):\n    return 'x'\n",
-            "(Integer) -> Integer", check=False)
-    obj = cls()
-    _warm(obj, name="greet")
-    assert engine.stats.promotions >= 1
-    assert engine.stats.dynamic_ret_checks > 0
-    with pytest.raises(ReturnTypeError):
-        obj.lie(1)
-    ret_checks = engine.stats.dynamic_ret_checks
-    assert obj.greet(3) == 4
-    assert engine.stats.dynamic_ret_checks == ret_checks + 1
-
-
 # -- tier 3: static check elimination -----------------------------------------
 
 
@@ -795,31 +771,6 @@ def test_depth2_callee_redefinition_deopts_elided_caller():
             "(Integer) -> Integer")
     assert not _slot_is_specialized(cls, "top")
     assert obj.top(1) == 103  # the *new* depth-2 body, immediately
-
-
-@pytest.mark.requires_elision
-def test_ret_check_elided_for_provable_trusted_return():
-    """A trusted signature with always-mode return checks: when the body
-    provably returns a conforming class, the conformance walk is elided
-    — but ``dynamic_ret_checks`` still reports what the generic tier
-    would, and a *lying* sibling keeps its full check."""
-    from repro import ReturnTypeError
-
-    engine = Engine(EngineConfig(specialize_threshold=THRESHOLD,
-                                 dynamic_ret_checks="always"))
-    cls = type("SpecRet", (object,), {})
-    _define(engine, cls, "honest", "def honest(self, n):\n    return 'ok'\n",
-            "(Integer) -> String", check=False)
-    _define(engine, cls, "lie", "def lie(self, n):\n    return n\n",
-            "(Integer) -> String", check=False)
-    obj = cls()
-    _warm(obj, name="honest")
-    assert engine.stats.elide_promotions >= 1
-    ret_checks = engine.stats.dynamic_ret_checks
-    assert obj.honest(3) == "ok"
-    assert engine.stats.dynamic_ret_checks == ret_checks + 1  # parity kept
-    with pytest.raises(ReturnTypeError):
-        obj.lie(1)
 
 
 def test_gap_kwargs_call_checks_the_right_slots():

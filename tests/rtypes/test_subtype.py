@@ -50,12 +50,6 @@ class TestNil:
         assert le("nil", "User", hier)
         assert le("nil", "Array<Integer>", hier)
 
-    def test_strict_nil_mode(self, hier):
-        assert not le("nil", "User", hier, strict_nil=True)
-        assert le("nil", "nil", hier, strict_nil=True)
-        assert le("nil", "NilClass", hier, strict_nil=True)
-        assert le("nil", "User or nil", hier, strict_nil=True)
-
     def test_class_not_below_nil(self, hier):
         assert not le("User", "nil", hier)
 

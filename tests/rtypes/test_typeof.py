@@ -114,12 +114,8 @@ class TestValueConforms:
         assert not value_conforms("x", parse_type("Integer"), hier)
 
     def test_nil_paper_rule(self, hier):
-        # nil conforms to any type unless strict (paper's nil <= A).
+        # nil conforms to any type (paper's nil <= A).
         assert value_conforms(None, parse_type("User"), hier)
-        assert not value_conforms(None, parse_type("User"), hier,
-                                  strict_nil=True)
-        assert value_conforms(None, parse_type("User or nil"), hier,
-                              strict_nil=True)
 
     def test_deep_array_check(self, hier):
         # The paper: rdl_cast iterates through elements for generic casts.

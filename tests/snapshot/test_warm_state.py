@@ -181,7 +181,7 @@ def test_fingerprint_tracks_hierarchy_and_config():
 
     # a semantics-affecting config difference must change it
     engine3 = Engine(EngineConfig(specialize_threshold=THRESHOLD,
-                                  strict_nil=True))
+                                  dynamic_arg_checks="always"))
     build_serving_world("countries", engine=engine3)
     with engine3.write_lock:
         assert world_fingerprint(engine3) != fp
@@ -240,20 +240,28 @@ def test_load_into_cache_free_oracle_is_refused():
 
 def test_old_version_snapshot_rejected_with_cold_start():
     """Format-version evolution is fail-closed in *both* directions:
-    version-2 snapshots (plans with ``kw_layouts``, verdicts with
-    ``chain_conforms``) and version-1 snapshots (single
+    version-3 snapshots (plans with return-class profiles, verdicts with
+    a return-check flag), version-2 snapshots (plans with ``kw_layouts``,
+    verdicts with ``chain_conforms``) and version-1 snapshots (single
     ``guard_profile`` tuples, no callee re-validation) are rejected
-    wholesale — never half-decoded under version-3 rules — and the
+    wholesale — never half-decoded under version-4 rules — and the
     engine cold-starts cleanly, oracle-identical."""
-    assert SNAPSHOT_VERSION == 3
+    assert SNAPSHOT_VERSION == 4
     engine, _, _ = _warm_world()
     doc = save_snapshot(engine)
-    assert all("kw_layouts" not in rec for rec in doc["plans"])
-    assert all("chain_conforms" not in rec for rec in doc["elisions"])
+    assert doc["plans"] and all(
+        set(rec) == {"key", "hits", "checked", "profiles", "profile_hits",
+                     "promoted"}
+        for rec in doc["plans"])
+    assert all(
+        set(rec) == {"key", "cache_guard", "frame", "arg_check",
+                     "guard_profiles", "arity", "resources", "callees",
+                     "ir_fps"}
+        for rec in doc["elisions"])
 
     engine2, world2 = _fresh_world()
     plans_before = len(engine2._plans)
-    for version in (2, 1):
+    for version in (3, 2, 1):
         old = dict(doc, version=version)
         report = load_snapshot(engine2, old)
         assert not report.loaded and "version" in report.reason
