@@ -7,13 +7,12 @@ subtyping, class-name memo) keep the remaining dynamic work flat.  PR 4
 adds tier 2 on top: hot plans compile into per-site specialized wrappers
 (``repro.core.specialize``), so the default-engine ``fast_*`` figures now
 measure the tiered engine and the ``tier2`` block isolates specialization
-against a plans-only (``specialize=False``) engine.  PR 6 adds tier 3:
-promotion-time RIL dataflow proves checks redundant and the wrapper
-omits them, so the ``tier3`` block isolates elision against an
-otherwise-identical ``elide=False`` engine.  PR 10 widens tier 3
-(multi-profile pinning, inter-procedural returns, join precision,
-name-level contract gating) and adds the ``serving_elision`` block: the
-deterministic provability-audit rate on warm serving apps.
+against a plans-only (``specialize=False``) engine.  The ``tier3`` block
+isolates signature-fact elision (the wrapper omits the check-cache
+probe of a checked plan, and the argument test where the parameter
+types are vacuous) against an otherwise-identical ``elide=False``
+engine, and the ``serving_elision`` block reports the deterministic
+provability-audit rate on warm serving apps.
 
 Two ways to run:
 
@@ -53,7 +52,7 @@ def tier1_engine() -> Engine:
 
 
 def tier2_engine() -> Engine:
-    """Specialized wrappers with tier-3 elision off — the PR 4/5 path."""
+    """Specialized wrappers with elision off: every check op emitted."""
     return Engine(EngineConfig(elide=False))
 
 
@@ -90,11 +89,10 @@ def measure_tier3(calls: int = CALLS) -> dict:
     """The same hot leaf, default engine versus an ``elide=False`` twin.
 
     Both sides promote to a tier-2 wrapper; the only difference is the
-    tier-3 analysis statically discharging the per-call check ops (cache
-    guard, arity/type tests, frame push/pop), so the ratio isolates what
-    elision alone buys.  The delta is a handful of dict probes per call
-    — real but small — so this measurement is hardened against scheduler
-    noise: the loop never shrinks below 50k calls (even in --smoke) and
+    elided check ops (for this ``(Integer) -> Integer`` leaf, the
+    check-cache membership probe), so the ratio isolates what elision
+    alone buys.  The delta is one dict probe per call — real but small
+    — so this measurement is hardened against scheduler noise: the loop never shrinks below 50k calls (even in --smoke) and
     each side reports its best of three runs, each on a fresh engine (a
     re-built hot class on a warm engine shares the first build's site
     and would sample a fallback path instead of the elided wrapper)."""
@@ -133,17 +131,10 @@ def measure_serving_elision() -> dict:
     """Provable check-elimination rate on warm serving apps.
 
     For each app/mix pair, warm an engine by replaying the serving
-    scenario and run the tier-3 provability audit
-    (``repro.ril.audit``): the rate is check ops proved redundant
-    (seed-free or profile-pinned) over check ops that actually run at
-    warm sites.  Unlike the timing loops this is deterministic — it
-    measures what the analysis *proves*, not scheduler noise.
-
-    Reference points (pre multi-profile/inter-procedural analysis):
-    boxroom read 0.619, countries mixed 0.62, rolify 0.0 — rolify was
-    zero because any active contract deoptimized the whole engine; the
-    name-level contract gate plus the deeper analysis is what the
-    committed rates measure.
+    scenario and run the provability audit (``repro.ril.audit``): the
+    rate is check ops proved redundant over check ops that actually run
+    at warm sites.  Unlike the timing loops this is deterministic — it
+    measures what the signature facts *prove*, not scheduler noise.
     """
     from repro.ril.audit import audit_engine, warm_serving_engine
 
@@ -304,10 +295,9 @@ def test_tier2_beats_tier1():
 
 
 def test_tier3_elision_beats_tier2():
-    """PR 6 acceptance: tier-3 analysis proves the hot leaf's checks
-    redundant (promotion carries an elision, checks actually elide at
-    run time) and the stripped wrapper beats an elide-off engine on the
-    same loop.  The speedup gate is strictly > 1.0 — elision must never
+    """Elision proves the hot leaf's cache probe redundant (promotion
+    carries an elision, checks actually elide at run time) and the
+    stripped wrapper beats an elide-off engine on the same loop.  The speedup gate is strictly > 1.0 — elision must never
     cost — with CI able to relax via HOTPATH_MIN_TIER3 if shared-runner
     noise ever flakes it."""
     floor = float(os.environ.get("HOTPATH_MIN_TIER3", "1.0"))
@@ -318,12 +308,10 @@ def test_tier3_elision_beats_tier2():
 
 
 def test_app_workload_elision_rates():
-    """PR 10 acceptance: the provability audit's elision rate on warm
-    serving apps.  Deterministic (no timing), so the floors are tight:
-    rolify must be solidly above its pre-name-level-contract-gate rate
-    of 0.0 — the >= 1.5x-improvement criterion rides on that mix — and
-    the read-heavy app mixes must hold the ~0.6 the analysis proves
-    today."""
+    """The provability audit's elision rate on warm serving apps.
+    Deterministic (no timing), so the floors are tight: rolify must stay
+    solidly above 0.0 (the rate with no name-level contract gate), and
+    the read-heavy app mixes must hold at least 0.55."""
     elision = _measured()["serving_elision"]
     assert elision["rolify_read"]["rate"] >= 0.4, elision
     assert elision["rolify_mixed"]["rate"] >= 0.4, elision

@@ -60,7 +60,7 @@ WARM_THRESHOLD = 8
 WARM_WORKERS = 2
 WARM_REQUESTS = 240
 #: parent warmup passes before the snapshot: past WARM_THRESHOLD hits
-#: per thunk, so promotion (and tier-3 analysis) has fired.
+#: per thunk, so promotion (and its elision verdict) has fired.
 WARM_ROUNDS = 16
 
 

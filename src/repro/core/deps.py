@@ -30,12 +30,6 @@ Resource taxonomy (plain tuples, so they hash fast and print readably):
 ``("field", owner, field_name)``
     an instance/class field type read by a checked derivation.
 
-``("ir", owner, name)``
-    the lowered body of ``owner#name``, as consulted by the tier-3
-    elision analysis (:mod:`repro.ril.analysis`).  Redefining the method
-    fires this edge even when the signature slot is untouched — a return
-    fact derived from the *old* body must not outlive it.
-
 Users: the engine's :class:`~repro.core.plans.CallPlanCache` (per-plan
 resolution dependencies), the :class:`~repro.core.cache.CheckCache`
 (per-derivation signature/field/hierarchy edges), and — with class names
@@ -73,11 +67,6 @@ def lin_resource(class_name: str) -> Resource:
 def field_resource(owner: str, field_name: str) -> Resource:
     """The resource key for a field-type slot."""
     return ("field", owner, field_name)
-
-
-def ir_resource(owner: str, name: str) -> Resource:
-    """The resource key for a method body's lowered IR."""
-    return ("ir", owner, name)
 
 
 class DepGraph:
@@ -131,10 +120,6 @@ class DepGraph:
     def dependents(self, resource: Resource) -> Set[Token]:
         """The tokens currently depending on ``resource`` (a copy)."""
         return set(self._rev.get(resource, ()))
-
-    def resources_of(self, token: Token) -> Tuple[Resource, ...]:
-        """The resources ``token`` currently depends on."""
-        return self._fwd.get(token, ())
 
     def invalidate(self, resource: Resource) -> Set[Token]:
         """Pop ``resource``'s dependents, severing all their edges."""

@@ -86,7 +86,7 @@ from .builtins_sigs import install as install_builtins
 from .cache import CheckCache
 from .checker import Checker
 from .deps import (
-    Resource, field_resource, ir_resource, lin_resource, sig_resource,
+    Resource, lin_resource, sig_resource,
 )
 from .elide import Elider, elide_disabled_by_env
 from .errors import (
@@ -148,11 +148,11 @@ class EngineConfig:
     specialize: bool = True
     #: warm hits a call plan must serve before promotion to tier 2.
     specialize_threshold: int = 50
-    #: tier-3: statically discharge per-call checks the RIL dataflow
-    #: pass proves redundant, so promoted wrappers *omit* them
-    #: (:mod:`repro.core.elide`).  False (or ``REPRO_DISABLE_ELIDE=1``)
-    #: keeps tier-2 wrappers performing every check — the
-    #: ``tier1-noelide`` differential mode.
+    #: omit the per-call checks the plan's signature makes redundant
+    #: (the cache probe of a checked plan, the argument test of vacuous
+    #: parameter types) from promoted wrappers (:mod:`repro.core.elide`).
+    #: False (or ``REPRO_DISABLE_ELIDE=1``) keeps tier-2 wrappers
+    #: performing every check — the ``tier1-noelide`` differential mode.
     elide: bool = True
     #: deopt-storm circuit breaker: demote chronically flapping sites to
     #: tier 1 with a cooldown, and pause all promotion during an
@@ -227,9 +227,8 @@ class Engine:
             # Deopt hook: any wave that drops a plan swaps the generic
             # wrapper back in before the wave returns.
             self._plans.on_drop = self._specializer.deoptimize_keys
-        #: tier-3 elision stage, consulted by the specializer at
-        #: promotion time; None compiles tier-2 wrappers with every
-        #: check intact.
+        #: elision stage, consulted by the specializer at promotion
+        #: time; None compiles tier-2 wrappers with every check intact.
         self._elider: Optional[Elider] = None
         if (self._specializer is not None and self.config.elide
                 and not elide_disabled_by_env()):
@@ -300,17 +299,6 @@ class Engine:
                 parent = supers[0].__name__ if supers else "Object"
                 if not self.hier.is_known(name):
                     self.hier.add_class(name, parent)
-                    # A genuinely-new subclass makes its parent a
-                    # non-leaf: tier-3 elisions that proved exactness
-                    # from the parent's leafness carry a
-                    # ("lin", parent) edge and must fall.  Plans only —
-                    # the check cache and subtype memos never read
-                    # leafness (a new leaf class changes no
-                    # linearization), so they stay warm.
-                    if self._plans is not None:
-                        self.stats.plan_invalidations += \
-                            self._plans.invalidate_resources(
-                                (lin_resource(parent),))
             for base in bases:
                 if base.__dict__.get("__hb_module__"):
                     self.hier.include_module(name, base.__name__)
@@ -443,9 +431,9 @@ class Engine:
             new = self.cfgs.lookup(owner_name, name)
             if (new is not None and new is old
                     and not self.cfgs.is_current(owner_name, name, fn)):
-                # An unchecked slot keeps whatever IR promotion lowered
-                # from the body this definition just replaced; a later
-                # check (or a caller's analysis) must never read it.
+                # An unchecked slot keeps whatever IR was lowered from
+                # the body this definition just replaced; a later
+                # check must never read it.
                 self.cfgs.forget(owner_name, name)
                 new = None
             if old is not None and (new is None or bodies_differ(old, new)):
@@ -825,11 +813,7 @@ class Engine:
             if self._plans is not None:
                 flushed = self._plans.invalidate_resources(
                     (sig_resource(owner, name, INSTANCE),
-                     sig_resource(owner, name, CLASS),
-                     # tier-3 body edge: a plan whose elision verdict was
-                     # derived from this method's IR must fall even when
-                     # its own resolution never probed the slot.
-                     ir_resource(owner, name)))
+                     sig_resource(owner, name, CLASS)))
                 flushed += self._plans.invalidate_cache_keys(removed | {key})
                 self.stats.plan_invalidations += flushed
             self.cache.upgrade(self.types.version)
@@ -853,15 +837,10 @@ class Engine:
                         self.stats.plan_invalidations += \
                             self._plans.invalidate_cache_keys(removed)
                 if self._plans is not None:
-                    # Tier-3 elision verdicts read field types directly;
-                    # their plans carry ("field", owner, name) edges.
-                    # This wave also bumps the epoch, so even when it
-                    # drops nothing, in-flight plan builds discard
-                    # rather than memoize against the pre-mutation
-                    # world.
-                    self.stats.plan_invalidations += \
-                        self._plans.invalidate_resources(
-                            (field_resource(owner, name),))
+                    # Bump the epoch even when nothing was dropped, so
+                    # in-flight plan builds discard rather than memoize
+                    # against the pre-mutation world.
+                    self._plans.bump_epoch()
                 self.cache.upgrade(self.types.version)
                 return
             self.invalidate(owner, name)

@@ -150,21 +150,6 @@ class CallPlan:
         counts = dict(self.profile_hits)  # snapshot vs racy writers
         return max(profiles, key=lambda p: counts.get(p, 0))
 
-    def top_profiles(self, k: int) -> Tuple[tuple, ...]:
-        """The up-to-``k`` hottest passing profiles by pre-promotion hit
-        counts, hottest first.  Ties break on the profile's class names,
-        so two engines warmed by the same traffic pin identical guard
-        chains (the warm-state snapshot round-trip depends on that)."""
-        profiles = self.profiles
-        if not profiles:
-            return ()
-        counts = dict(self.profile_hits)  # snapshot vs racy writers
-        ranked = sorted(
-            profiles,
-            key=lambda p: (-counts.get(p, 0),
-                           tuple(c.__qualname__ for c in p)))
-        return tuple(ranked[:k])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CallPlan(owner={self.sig_owner!r}, checked={self.checked}, "
                 f"profiles={len(self.profiles)})")
@@ -240,25 +225,6 @@ class CallPlanCache:
             self._by_cache_key.setdefault((key[1], key[2]), set()).add(key)
         if replaced and self.on_drop is not None:
             self.on_drop((key,))
-        return True
-
-    def add_resources(self, key: PlanKey, plan: CallPlan,
-                      resources: Iterable[Resource]) -> bool:
-        """Merge ``resources`` into ``key``'s dependency edges.
-
-        The tier-3 promotion stage reads extra world facts (field types,
-        callee bodies, linearizations) *after* the plan was stored; the
-        elided wrapper is only sound if mutating any of them drops the
-        plan, so its edges must be registered before the wrapper is
-        installed.  Returns ``False`` — and records nothing — when the
-        stored plan is no longer ``plan`` (a wave dropped it mid-stage);
-        the caller must then abandon the promotion.
-        """
-        with self._lock:
-            if self._plans.get(key) is not plan:
-                return False
-            merged = tuple(self._deps.resources_of(key)) + tuple(resources)
-            self._deps.record(key, merged)
         return True
 
     def bump_epoch(self) -> None:

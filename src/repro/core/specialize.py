@@ -32,24 +32,18 @@ seed 1, made no keyword call through an intercepted method and never
 grew a second receiver class hot on a promoted slot, so compiled
 versions for those shapes would be guards that no call runs.
 
-**Tier 3 — static check elimination.**  At promotion time the
-:class:`~repro.core.elide.Elider` runs the RIL forward dataflow pass
-over the callee's lowered body and reports which per-call safety
-operations are *provably redundant* for this site
-(:class:`~repro.core.elide.Elision`); the codegen here then **omits**
-them instead of partially evaluating them: the check-cache membership
-probe, the argument-profile test (arity-guarded when every matching
-parameter type is vacuous) and the checked-frame push/pop around the
-call.  Verdicts that hold only under the
-dominant argument profile pin that profile as an *unconditional* guard
-chain (no copy-on-write fallback — a miss bails to the generic tier),
-so the facts the analysis assumed hold on every call that runs the
-elided body.  Counter parity is preserved bump for bump — an elided
-wrapper reports exactly what the generic tier would have reported, plus
-``checks_elided`` advancing by the number of omitted operations per
-call.  Every fact the verdicts consumed becomes a plan-dependency edge
-*before* the wrapper is installed, so elided sites deoptimize under
-exactly the wave that would invalidate the fact.
+**Signature-fact elision.**  At promotion time the
+:class:`~repro.core.elide.Elider` reads two facts off the plan
+(:class:`~repro.core.elide.Elision`), and the codegen here **omits** the
+check ops they make redundant instead of partially evaluating them: the
+check-cache membership probe of a checked plan, and the argument-profile
+test where some arm's parameter types are all vacuous (only the arity
+is guarded).  The checked-frame push/pop is always emitted.  Counter
+parity is preserved bump for bump — an elided wrapper reports exactly
+what the generic tier would have reported, plus ``checks_elided``
+advancing by the number of omitted operations per call.  Both facts
+read only the plan, so the plan's own dependency edges deopt an elided
+site exactly like any other.
 
 **Adaptive re-promotion.**  Deoptimizing a site records its plan key in
 a bounded re-warm registry; when the plan is rebuilt, the engine stamps
@@ -184,8 +178,8 @@ class _Site:
                  was_classmethod: bool) -> None:
         self.key = key
         self.name = key[2]
-        #: the tier-3 verdict: which per-call check operations the
-        #: compiled code omits, or None (full tier-2 body).
+        #: the elision verdict: which per-call check operations the
+        #: compiled code omits, or None (every check op emitted).
         self.elision = elision
         self.def_cls = def_cls
         self.generic = generic
@@ -425,17 +419,9 @@ class Specializer:
                 return False  # a wave dropped the plan while we raced here
             if def_cls.__dict__.get(name) is not raw:
                 return False  # the slot changed under us; stay generic
-            # Tier 3: run the static analysis under the writer lock (the
-            # world it sees is the world the wrapper compiles against)
-            # and merge the facts it consumed into the plan's dependency
-            # edges *before* the wrapper can be installed — mutating any
-            # of them must deopt this site like any tier-2 plan.
             elider = engine._elider
-            elision = (elider.analyze(key, plan, fn)
+            elision = (elider.analyze(key, plan)
                        if elider is not None else None)
-            if elision is not None and not plans.add_resources(
-                    key, plan, elision.resources):
-                return False  # a direct wave dropped the plan mid-analysis
             slot = (def_cls, name)
             with self._lock:
                 if key in self._by_key or slot in self._sites:
@@ -550,8 +536,8 @@ class Specializer:
     def promoted_entries(self):
         """Point-in-time view of every promoted site as
         ``(key, elision-or-None)`` pairs — the warm-state snapshot uses
-        this to record which sites were promoted and under which tier-3
-        verdict, so a warm-started worker can re-promote eagerly."""
+        this to record which sites were promoted, so a warm-started
+        worker can re-promote eagerly."""
         with self._lock:
             return [(site.key, site.elision)
                     for site in self._sites.values()]
@@ -626,15 +612,14 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
                 el: Optional["Elision"], bail: str) -> Tuple[list, dict]:
     """The guarded body (unindented), all paths returning.
 
-    When the site carries a tier-3 :class:`Elision`, the corresponding
-    check operations are *not emitted*; the counters still report what
-    the generic tier would have reported (the boundary probe still picks
+    When the site carries an :class:`Elision`, the corresponding check
+    operations are *not emitted*; the counters still report what the
+    generic tier would have reported (the boundary probe still picks
     ``dynamic_arg_checks`` vs ``_skipped`` even when the test itself is
     gone), plus ``checks_elided`` advancing by the number of omitted
     operations."""
     sig = plan.sig
     checked = plan.checked
-    gps = el.guard_profiles if el is not None else None
     recv_owner, name = key[1], key[2]
     ns: dict = {"_key0": key, "_plan0": plan}
     lines = [
@@ -659,40 +644,11 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
             f"    {bail}",
         ]
         ns["_ckey0"] = (recv_owner, name)
-    if gps:
-        # Pinned profile chains: the frame verdict below was
-        # proved *under these argument classes*, so the chains guard
-        # unconditionally — no copy-on-write fallback; a call matching
-        # none of them (another learned profile, a new shape) bails to
-        # the generic tier.  Every admitted chain re-proved every seeded
-        # verdict, so matching any one of them is sufficient.
-        conds = []
-        for p_idx, gp in enumerate(gps):
-            tests = [f"len(args) == {len(gp)}"]
-            for j, cls in enumerate(gp):
-                tests.append(f"type(args[{j}]) is _d0_{p_idx}_{j}")
-                ns[f"_d0_{p_idx}_{j}"] = cls
-            conds.append("(" + " and ".join(tests) + ")")
-        lines += [
-            f"if not ({' or '.join(conds)}):",
-            f"    {bail}",
-        ]
-    frame_elided = el is not None and el.frame
-    arg_elided = el is not None and el.arg_check
-    need_stack = (not frame_elided
-                  or (sig is not None
-                      and plan.arg_mode == ARG_CHECK_BOUNDARY))
-    lines.append("tls = _tls")
-    if need_stack:
-        lines.append("stack = tls.stack")
+    lines += ["tls = _tls", "stack = tls.stack"]
     if sig is None:
         arg_counters = []
     else:
-        if gps:
-            # The pinned chains above already vetted the arguments
-            # (learned profiles only ever contain conforming tuples).
-            profile_test = None
-        elif arg_elided:
+        if el is not None and el.arg_check:
             # Every matching parameter type is vacuous: the dynamic
             # check passes for any value — only the arity it was proved
             # at needs guarding.
@@ -702,16 +658,13 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
             profile_test, guard_classes = _profile_test_lines(plan, bail)
             ns.update(guard_classes)
         if plan.arg_mode == ARG_CHECK_BOUNDARY:
-            if profile_test is None:
-                lines.append("checked_args = not (stack and stack[-1])")
-            else:
-                lines += [
-                    "if stack and stack[-1]:",
-                    "    checked_args = False",
-                    "else:",
-                    *["    " + ln for ln in profile_test],
-                    "    checked_args = True",
-                ]
+            lines += [
+                "if stack and stack[-1]:",
+                "    checked_args = False",
+                "else:",
+                *["    " + ln for ln in profile_test],
+                "    checked_args = True",
+            ]
             arg_counters = [
                 "if checked_args:",
                 "    c.dynamic_arg_checks += 1",
@@ -719,8 +672,7 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
                 "    c.dynamic_arg_checks_skipped += 1",
             ]
         elif plan.arg_mode == ARG_CHECK_ALWAYS:
-            if profile_test is not None:
-                lines += profile_test
+            lines += profile_test
             arg_counters = ["c.dynamic_arg_checks += 1"]
         else:  # ARG_CHECK_NEVER
             arg_counters = ["c.dynamic_arg_checks_skipped += 1"]
@@ -737,20 +689,13 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
     lines += arg_counters
     if el is not None and el.count:
         lines.append(f"c.checks_elided += {el.count}")
-    call = "_fn(recv, *args)"
-    if frame_elided:
-        # The body provably never re-enters intercepted code, so no
-        # callee can read the checked-frame flag: the push/pop (and the
-        # try/finally protecting it) are dead.
-        lines.append(f"return {call}")
-    else:
-        lines += [
-            f"stack.append({checked})",
-            "try:",
-            f"    return {call}",
-            "finally:",
-            "    stack.pop()",
-        ]
+    lines += [
+        f"stack.append({checked})",
+        "try:",
+        "    return _fn(recv, *args)",
+        "finally:",
+        "    stack.pop()",
+    ]
     return lines, ns
 
 

@@ -151,11 +151,11 @@ class Stats:
         #: promotions that fired at the reduced re-promotion threshold
         #: (the site deopted before and re-warmed).
         self.repromotions = 0
-        #: promotions whose wrapper statically elided at least one
-        #: per-call check op (tier 3; checks_elided shards count the
+        #: promotions whose wrapper omits at least one per-call check
+        #: op (signature-fact elision; checks_elided shards count the
         #: per-call ops actually skipped).
         self.elide_promotions = 0
-        #: tier-3 entries among the displaced deopt counts — elided
+        #: elided entries among the displaced deopt counts — elided
         #: wrappers torn down by an invalidation wave.
         self.elide_deopts = 0
         #: circuit-breaker activations: per-site flap trips plus

@@ -3,10 +3,9 @@
 Lowers host-language (Python) method bodies to a simplified IR
 (:mod:`~repro.ril.ir`), with JSON round-tripping
 (:mod:`~repro.ril.json_io`), a (class, method) → IR registry
-(:mod:`~repro.ril.registry`), structural diffing for dev-mode
-invalidation (:mod:`~repro.ril.diff`), and the tier-3 forward dataflow
-pass that statically discharges per-call checks
-(:mod:`~repro.ril.analysis`).
+(:mod:`~repro.ril.registry`) and structural diffing for dev-mode
+invalidation (:mod:`~repro.ril.diff`).  The JIT static checker
+(:mod:`repro.core.checker`) is the only pass that reads these bodies.
 """
 
 from . import ir
@@ -18,14 +17,10 @@ from .lower import LoweringError, lower_body, lower_expr, lower_function, \
 from .registry import (
     CFGRegistry, MethodIR, ParamSpec, RegistrationError,
 )
-# analysis reaches back into repro.core (deps resources), so it must
-# come after the registry/diff names repro.core.engine needs from this
-# package during a core-first import.
-from .analysis import AnalysisReport, analyze_method  # noqa: E402
 
 __all__ = [
-    "AnalysisReport", "CFGRegistry", "LoweringError", "MethodIR",
-    "ParamSpec", "RegistrationError", "RegistryDiff", "analyze_method",
+    "CFGRegistry", "LoweringError", "MethodIR",
+    "ParamSpec", "RegistrationError", "RegistryDiff",
     "bodies_differ", "diff_registries", "dumps", "fingerprint", "from_json",
     "ir", "loads", "lower_body", "lower_expr", "lower_function",
     "lower_stmt", "snapshot_fingerprints", "to_json",

@@ -1,13 +1,12 @@
-"""Provability audit: explain, per warm site, what tier 3 can and
-cannot discharge — and why not.
+"""Provability audit: explain, per warm site, which per-call checks
+the promoted wrapper omits — and why the others stay.
 
-The papers this repo reproduces against (Vitousek et al.'s transient
-check optimization, Static Python's gradual soundness) report the large
-majority of dynamic checks statically removable at observed types; this
-tool measures how close the RIL dataflow gets on *our* workloads, and
-names the blocker for every check it cannot discharge (``unknown_join``,
-``non_leaf_nominal``, ``budget_exhausted``, ``whitelist_miss``, ...).
-It is the static-analysis telemetry surface seeded by ROADMAP item 5.
+Elision keeps two facts, both read off the site's call plan
+(:mod:`repro.core.elide`): ``cache_guard`` (a checked plan needs no
+check-cache membership probe) and ``arg_check`` (an arm whose parameter
+types are all vacuous needs only an arity guard).  This tool reports
+how often they hold on *our* workloads and names the blocker for every
+check that stays (``non_vacuous_params``, ``contract``).
 
 Programmatic use (the bench harness imports these)::
 
@@ -23,17 +22,15 @@ CLI (a warm engine is built by replaying a serving mix)::
 
 The audit re-derives every verdict through
 :meth:`repro.core.elide.Elider.audit_site` on the live world under the
-engine's writer lock — it never mutates the engine, never consumes
-snapshot seeds, and never installs wrappers.  The headline
-``elision_rate`` is proved check ops (seed-free or profile-pinned) over
+engine's writer lock — it never mutates the engine and never installs
+wrappers.  The headline ``elision_rate`` is proved check ops over
 *applicable* check ops: a check that never runs at a site (an unchecked
 plan's cache guard, an argument check in ``never`` mode) counts in
 neither numerator nor denominator.
 
 This module is deliberately not exported from ``repro.ril``'s package
-init: it imports ``repro.core`` eagerly, which the rest of the package
-must not (the elider imports ``repro.ril.analysis`` lazily to break the
-same cycle).
+init: it imports ``repro.core`` eagerly, and ``repro.core`` imports
+``repro.ril`` during its own initialization.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from ..core.elide import BLOCKED, CHECK_KINDS, Elider, PROVED, PROVED_PINNED
+from ..core.elide import BLOCKED, CHECK_KINDS, Elider, PROVED
 
 #: promotion threshold the CLI's warm-up engine uses — low enough that a
 #: few passes over a serving mix promote every hot site.
@@ -73,10 +70,9 @@ def audit_engine(engine: Any) -> Dict[str, Any]:
                 or engine.lookup_callable(recv_owner, name, kind)
             if fn is None:
                 continue  # no resolvable body; nothing to audit
-            audit = elider.audit_site(key, plan, fn)
+            audit = elider.audit_site(key, plan)
             sites.append({
                 "key": list(key),
-                "pinned": audit.pinned,
                 "checks": {
                     ck: {"status": status, "reasons": list(reasons)}
                     for ck, (status, reasons) in sorted(
@@ -84,8 +80,7 @@ def audit_engine(engine: Any) -> Dict[str, Any]:
                 },
             })
     per_kind: Dict[str, Dict[str, int]] = {
-        ck: {"proved": 0, "proved_pinned": 0, "not_applicable": 0,
-             "blocked": 0}
+        ck: {"proved": 0, "not_applicable": 0, "blocked": 0}
         for ck in CHECK_KINDS}
     blockers: Dict[str, int] = {}
     proved = applicable = 0
@@ -93,7 +88,7 @@ def audit_engine(engine: Any) -> Dict[str, Any]:
         for ck, verdict in site["checks"].items():
             status = verdict["status"]
             per_kind[ck][status] += 1
-            if status in (PROVED, PROVED_PINNED):
+            if status == PROVED:
                 proved += 1
                 applicable += 1
             elif status == BLOCKED:
@@ -142,7 +137,6 @@ def _print_report(report: Dict[str, Any], *, verbose: bool) -> None:
     for ck in CHECK_KINDS:
         counts = summary["per_kind"][ck]
         print(f"  {ck:<12} proved={counts['proved']:<4} "
-              f"pinned={counts['proved_pinned']:<4} "
               f"blocked={counts['blocked']:<4} "
               f"n/a={counts['not_applicable']}")
     if summary["blockers"]:
@@ -158,8 +152,7 @@ def _print_report(report: Dict[str, Any], *, verbose: bool) -> None:
                 verdict = site["checks"].get(ck)
                 if verdict is None:
                     continue
-                tag = {PROVED: "+", PROVED_PINNED: "~",
-                       "not_applicable": "."}.get(
+                tag = {PROVED: "+", "not_applicable": "."}.get(
                     verdict["status"],
                     "!" + ",".join(verdict["reasons"]))
                 bits.append(f"{ck}={tag}")
@@ -169,8 +162,8 @@ def _print_report(report: Dict[str, Any], *, verbose: bool) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ril.audit",
-        description="Audit tier-3 check-elimination provability over a "
-                    "warmed serving app.")
+        description="Audit which per-call checks the promoted wrappers "
+                    "of a warmed serving app omit.")
     parser.add_argument("--app", default="boxroom",
                         choices=("boxroom", "countries", "rolify"),
                         help="serving subject app to warm (default: "

@@ -95,6 +95,12 @@ _LOWERING_MEMO: "weakref.WeakKeyDictionary[CodeType, _MemoEntry]" = \
     weakref.WeakKeyDictionary()
 _LOWERING_MEMO_LOCK = threading.Lock()
 
+#: serializes ``ast.parse``.  CPython 3.11 keeps the AST-to-object
+#: recursion depth in per-interpreter state, so two threads parsing at
+#: once can fail with ``SystemError: AST constructor recursion depth
+#: mismatch``; parsing runs only on a cold lowering.
+_PARSE_LOCK = threading.Lock()
+
 
 class CFGRegistry:
     """Maps (class, method) to :class:`MethodIR`."""
@@ -212,7 +218,8 @@ def _parse_def(source: str) -> ast.FunctionDef:
     """Parse source text and return its first function definition."""
     text = textwrap.dedent(source)
     try:
-        module = ast.parse(text)
+        with _PARSE_LOCK:
+            module = ast.parse(text)
     except SyntaxError as exc:
         raise RegistrationError(f"cannot parse method source: {exc}") from exc
     for node in ast.walk(module):

@@ -348,24 +348,6 @@ class ClassHierarchy:
         self._touch(name)
         return name in self._modules
 
-    def is_leaf(self, name: str) -> bool:
-        """True when no registered class subclasses ``name`` and nothing
-        mixes it in — i.e. every live instance whose RDL class is ``name``
-        is *exactly* a ``name`` today.
-
-        This is a whole-hierarchy negative fact, so unlike the other
-        queries it scans under the lock (it runs at promotion time, not
-        per call).  Consumers that cache a leaf verdict must pin it on
-        the ``("lin", name)`` resource: the engine bumps the *parent's*
-        lin edge when a genuinely-new subclass registers, and module
-        inclusion bumps the included name itself.
-        """
-        self._touch(name)
-        with self.lock:
-            if any(parent == name for parent in self._parent.values()):
-                return False
-            return all(name not in mixed for mixed in self._mixins.values())
-
     def superclass(self, name: str) -> Optional[str]:
         self._touch(name)
         if name not in self._parent:

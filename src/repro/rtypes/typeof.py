@@ -222,8 +222,9 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy) -> bool:
             elif key in value:
                 item = value[key]
             else:
-                # An absent key reads as nil, which conforms to any type.
-                return True
+                # An absent key reads as nil, which conforms to any
+                # type; the remaining keys must still conform.
+                continue
             if not value_conforms(item, ft, hier):
                 return False
         return True

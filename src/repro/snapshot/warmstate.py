@@ -7,10 +7,10 @@ What gets serialized (the state a long-lived process paid for):
   the :class:`~repro.core.cache.CheckCache` recorded them;
 * **call plans** — per-site resolution results plus everything the site
   *learned*: hit counts, argument class profiles with their hit
-  counts, and whether the site was promoted to tier 2;
-* **elision verdicts** — the tier-3 analysis results attached to
-  promoted sites, with their full resource lists so the restored
-  wrapper deopts on exactly the mutations the original would have.
+  counts, and whether the site was promoted to tier 2.  A promoted site
+  is re-promoted eagerly on load, and its elision verdict is recomputed
+  from the restored plan (a few signature reads), so no verdict is
+  stored.
 
 The format extends the ``ril/json_io.py`` idiom: plain JSON data,
 ``sort_keys`` dumps, sha256 fingerprints over position-free content.
@@ -29,10 +29,8 @@ Soundness is layered, and every layer fails *closed* to cold start:
 3. **Per-entity IR fingerprints**: the world fingerprint cannot see
    method *bodies* (IR registration is lazy and load-order dependent),
    so each check verdict records the owner + fingerprint of the body it
-   checked, and each elision verdict records them for every
-   ``("ir", ...)`` resource it consumed.  A mismatch skips just that
-   entry — the site lazily re-checks or re-analyzes, which is the cold
-   path and therefore sound.
+   checked.  A mismatch skips just that entry — the site lazily
+   re-checks, which is the cold path and therefore sound.
 4. **Per-site re-resolution**: restored plans never trust saved
    resolution results.  Each site's signature is re-resolved through
    the live hierarchy with a dependency trace, the checked bit is
@@ -56,21 +54,18 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.elide import Elision
 from ..core.engine import Engine, _profile_eligible
 from ..core.plans import CallPlan, PlanKey
-from ..rdl.registry import INSTANCE
 
 SNAPSHOT_FORMAT = "hummingbird-warm-state"
-#: version 4: plans no longer carry return-class profiles and elision
-#: verdicts no longer carry a return-check flag.  Version 3 dropped
-#: kwargs-shape layouts and the chain-conformance flag (every pinned
-#: chain is a learned profile, with no unpinned slots).  Version 2 added
-#: multi-profile ``guard_profiles`` chains and ``("lin", cls)``
-#: leaf-exactness resources.  Any other version is rejected at the
-#: envelope (fail closed to cold start) rather than decoded under the
-#: wrong rules.
-SNAPSHOT_VERSION = 4
+#: version 5: no ``elisions`` section — a re-promoted site recomputes
+#: its verdict from the plan.  Version 4 dropped return-class profiles
+#: and the return-check flag.  Version 3 dropped kwargs-shape layouts
+#: and the chain-conformance flag.  Version 2 added multi-profile
+#: guard chains and leaf-exactness resources.  Any other version is
+#: rejected at the envelope (fail closed to cold start) rather than
+#: decoded under the wrong rules.
+SNAPSHOT_VERSION = 5
 
 #: builtin receiver/argument classes a profile may mention by name.
 _BUILTIN_CLASSES: Dict[str, type] = {
@@ -226,48 +221,6 @@ def _capture_plans(engine: Engine) -> List[dict]:
     return records
 
 
-def _capture_elisions(engine: Engine) -> List[dict]:
-    spec = engine._specializer
-    if spec is None:
-        return []
-    records = []
-    for key, elision in spec.promoted_entries():
-        if elision is None:
-            continue
-        ir_fps = []
-        for resource in elision.resources:
-            if resource and resource[0] == "ir":
-                _, owner, name = resource
-                mir = engine.cfgs.lookup(owner, name)
-                if mir is None:
-                    # An ``("ir", ...)`` edge with no live CFG is a
-                    # builtin-callee edge (e.g. ``Integer#+`` from the
-                    # trusted-signature path): there is no body to
-                    # fingerprint, only a deopt edge to keep — the
-                    # ``callees`` chain below carries every consumed
-                    # *body*'s fingerprint for load-time re-validation.
-                    continue
-                ir_fps.append([owner, name, mir.fingerprint])
-        guard_profiles = None
-        if elision.guard_profiles is not None:
-            guard_profiles = [_encode_profile(engine, chain)
-                              for chain in elision.guard_profiles]
-            if None in guard_profiles:
-                continue  # unencodable pin; the site re-analyzes live
-        records.append({
-            "key": list(key),
-            "cache_guard": bool(elision.cache_guard),
-            "frame": bool(elision.frame),
-            "arg_check": bool(elision.arg_check),
-            "guard_profiles": guard_profiles,
-            "arity": elision.arity,
-            "resources": sorted(list(r) for r in elision.resources),
-            "callees": sorted(list(c) for c in elision.callees),
-            "ir_fps": sorted(ir_fps),
-        })
-    return records
-
-
 def save_snapshot(engine: Engine, path: Optional[str] = None) -> dict:
     """Serialize ``engine``'s warm state; optionally write it to
     ``path``.  Returns the snapshot document (JSON-compatible)."""
@@ -278,7 +231,6 @@ def save_snapshot(engine: Engine, path: Optional[str] = None) -> dict:
             "fingerprint": world_fingerprint(engine),
             "checks": _capture_checks(engine),
             "plans": _capture_plans(engine),
-            "elisions": _capture_elisions(engine),
         }
     if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -300,7 +252,6 @@ class SnapshotLoad:
     checks_skipped: int = 0
     plans_restored: int = 0
     plans_skipped: int = 0
-    elisions_seeded: int = 0
     promotions: int = 0
     errors: List[str] = field(default_factory=list)
 
@@ -312,7 +263,6 @@ class SnapshotLoad:
             "checks_skipped": self.checks_skipped,
             "plans_restored": self.plans_restored,
             "plans_skipped": self.plans_skipped,
-            "elisions_seeded": self.elisions_seeded,
             "promotions": self.promotions,
         }
 
@@ -327,53 +277,6 @@ def _read_document(source) -> Tuple[Optional[dict], str]:
         except (OSError, ValueError, UnicodeDecodeError) as exc:
             return None, f"unreadable snapshot: {exc}"
     return None, f"unsupported snapshot source {type(source).__name__!r}"
-
-
-def _live_body_fingerprint(engine: Engine, owner: str,
-                           name: str) -> Optional[str]:
-    """The live CFG fingerprint for ``owner#name``, registering the
-    body on demand: CFGs are built lazily (at static-check or promotion
-    time), so a fresh pre-traffic engine has none for *unchecked*
-    methods — exactly the bodies the inter-procedural pass recursed
-    into.  Unresolvable or unlowerable means ``None`` (fail closed)."""
-    mir = engine.cfgs.lookup(owner, name)
-    if mir is not None:
-        return mir.fingerprint
-    fn = engine.lookup_callable(owner, name, INSTANCE)
-    if fn is None:
-        return None
-    try:
-        mir = engine.cfgs.register_function(owner, name, fn)
-    except Exception:  # noqa: BLE001 - unlowerable body: no fingerprint
-        return None
-    return mir.fingerprint if mir is not None else None
-
-
-def _decode_elision(engine: Engine, rec: dict) -> Optional[Elision]:
-    for owner, name, saved_fp in rec.get("ir_fps", []):
-        if _live_body_fingerprint(engine, owner, name) != saved_fp:
-            return None  # a consumed body changed; re-analyze live
-    for owner, name, saved_fp in rec.get("callees", []):
-        # The callee chain carries its own fingerprints; any drifted
-        # link (a redefined depth-2 callee) voids the whole verdict.
-        if _live_body_fingerprint(engine, owner, name) != saved_fp:
-            return None
-    guard_profiles = None
-    if rec.get("guard_profiles") is not None:
-        guard_profiles = tuple(_decode_profile(engine, enc_chain)
-                               for enc_chain in rec["guard_profiles"])
-        if not guard_profiles or None in guard_profiles:
-            return None  # an undecodable pin, or a list guarding nothing
-    arity = rec.get("arity")
-    return Elision(
-        cache_guard=bool(rec["cache_guard"]),
-        frame=bool(rec["frame"]),
-        arg_check=bool(rec["arg_check"]),
-        guard_profiles=guard_profiles,
-        arity=int(arity) if arity is not None else None,
-        resources=tuple(tuple(r) for r in rec.get("resources", [])),
-        callees=tuple(tuple(c) for c in rec.get("callees", [])),
-    )
 
 
 def _restore_checks(engine: Engine, doc: dict,
@@ -398,7 +301,6 @@ def _restore_checks(engine: Engine, doc: dict,
 
 
 def _restore_plan(engine: Engine, rec: dict, epoch: int,
-                  elisions: Dict[PlanKey, Elision],
                   report: SnapshotLoad) -> None:
     key: PlanKey = tuple(rec["key"])  # type: ignore[assignment]
     def_owner, recv_owner, name, kind = key
@@ -461,10 +363,6 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
     fn = engine.lookup_callable(def_owner, name, kind)
     if guard_cls is None or fn is None:
         return
-    elision = elisions.get(key)
-    if elision is not None and engine._elider is not None:
-        engine._elider.seed(key, plan, elision)
-        report.elisions_seeded += 1
     if spec.maybe_promote(key, plan, fn, None, guard_cls=guard_cls):
         report.promotions += 1
 
@@ -484,7 +382,7 @@ def load_snapshot(engine: Engine, source) -> SnapshotLoad:
             False, f"snapshot version {doc.get('version')!r} != "
                    f"{SNAPSHOT_VERSION}")
     if not all(isinstance(doc.get(k), list)
-               for k in ("checks", "plans", "elisions")):
+               for k in ("checks", "plans")):
         return SnapshotLoad(False, "malformed snapshot body")
     if engine.caches_disabled or not engine.config.caching:
         # The cache-free oracle recomputes everything by definition;
@@ -501,17 +399,11 @@ def load_snapshot(engine: Engine, source) -> SnapshotLoad:
                        "the live registry/hierarchy/config")
         try:
             _restore_checks(engine, doc, report)
-            elisions: Dict[PlanKey, Elision] = {}
-            if engine._elider is not None:
-                for rec in doc.get("elisions", []):
-                    elision = _decode_elision(engine, rec)
-                    if elision is not None:
-                        elisions[tuple(rec["key"])] = elision
             plans = engine._plans
             if plans is not None:
                 epoch = plans.epoch
                 for rec in doc.get("plans", []):
-                    _restore_plan(engine, rec, epoch, elisions, report)
+                    _restore_plan(engine, rec, epoch, report)
         except Exception as exc:  # noqa: BLE001 - see below
             # A structurally broken record mid-restore (a snapshot that
             # passed the envelope checks but carries garbage — e.g. a

@@ -39,8 +39,8 @@ THREADS_DISABLED = os.environ.get("REPRO_DISABLE_THREADS", "") not in (
 #: explicit nospec switch and the cache-free oracle turn it off.
 SPECIALIZE_DISABLED = specialize_disabled_by_env() or CACHES_DISABLED
 
-#: tier-3 elision rides tier-2 promotion, so any switch that disables
-#: specialization disables it too.
+#: signature-fact elision rides tier-2 promotion, so any switch that
+#: disables specialization disables it too.
 ELIDE_DISABLED = elide_disabled_by_env() or SPECIALIZE_DISABLED
 
 
@@ -78,7 +78,8 @@ def pytest_configure(config):
         "the generic path")
     config.addinivalue_line(
         "markers",
-        "requires_elision: asserts tier-3 check-elimination observables; "
+        "requires_elision: asserts that promoted wrappers omit the cache "
+        "probe or argument test the plan's signature makes redundant; "
         "skipped when REPRO_DISABLE_ELIDE=1 (the tier1-noelide job) or "
         "any switch that already disables tier-2 specialization")
     config.addinivalue_line(
@@ -99,7 +100,7 @@ def pytest_runtest_setup(item):
         pytest.skip("tier-2 specialization observables absent under "
                     "REPRO_DISABLE_SPECIALIZE=1 / REPRO_DISABLE_CACHES=1")
     if ELIDE_DISABLED and item.get_closest_marker("requires_elision"):
-        pytest.skip("tier-3 elision observables absent under "
+        pytest.skip("elision observables absent under "
                     "REPRO_DISABLE_ELIDE=1 (or with specialization off)")
     if FORK_DISABLED and item.get_closest_marker("requires_fork"):
         pytest.skip("'fork' start method unavailable (or "

@@ -60,8 +60,7 @@ mutations = st.one_of(
     st.tuples(st.just("retype"), st.sampled_from(METHODS),
               st.sampled_from(SIGS)),
     st.tuples(st.just("field"), st.sampled_from(FIELD_TYPES)),
-    # pure hierarchy wave: revokes leaf-exactness ("lin", parent) facts
-    # that tier-3 elisions may have pinned, racing the worker calls
+    # pure hierarchy wave, racing the worker calls
     st.tuples(st.just("subclass")),
 )
 

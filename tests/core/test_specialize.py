@@ -294,9 +294,9 @@ def test_direct_check_cache_clear_degrades_not_stales():
     deopt fires) must not replay the removed derivation: the per-call
     membership guard bails to the generic tier, which re-checks.
 
-    Pinned to ``elide=False``: tier 3 proves the membership probe
-    redundant for engine-mediated waves and drops it — the elided
-    behavior has its own contract (the companion test below)."""
+    Pinned to ``elide=False``: elision drops the membership probe of a
+    checked plan, because engine-mediated waves drop the plan too — the
+    elided behavior has its own contract (the companion test below)."""
     engine = spec_engine(elide=False)
     cls = _hot_world(engine)
     obj = cls()
@@ -587,7 +587,7 @@ def test_trusted_signature_site_promotes_and_checks_args():
         obj.bump([])
 
 
-# -- tier 3: static check elimination -----------------------------------------
+# -- signature-fact elision ------------------------------------------------------
 
 
 def _wrapper_source(cls, name) -> str:
@@ -598,10 +598,10 @@ def _wrapper_source(cls, name) -> str:
 
 @pytest.mark.requires_elision
 def test_elision_fires_on_hot_checked_leaf():
-    """A checked leaf method over builtin classes promotes with the
-    check-cache probe *and* the frame push/pop statically elided: the
-    emitted wrapper simply does not contain them, and ``checks_elided``
-    advances by the omitted-operation count on every call."""
+    """A checked method promotes with the check-cache probe elided: the
+    emitted wrapper simply does not contain it, still pushes and pops
+    the checked frame, and ``checks_elided`` advances by the
+    omitted-operation count on every call."""
     engine = spec_engine()
     cls = _hot_world(engine)
     obj = cls()
@@ -612,7 +612,7 @@ def test_elision_fires_on_hot_checked_leaf():
     assert stats.checks_elided > 0
     source = _wrapper_source(cls, "bump")
     assert "_ckey0" not in source      # cache membership probe: gone
-    assert "stack.append" not in source  # checked-frame push/pop: gone
+    assert "stack.append(True)" in source  # checked-frame push/pop: kept
     assert "checks_elided" in source
     # counter parity: the generic-tier invariant still holds
     assert (stats.dynamic_arg_checks + stats.dynamic_arg_checks_skipped
@@ -621,9 +621,9 @@ def test_elision_fires_on_hot_checked_leaf():
 
 @pytest.mark.requires_elision
 def test_elided_site_still_rejects_bad_arguments():
-    """Frame/return verdicts proved under the dominant profile pin it as
-    an *unconditional* guard: any other argument class bails to the
-    generic tier, which raises exactly as before."""
+    """An elided cache probe leaves the argument test in place: a
+    non-conforming argument class bails to the generic tier, which
+    raises exactly as before."""
     engine = spec_engine()
     obj = _hot_world(engine)()
     _warm(obj)
@@ -648,7 +648,7 @@ def test_elide_disabled_by_env_keeps_tier2(monkeypatch):
 
 @pytest.mark.requires_elision
 def test_direct_cache_clear_on_elided_site_is_a_memo_flush():
-    """The tier-3 contract for the elided membership probe: a *direct*
+    """The contract for the elided membership probe: a *direct*
     ``CheckCache.clear()`` (bypassing ``Engine.invalidate``) is a memo
     flush, not a world mutation — the derivation it removed is still
     valid, so the elided wrapper replaying it is sound (it just skips
@@ -688,10 +688,9 @@ def test_retype_deopts_elided_site():
 
 @pytest.mark.requires_elision
 def test_callee_churn_deopts_elided_caller():
-    """Retyping or redefining a *callee* of an elided method mid-run
-    must deopt the elided caller (its verdicts consumed the callee's
-    signature and body as dependency edges) — outcomes stay identical
-    to the oracle's."""
+    """Retyping a *callee* of an elided method mid-run deopts the elided
+    caller (its static check consulted the callee's signature), and a
+    redefined callee body is what the caller's very next call runs."""
     engine = spec_engine()
     cls = type("SpecChain", (object,), {})
     _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
@@ -719,39 +718,44 @@ def test_callee_churn_deopts_elided_caller():
     assert obj.double(1) == 102  # the *new* callee body, immediately
 
 
-@pytest.mark.requires_elision
-def test_subclassing_leaf_deopts_elided_site():
-    """Leaf-exactness is a revocable fact: the analysis resolved
-    ``self.base`` by treating the hierarchy-leaf receiver as *exact*,
-    recording a ``("lin", cls)`` edge — so merely *defining* a subclass
-    (no retype, no redefinition) must tear the elided caller down, and
-    the new subclass is served correct generic traffic immediately."""
+@pytest.mark.requires_specialization
+def test_new_subclass_keeps_parent_wrapper_and_plan_live():
+    """Registering a subclass changes no linearization but its own, so
+    the parent's promoted wrapper and call plan stay live: no deopt, no
+    plan flush.  Subclass instances fail the wrapper's exact-class
+    guard and are served, correctly, by the generic tier."""
     engine = spec_engine()
-    cls = type("SpecLeafExact", (object,), {})
+    cls = type("SpecLeaf", (object,), {})
     _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
     _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
     obj = cls()
     for i in range(THRESHOLD + 5):
         assert obj.double(i) == 2 * i
-    assert engine.stats.elide_promotions >= 1
-    assert _slot_is_specialized(cls, "double")
-    sub = type("SpecLeafExactSub", (cls,), {})
+    key = ("SpecLeaf", "SpecLeaf", "double", "instance")
+    plan = engine._plans.get(key)
+    wrapper = cls.__dict__["double"]
+    assert plan is not None and _slot_is_specialized(cls, "double")
+    deopts = engine.stats.deopts
+    sub = type("SpecLeafSub", (cls,), {})
     engine.register_class(sub)
-    assert not _slot_is_specialized(cls, "double")
-    assert sub().double(3) == 6   # subclass traffic correct at once
-    assert obj.double(4) == 8     # base receiver re-warms fine too
+    assert cls.__dict__["double"] is wrapper
+    assert engine._plans.get(key) is plan
+    assert engine.stats.deopts == deopts
+    hits = engine.stats.specialized_hits
+    assert sub().double(3) == 6   # generic tier, correct at once
+    with pytest.raises(ArgumentTypeError):
+        sub().double("three")
+    assert engine.stats.specialized_hits == hits
+    assert obj.double(4) == 8     # the parent's wrapper still serves
+    assert engine.stats.specialized_hits > hits
 
 
-@pytest.mark.requires_elision
-def test_depth2_callee_redefinition_deopts_elided_caller():
-    """Inter-procedural verdicts follow callees *transitively* when a
-    link's declaration cannot be trusted: ``mid`` is annotated but
-    unchecked, so analyzing ``top`` recurses into ``mid``'s body and
-    through it consults ``base`` — every link an ``("ir", ...)`` edge —
-    so redefining the depth-2 callee deopts the elided top-level caller
-    and the new body is visible on the very next call.  (With a
-    *checked* ``mid`` the chain legitimately stops at its trusted
-    signature and ``base``'s body is never consumed.)"""
+@pytest.mark.requires_specialization
+def test_depth2_callee_redefinition_reaches_promoted_caller():
+    """Redefining a depth-2 callee (``top`` -> unchecked ``mid`` ->
+    ``base``) is visible on the promoted caller's very next call: the
+    wrapper calls the original ``top``, whose body dispatches through
+    the live class slots."""
     engine = spec_engine()
     cls = type("SpecDeepChain", (object,), {})
     _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
@@ -764,12 +768,10 @@ def test_depth2_callee_redefinition_deopts_elided_caller():
     obj = cls()
     for i in range(THRESHOLD + 5):
         assert obj.top(i) == 2 * i + 1
-    assert engine.stats.elide_promotions >= 1
     assert _slot_is_specialized(cls, "top")
     _define(engine, cls, "base",
             "def base(self, n):\n    return n + 100\n",
             "(Integer) -> Integer")
-    assert not _slot_is_specialized(cls, "top")
     assert obj.top(1) == 103  # the *new* depth-2 body, immediately
 
 
@@ -798,8 +800,7 @@ _STRESS_BODIES = {
     "ident": "def {name}(self, n):\n    return n\n",
     "chain": "def {name}(self, n):\n    return self.m0(n)\n",
     # chain2 on m2 with m1 redefined to "chain" makes m2 -> m1 -> m0 a
-    # depth-2 inter-procedural chain (m1 starts *unchecked*, so the
-    # analysis recurses through its body instead of trusting its sig).
+    # depth-2 call chain through the unchecked m1.
     "chain2": "def {name}(self, n):\n    return self.m1(n)\n",
 }
 
@@ -807,8 +808,8 @@ _STRESS_BODIES = {
 #: subclasses (bursts on different receivers hit a slot promoted for
 #: another receiver class, so they exercise the bail to the generic
 #: tier), and "newest" — the most recently created mid-flight
-#: subclass (the "subclass" op replaces it), so leaf-exactness facts
-#: get revoked under live traffic.
+#: subclass (the "subclass" op replaces it), so fresh classes serve
+#: traffic while their parents' sites stay promoted.
 _STRESS_RECEIVERS = ("base", "suba", "subb", "newest")
 
 stress_ops = st.lists(
@@ -827,7 +828,7 @@ stress_ops = st.lists(
                   st.sampled_from(sorted(_STRESS_BODIES))),
         st.tuples(st.just("badcall"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(_STRESS_RECEIVERS)),
-        # mid-flight subclassing: revokes ("lin", parent) leaf facts
+        # mid-flight subclassing: a hierarchy wave under live traffic
         st.tuples(st.just("subclass"),
                   st.sampled_from(("base", "suba", "subb"))),
     ),
@@ -851,9 +852,8 @@ def _stress_replay(script, *, disable):
         _define(engine, cls, name,
                 _STRESS_BODIES["inc"].format(name=name),
                 "(Integer) -> Integer")
-    # m1 starts annotated-but-unchecked: a caller's analysis cannot
-    # trust its signature and recurses into its body, so chain2 scripts
-    # build real depth-2 ("ir", ...) dependency chains.
+    # m1 starts annotated-but-unchecked, so chain2 scripts call through
+    # a body no static check vouches for.
     _define(engine, cls, "m1", _STRESS_BODIES["inc"].format(name="m1"),
             "(Integer) -> Integer", check=False)
     sub_a = type("SpecStressA", (cls,), {})
@@ -892,10 +892,9 @@ def _stress_replay(script, *, disable):
             outcomes.append(_stress_outcome(
                 lambda: engine.define_method(cls, name, fn, source=body)))
         elif op[0] == "subclass":
-            # Defining a subclass is a pure hierarchy wave: any elision
-            # whose analysis treated the parent as an *exact* leaf must
-            # deopt, and the fresh class immediately serves traffic as
-            # the "newest" receiver.
+            # Defining a subclass is a pure hierarchy wave, and the
+            # fresh class immediately serves traffic as the "newest"
+            # receiver.
             _, recv = op
             parent = type(receivers[recv])
             dyn_subs += 1
@@ -943,9 +942,9 @@ def test_stress_scenarios_actually_promote():
 @pytest.mark.requires_elision
 def test_stress_scenarios_actually_build_and_break_deep_chains():
     """The new stress ops are not vacuous: a chain2 script hot-paths a
-    depth-2 inter-procedural chain (m2 -> unchecked m1 -> m0), the
-    depth-2 callee's redefinition deopts the top caller, and a
-    mid-flight subclass both revokes leaf facts and serves traffic."""
+    depth-2 call chain (m2 -> unchecked m1 -> m0), the depth-2 callee
+    is redefined under traffic, and a mid-flight subclass serves
+    traffic — all oracle-identical."""
     script = [("redefine", "m1", "chain"),      # m1 -> m0 (still unchecked)
               ("burst", "m2", "base", 12),      # m2 -> m1 -> m0 goes hot
               ("redefine", "m0", "ident"),      # depth-2 callee redefined
@@ -956,14 +955,13 @@ def test_stress_scenarios_actually_build_and_break_deep_chains():
     oracle, _ = _stress_replay(script, disable=True)
     assert outcomes == oracle
     assert engine.stats.elide_promotions >= 1
-    assert engine.stats.deopts >= 1
     # the ("subclass", "base") op actually registered a new class
     assert engine.hier.is_known("SpecStressDyn1")
 
 
 @pytest.mark.requires_elision
 def test_stress_scenarios_actually_elide_and_survive_callee_churn():
-    """The stress harness exercises tier 3: hot leaves promote with
+    """The stress harness exercises elision: hot leaves promote with
     checks elided, a chain caller's *callee* is retyped mid-run, and
     the elided sites are torn down — the hypothesis property above
     already replays such scripts differentially against the oracle."""

@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from repro import CastError, Engine
 from repro.rtypes import (
     BOOL, NIL,
     ClassObjectType, GenericType, NominalType, SingletonType, Sym,
@@ -143,6 +144,23 @@ class TestValueConforms:
         v = {Sym("name"): "bob"}
         assert value_conforms(v, parse_type("{name: String, age: Integer or nil}"),
                               hier)
+
+    @pytest.mark.parametrize("key", [Sym("b"), "b"])
+    def test_finite_hash_checks_keys_after_an_absent_one(self, hier, key):
+        # ``a`` is absent (nil <= Integer), but ``b`` is present with the
+        # wrong type: the check must keep going past the absent key.
+        t = parse_type("{a: Integer, b: String}")
+        assert not value_conforms({key: 5}, t, hier)
+        assert value_conforms({key: "five"}, t, hier)
+        with pytest.raises(CastError):
+            Engine().cast({key: 5}, "{a: Integer, b: String}")
+
+    def test_finite_hash_all_keys_absent_conforms(self, hier):
+        # Every absent key reads as nil, and nil <= A for every A.
+        t = parse_type("{a: Integer, b: String}")
+        assert value_conforms({}, t, hier)
+        empty = {}
+        assert Engine().cast(empty, "{a: Integer, b: String}") is empty
 
     def test_union(self, hier):
         assert value_conforms(1, parse_type("Integer or String"), hier)

@@ -96,7 +96,9 @@ def test_roundtrip_restores_checks_and_plans():
 @pytest.mark.requires_specialization
 def test_roundtrip_restores_promotions_eagerly():
     """A promoted site must come back promoted *before* any traffic —
-    the whole point of warm-starting is skipping the promotion storm."""
+    the whole point of warm-starting is skipping the promotion storm —
+    with the elision verdict recomputed from the restored plan equal to
+    the one the warm engine compiled."""
     engine, _, _ = _warm_world()
     promoted = [key for key, _ in engine._specializer.promoted_entries()]
     assert promoted, "warmup never promoted; threshold regression?"
@@ -107,6 +109,15 @@ def test_roundtrip_restores_promotions_eagerly():
     assert report.loaded and report.promotions > 0, report
     for key in promoted:
         assert engine2._specializer.is_promoted(key), key
+
+    def verdicts(eng):
+        return {key: (el.cache_guard, el.arg_check, el.arity)
+                if el is not None else None
+                for key, el in eng._specializer.promoted_entries()}
+
+    warm = verdicts(engine)
+    restored = verdicts(engine2)
+    assert {key: restored[key] for key in promoted} == warm
 
     # and the promoted world still answers traffic with zero new
     # promotions (stats prove the wrappers are the restored ones).
@@ -240,33 +251,32 @@ def test_load_into_cache_free_oracle_is_refused():
 
 def test_old_version_snapshot_rejected_with_cold_start():
     """Format-version evolution is fail-closed in *both* directions:
-    version-3 snapshots (plans with return-class profiles, verdicts with
-    a return-check flag), version-2 snapshots (plans with ``kw_layouts``,
-    verdicts with ``chain_conforms``) and version-1 snapshots (single
+    version-4 snapshots (stored elision verdicts), version-3 snapshots
+    (plans with return-class profiles, verdicts with a return-check
+    flag), version-2 snapshots (plans with ``kw_layouts``, verdicts with
+    ``chain_conforms``) and version-1 snapshots (single
     ``guard_profile`` tuples, no callee re-validation) are rejected
-    wholesale — never half-decoded under version-4 rules — and the
+    wholesale — never half-decoded under version-5 rules — and the
     engine cold-starts cleanly, oracle-identical."""
-    assert SNAPSHOT_VERSION == 4
+    assert SNAPSHOT_VERSION == 5
     engine, _, _ = _warm_world()
     doc = save_snapshot(engine)
+    assert set(doc) == {"format", "version", "fingerprint", "checks",
+                        "plans"}
+    assert "elisions" not in doc
     assert doc["plans"] and all(
         set(rec) == {"key", "hits", "checked", "profiles", "profile_hits",
                      "promoted"}
         for rec in doc["plans"])
-    assert all(
-        set(rec) == {"key", "cache_guard", "frame", "arg_check",
-                     "guard_profiles", "arity", "resources", "callees",
-                     "ir_fps"}
-        for rec in doc["elisions"])
 
     engine2, world2 = _fresh_world()
     plans_before = len(engine2._plans)
-    for version in (3, 2, 1):
+    for version in (4, 3, 2, 1):
         old = dict(doc, version=version)
         report = load_snapshot(engine2, old)
         assert not report.loaded and "version" in report.reason
         assert report.checks_restored == 0 and report.plans_restored == 0
-        assert report.elisions_seeded == 0
+        assert report.promotions == 0
         assert len(engine2._plans) == plans_before
 
     cold = _outcomes(scenario_thunks(world2, "read"), passes=1)
@@ -274,104 +284,6 @@ def test_old_version_snapshot_rejected_with_cold_start():
         "countries", engine=Engine(disable_caches=True))
     oracle = _outcomes(scenario_thunks(oracle_world, "read"), passes=1)
     assert cold == oracle
-
-
-def _pinned_world(engine):
-    """A hot ``%any``-typed site whose frame verdict holds only under
-    the learned Integer profile: the elision carries a pinned guard
-    chain (``guard_profiles``)."""
-    cls = type("SnapPinned", (object,), {})
-    body = "def relay(self, x):\n    return x + 1\n"
-    namespace = {}
-    exec(body, namespace)  # noqa: S102 - fixed test template
-    engine.define_method(cls, "relay", namespace["relay"],
-                         sig="(%any) -> %any", check=True, source=body)
-    return cls
-
-
-def _pinned_elision(engine):
-    return next(el for _, el in engine._specializer.promoted_entries()
-                if el is not None and el.guard_profiles is not None)
-
-
-@pytest.mark.requires_elision
-def test_pinned_guard_chains_roundtrip():
-    """Multi-profile ``guard_profiles`` chains survive save/load
-    bit-for-bit, and the warm-started wrapper still enforces the pinned
-    chain (an off-profile argument class bails to the generic tier)."""
-    engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    obj = _pinned_world(engine)()
-    for i in range(THRESHOLD + 8):
-        obj.relay(i)
-    saved = _pinned_elision(engine)
-    assert saved.guard_profiles == ((int,),)
-    doc = save_snapshot(engine)
-    rec = next(r for r in doc["elisions"]
-               if r.get("guard_profiles") is not None)
-    assert rec["guard_profiles"] == [[["builtin", "int"]]]
-
-    engine2 = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    cls2 = _pinned_world(engine2)
-    report = load_snapshot(engine2, doc)
-    assert report.loaded, report
-    assert report.elisions_seeded >= 1
-    restored = _pinned_elision(engine2)
-    assert restored.guard_profiles == saved.guard_profiles
-    assert restored.frame == saved.frame
-
-    # the restored pinned wrapper serves on-profile traffic and the
-    # off-profile class takes the generic path with identical outcomes
-    obj2 = cls2()
-    assert obj2.relay(5) == 6
-    with pytest.raises(TypeError):
-        obj2.relay("s")      # generic tier: plain host TypeError
-    assert obj2.relay(6) == 7  # site healthy afterwards
-
-
-@pytest.mark.requires_elision
-def test_drifted_callee_fingerprint_voids_only_the_verdict():
-    """An elision record whose followed-callee fingerprint no longer
-    matches the live CFG registry is *not* seeded (the inter-procedural
-    facts were derived against a different body) — but the load itself
-    still succeeds and the site still re-promotes from scratch."""
-    def build(engine):
-        cls = type("SnapChain", (object,), {})
-        for name, body in (
-                ("helper", "def helper(self, x):\n    return x + 1\n"),
-                ("relay", "def relay(self, x):\n"
-                          "    return self.helper(x)\n")):
-            namespace = {}
-            exec(body, namespace)  # noqa: S102 - fixed test template
-            engine.define_method(
-                cls, name, namespace[name], sig="(%any) -> %any",
-                # helper is annotated-but-unchecked: relay's analysis
-                # cannot trust its signature and recurses into its
-                # body, recording the fingerprinted callee link.
-                check=(name == "relay"), source=body)
-        return cls
-
-    engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    obj = build(engine)()
-    for i in range(THRESHOLD + 8):
-        obj.relay(i)
-    doc = save_snapshot(engine)
-    doc = json.loads(json.dumps(doc))  # deep copy
-    seedable = [r for r in doc["elisions"] if r.get("callees")]
-    assert seedable, "chain world produced no callee-bearing elisions"
-    for rec in seedable:
-        rec["callees"][0][2] = "0" * 64
-
-    engine2 = Engine(EngineConfig(specialize_threshold=THRESHOLD))
-    cls2 = build(engine2)
-    report = load_snapshot(engine2, doc)
-    assert report.loaded, report
-    assert report.elisions_seeded == len(doc["elisions"]) - len(seedable)
-    # the un-seeded site still works and re-derives its own verdict
-    obj2 = cls2()
-    for i in range(THRESHOLD + 8):
-        assert obj2.relay(i) == i + 1
-    assert any(el is not None and el.callees
-               for _, el in engine2._specializer.promoted_entries())
 
 
 def test_body_drift_skips_only_the_stale_entry():
