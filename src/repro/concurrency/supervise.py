@@ -25,7 +25,7 @@ requests in batches — ``("req", slot, attempt, [(sched_idx, outcome,
 dt), ...])`` — flushed once ``_REPORT_INTERVAL_S`` has passed since the
 last flush (and before every fault hook, so a scripted fault never
 loses a report), then a terminal ``("done", slot, attempt,
-stats_delta, first_pass_s)``.
+stats_delta)``.
 Batching keeps the supervisor off the workers' CPUs while they serve;
 the batches double as heartbeats: a live worker is never silent for
 longer than one request or one report interval, so the supervisor
@@ -171,10 +171,6 @@ class SupervisedRun:
     #: attempts that sent "done" — how much cold start (checks, misses,
     #: promotions, deopts) each worker actually paid.
     per_worker: List[Dict[str, int]] = field(default_factory=list)
-    #: the slowest finished attempt's first full pass over the thunk
-    #: list — the deploy's cold-start window (near zero when the parent
-    #: was snapshot-warmed).
-    first_pass_s: float = 0.0
     #: human-readable supervision events (deaths, hangs, respawns,
     #: budget exhaustion) in order.
     restart_log: List[str] = field(default_factory=list)
@@ -252,16 +248,12 @@ class SupervisedDriver:
         faults = self.faults
         clock = time.perf_counter
         io_wait = self.io_wait_s
-        # One full trip around the thunk list: the window in which this
-        # attempt pays static checks, profiling, and promotions.
-        first_pass = min(n, len(indices))
-        first_pass_s = 0.0
         pending: List[Tuple[int, tuple, float]] = []
         try:
             before = self._stats_probe()
             if start_barrier is not None:
                 start_barrier.wait(JOIN_TIMEOUT_S)
-            loop_start = last_flush = clock()
+            last_flush = clock()
             for ordinal, sched_idx in enumerate(indices):
                 if faults is not None:
                     # KILL faults os._exit here: no cleanup, no flush.
@@ -276,8 +268,6 @@ class SupervisedDriver:
                 outcome = normalize_outcome(thunks[sched_idx % n])
                 finished = clock()
                 pending.append((sched_idx, outcome, finished - started))
-                if ordinal + 1 == first_pass:
-                    first_pass_s = finished - loop_start
                 if finished - last_flush >= _REPORT_INTERVAL_S:
                     result_queue.put(("req", slot, attempt, pending))
                     pending = []
@@ -288,7 +278,7 @@ class SupervisedDriver:
                 result_queue.put(("req", slot, attempt, pending))
             after = self._stats_probe()
             delta = {name: after[name] - before[name] for name in before}
-            result_queue.put(("done", slot, attempt, delta, first_pass_s))
+            result_queue.put(("done", slot, attempt, delta))
         except BaseException:  # noqa: BLE001 - infra failure, not outcome
             # An injected ERROR (or any infrastructure exception) kills
             # this attempt; tell the supervisor rather than making it
@@ -388,13 +378,12 @@ class SupervisedDriver:
                 for sched_idx, outcome, dt in batch:
                     accept(slot, attempt, sched_idx, outcome, dt)
             elif kind == "done":
-                _, slot, attempt, delta, first_pass_s = message
+                _, slot, attempt, delta = message
                 state = states[slot]
                 state.last_seen = time.perf_counter()
                 totals = run.per_worker[slot]
                 for name, value in delta.items():
                     totals[name] += value
-                run.first_pass_s = max(run.first_pass_s, first_pass_s)
                 if attempt == state.attempt:
                     state.finished = True
             elif kind == "crash":

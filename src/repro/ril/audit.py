@@ -8,7 +8,7 @@ types are all vacuous needs only an arity guard).  This tool reports
 how often they hold on *our* workloads and names the blocker for every
 check that stays (``non_vacuous_params``, ``contract``).
 
-Programmatic use (the bench harness imports these)::
+Programmatic use (the elision tests import these)::
 
     from repro.ril.audit import audit_engine, warm_serving_engine
     engine = warm_serving_engine("boxroom", "read")

@@ -17,18 +17,18 @@ deopt waves surface as tail latency instead of averaging away.
   interleaving-independent (so the differential oracle bar stays
   absolute even for writes);
 * :mod:`~repro.serving.churn` — reloader/typegen/retype mutator
-  recipes plus deopt-storm accounting;
+  recipes;
 * :mod:`~repro.serving.harness` — one :class:`Scenario`, one
   :func:`run_scenario` for the thread and fork backends, one
   :class:`Report` (rps, percentiles, per-phase tier transitions,
   recovery accounting, the per-index cache-free oracle verdict).
 
-``benchmarks/bench_{serving,concurrency,multiproc,chaos}.py`` build the
-committed ``BENCH_*.json`` baselines on top of these;
-``tests/serving/`` holds the differential and stress suites.
+The end-to-end benchmark (``perfbench/``) builds its workloads from the
+recipes and churn steps; ``tests/serving/`` holds the differential and
+stress suites that drive whole scenarios.
 """
 
-from .churn import churn_suite, count_storms, reload_churn, retype_churn, typegen_churn
+from .churn import churn_suite, reload_churn, retype_churn, typegen_churn
 from .harness import Report, Scenario, run_scenario
 from .latency import (
     DEFAULT_CAPACITY, LatencyRecorder, LatencySummary, Reservoir, nearest_rank,
@@ -48,7 +48,6 @@ __all__ = [
     "Scenario",
     "build_serving_world",
     "churn_suite",
-    "count_storms",
     "mask_ids",
     "mixed_thunks",
     "nearest_rank",

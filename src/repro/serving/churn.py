@@ -20,11 +20,6 @@ list of churn callables):
 
 All three are semantics-preserving, so the differential bar stays
 absolute: outcomes under churn must equal the no-churn oracle's.
-
-Storm accounting: :func:`count_storms` wraps any recipe so each step
-that displaces at least one live specialized wrapper (``stats.deopts``
-advanced) counts as one *deopt storm* — the per-phase attribution the
-latency report pairs with p999.
 """
 
 from __future__ import annotations
@@ -156,18 +151,3 @@ def churn_suite(world: World, kind: str = "full") -> List[Churn]:
         return churns
     raise ValueError(f"unknown churn kind {kind!r}; "
                      f"expected 'none', 'retype', or 'full'")
-
-
-def count_storms(churn: Churn, stats, storms: Dict[str, int]) -> Churn:
-    """Wrap ``churn`` so ``storms['count']`` counts steps that actually
-    displaced live specialized wrappers (a deopt storm: the wave the
-    p999 column feels).  Each wrapped recipe gets its own dict; the
-    harness sums them, so no cross-thread sharing."""
-
-    def step(step_index: int) -> None:
-        deopts_before = stats.deopts
-        churn(step_index)
-        if stats.deopts > deopts_before:
-            storms["count"] += 1
-
-    return step

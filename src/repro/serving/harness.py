@@ -49,7 +49,7 @@ from ..concurrency.driver import normalize_outcome
 from ..core import Engine, EngineConfig
 from ..core.stats import TRANSITION_FIELDS
 from ..snapshot import load_snapshot
-from .churn import churn_suite, count_storms
+from .churn import churn_suite
 from .latency import LatencyRecorder, LatencySummary, summarize_samples
 from .recipes import build_serving_world, scenario_thunks
 
@@ -112,11 +112,6 @@ class Report:
     completed_retried: int = 0
     restart_log: List[str] = field(default_factory=list)
     churn_applied: int = 0
-    #: churn steps that displaced at least one live specialized wrapper.
-    deopt_storms: int = 0
-    #: fork backend: the slowest worker's first full pass over the mix —
-    #: the deploy's cold-start window (near zero when snapshot-warmed).
-    first_pass_s: float = 0.0
     #: "warmup" / "measured" -> TRANSITION_FIELDS deltas.  On the fork
     #: backend "measured" sums the workers' own deltas.
     phases: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -138,8 +133,8 @@ class Report:
         return self.phases["measured"]
 
     def as_dict(self) -> dict:
-        """The committed-baseline JSON shape for this scenario.  Both
-        oracle keys carry the one per-index verdict."""
+        """The JSON shape of this scenario's report.  Both oracle keys
+        carry the one per-index verdict."""
         out = {
             "backend": self.backend,
             "app": self.app,
@@ -154,8 +149,6 @@ class Report:
             "restarts": self.restarts,
             "completed_retried": self.completed_retried,
             "churn_applied": self.churn_applied,
-            "deopt_storms": self.deopt_storms,
-            "first_pass_ms": round(self.first_pass_s * 1000, 3),
             "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
             "oracle_match": int(self.oracle_match),
             "oracle_match_cache_free": int(self.oracle_match),
@@ -179,11 +172,7 @@ def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
 def _drive_threads(scenario: Scenario, world, thunks, faults,
                    report: Report) -> Dict[int, tuple]:
     stats = world.engine.stats
-    storms: List[Dict[str, int]] = []
-    churns = []
-    for recipe in churn_suite(world, scenario.churn):
-        storms.append({"count": 0})
-        churns.append(count_storms(recipe, stats, storms[-1]))
+    churns = churn_suite(world, scenario.churn)
     recorder = LatencyRecorder()
     before = _transitions(stats)
     run = ConcurrentDriver(
@@ -198,7 +187,6 @@ def _drive_threads(scenario: Scenario, world, thunks, faults,
     report.latency = recorder.summary() if recorder.count else None
     report.crashes = list(run.crashes)
     report.churn_applied = run.churn_applied
-    report.deopt_storms = sum(s["count"] for s in storms)
     return {idx: outcome for _, idx, outcome in run.outcomes}
 
 
@@ -224,7 +212,6 @@ def _drive_fork(scenario: Scenario, world, thunks, faults,
     report.restarts = run.restarts
     report.completed_retried = run.completed_retried
     report.restart_log = list(run.restart_log)
-    report.first_pass_s = run.first_pass_s
     return {idx: outcome for idx, (_, _, outcome) in run.outcomes.items()}
 
 

@@ -137,7 +137,7 @@ class LatencySummary:
     mean: float
 
     def as_ms_dict(self) -> dict:
-        """The committed-baseline JSON shape (milliseconds, rounded)."""
+        """The report JSON shape (milliseconds, rounded)."""
         return {
             "count": self.count,
             "latency_exact": self.exact,

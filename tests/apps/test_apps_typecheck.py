@@ -72,6 +72,21 @@ def test_countries_uses_casts(worlds):
     assert worlds["countries"].engine.stats.cast_site_count() >= 5
 
 
+@pytest.mark.requires_caches
+@pytest.mark.parametrize("name", ["pubs", "cct"])
+def test_warm_workload_takes_the_fast_path(name):
+    """Once the load phase has run, the steady-state workload is served
+    almost entirely by call plans."""
+    cfg = {"pubs": {"publications": 40}, "cct": {"repeats": 10}}[name]
+    world = all_builders()[name](Engine(), **cfg)
+    world.seed()
+    world.workload()  # load phase: annotations execute, checks cache
+    world.seed()
+    world.workload()  # steady state
+    stats = world.engine.stats
+    assert stats.fast_path_hits > 0.9 * stats.calls_intercepted, name
+
+
 def test_no_cache_mode_rechecks_hot_methods():
     """The Pubs claim: without caching, hot methods are re-checked once
     per call — thousands of times on the large-array workload."""

@@ -195,6 +195,36 @@ def test_wave_storm_pauses_all_promotion():
     assert engine.stats.promotions == promotions + 1
 
 
+def _storm(breaker: bool, cycles: int = 40, calls_per_cycle: int = 8):
+    """A reload flap storm: each cycle warms the site past the promotion
+    threshold (when promotion is allowed), then a same-signature reload
+    deopts it."""
+    engine, _ = breaker_engine(breaker=breaker, breaker_flap_limit=4,
+                               breaker_window_s=600.0,
+                               breaker_cooldown_s=600.0,
+                               breaker_wave_limit=10 ** 9)
+    obj = _hot_world(engine)()
+    outcomes = []
+    for _ in range(cycles):
+        outcomes.extend(obj.bump(i) for i in range(calls_per_cycle))
+        _flap(engine)
+    return engine.stats, outcomes
+
+
+@pytest.mark.requires_specialization
+def test_armed_breaker_stops_flap_storm_promotions():
+    """Against the same storm, the armed engine trips, demotes the
+    flapper and stops re-promoting it; the unarmed engine never trips
+    and keeps paying a promotion per cycle.  Outcomes are identical."""
+    armed, armed_out = _storm(breaker=True)
+    unarmed, unarmed_out = _storm(breaker=False)
+    assert armed.breaker_trips >= 1
+    assert armed.breaker_demotions >= 1
+    assert armed.promotions < unarmed.promotions
+    assert unarmed.breaker_trips == 0
+    assert armed_out == unarmed_out
+
+
 # -- correctness under the breaker -------------------------------------------
 
 

@@ -254,3 +254,43 @@ class TestPlanInvalidation:
         with pytest.raises(StaticTypeError):
             b.get()
         assert engine.stats.plan_invalidations > 0
+
+    @pytest.mark.requires_caches
+    def test_dev_reload_keeps_unrelated_plans_warm(self):
+        """A dev-mode reload retypes one method, registers a fresh class
+        and re-runs an identical ``field_type``: only the retyped
+        method's plan is invalidated, and the next request sweep over
+        all methods is still served >90% from warm plans."""
+        engine = make_engine()
+        cls = type("DevReload", (object,), {})
+        engine.register_class(cls)
+        methods = 24
+        for i in range(methods):
+            source = f"def m{i}(self, n):\n    return n + {i}\n"
+            namespace = {}
+            exec(source, namespace)  # noqa: S102 - fixed test template
+            engine.define_method(cls, f"m{i}", namespace[f"m{i}"],
+                                 sig="(Integer) -> Integer", check=True,
+                                 source=source)
+        obj = cls()
+
+        def sweep():
+            for i in range(methods):
+                assert getattr(obj, f"m{i}")(1) == 1 + i
+
+        sweep()
+        sweep()
+        stats = engine.stats
+        invalidations = stats.plan_invalidations
+        engine.types.replace("DevReload", "m0", "(Integer) -> Integer",
+                             check=True)
+        engine.register_class(type("ReloadFreshClass", (object,), {}))
+        engine.field_type("DevReload", "scratch", "Integer")
+        engine.field_type("DevReload", "scratch", "Integer")
+        assert stats.plan_invalidations - invalidations == 1
+        hits, calls = stats.fast_path_hits, stats.calls_intercepted
+        for _ in range(5):
+            sweep()
+        rate = (stats.fast_path_hits - hits) / (
+            stats.calls_intercepted - calls)
+        assert rate > 0.9, rate

@@ -93,3 +93,17 @@ def test_audit_reports_only_the_two_signature_facts():
     for site in report["sites"]:
         assert set(site) == {"key", "checks"}
         assert set(site["checks"]) == set(CHECK_KINDS)
+
+
+@pytest.mark.requires_caches
+@pytest.mark.parametrize("app, mix, floor", [
+    ("boxroom", "read", 0.55), ("boxroom", "mixed", 0.55),
+    ("countries", "read", 0.55), ("countries", "mixed", 0.55),
+    ("rolify", "read", 0.4), ("rolify", "mixed", 0.4)])
+def test_audit_elision_rate_floors(app, mix, floor):
+    """Across the warm serving apps the two facts discharge most of the
+    check ops that run.  The audit is deterministic (no timing), so a
+    rate below its floor is a real loss of provable checks."""
+    summary = audit_engine(warm_serving_engine(app, mix))["summary"]
+    assert summary["applicable"] > 0, summary
+    assert summary["elision_rate"] >= floor, summary

@@ -288,6 +288,23 @@ class TestDynamicChecks:
 
         Api().outer(1)
         assert engine.stats.dynamic_arg_checks == 2
+        assert engine.stats.dynamic_arg_checks_skipped == 0
+
+    def test_never_mode_checks_nothing(self):
+        engine = make_engine(dynamic_arg_checks="never")
+        hb = engine.api()
+
+        class Api:
+            @hb.typed("(Integer) -> Integer")
+            def inner(self, n):
+                return n
+
+            @hb.typed("(Integer) -> Integer")
+            def outer(self, n):
+                return self.inner(n)
+
+        Api().outer(1)
+        assert engine.stats.dynamic_arg_checks == 0
 
     def test_cast_runtime_failure(self):
         engine = make_engine()

@@ -150,6 +150,30 @@ def test_concurrent_outcomes_match_oracle(app):
     assert report.oracle_match
 
 
+@pytest.mark.requires_threads
+@pytest.mark.requires_caches
+@pytest.mark.parametrize("churn, min_hit_rate", [("none", 0.9),
+                                                 ("retype", 0.5)])
+def test_warm_pubs_stays_on_plans_under_threads(churn, min_hit_rate):
+    """Warm read traffic from N threads is served from call plans, and
+    a retype wave every few ms must not cold-start the world: per-key
+    invalidation rebuilds only the retyped method's plans, so most
+    calls still hit between waves.  Outcomes stay oracle-identical."""
+    report = run_scenario(Scenario(
+        name=f"warm-pubs-{churn}", app="pubs", mix="read", workers=THREADS,
+        requests=240, io_wait_s=0.001, warm_rounds=2, churn=churn,
+        churn_interval_s=0.005))
+    assert not report.crashes, report.crashes
+    assert report.errors == 0
+    assert report.completed == 240
+    assert report.oracle_match
+    if churn != "none":
+        assert report.churn_applied > 0
+    measured = report.transitions
+    rate = measured["fast_path_hits"] / measured["calls_intercepted"]
+    assert rate > min_hit_rate, measured
+
+
 # -- phase-barrier differential ---------------------------------------------
 
 #: (signature, argument, still_well_typed) — retyping the callee's

@@ -6,7 +6,7 @@ so ``fork`` inheritance is the transport).  These tests pin down the
 fail-fast mode (``max_retries=0``) end to end:
 
 * every worker completes its round-robin schedule slice and streams
-  its outcomes, latencies, first-pass time and stats delta back;
+  its outcomes, latencies and stats delta back;
 * merged latencies yield *exact* aggregate percentiles;
 * every outcome equals the cache-free oracle's outcome for its exact
   schedule index — the differential soundness bar, per request;
@@ -126,13 +126,12 @@ def test_report_as_dict_shape():
     doc = report.as_dict()
     for key in ("backend", "app", "mix", "workers", "requests",
                 "completed", "abandoned", "rps", "errors", "crashes",
-                "first_pass_ms", "phases", "snapshot_loaded",
+                "phases", "snapshot_loaded",
                 "oracle_match", "oracle_match_cache_free", "p50_ms",
                 "p99_ms", "p999_ms", "latency_exact"):
         assert key in doc, key
     assert doc["snapshot_loaded"] == 0  # cold run: no snapshot given
     assert doc["oracle_match_cache_free"] == doc["oracle_match"] == 1
-    assert doc["first_pass_ms"] > 0
     assert set(doc["phases"]) == {"warmup", "measured"}
     assert set(doc["phases"]["measured"]) == set(TRANSITION_FIELDS) == {
         "calls_intercepted", "fast_path_hits", "static_checks",
@@ -179,6 +178,7 @@ def test_warm_fleet_pays_less_than_cold_fleet(tmp_path):
     assert warm_t["promotions"] == 0
     assert warm_t["static_checks"] == 0
     assert warm_t["deopts"] == 0
+    assert warm_t["repromotions"] == 0
 
 
 @pytest.mark.requires_caches

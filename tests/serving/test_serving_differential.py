@@ -160,6 +160,27 @@ def test_write_heavy_under_full_churn_is_oracle_identical(app):
 
 
 @pytest.mark.requires_threads
+@pytest.mark.parametrize("mix, churn", [("read", "none"), ("mixed", "full")])
+def test_boxroom_past_promotion_matches_oracle(mix, churn):
+    """Eight threads over a world warmed past a low promotion threshold,
+    so the measured run rides tier-2 wrappers — and under ``full``
+    churn has them deopted and re-promoted mid-run — must stay
+    oracle-identical with zero request errors."""
+    report = run_scenario(Scenario(
+        name=f"test-boxroom-{mix}-tier2", app="boxroom", mix=mix,
+        workers=8, requests=160, io_wait_s=0.001, churn=churn,
+        churn_interval_s=0.002, warm_rounds=6, specialize_threshold=4,
+        cfg=CFG,
+    ))
+    assert report.crashes == []
+    assert report.errors == 0
+    assert report.completed == report.requests
+    if churn != "none":
+        assert report.churn_applied > 0, "mutator threads never ran"
+    assert report.oracle_match
+
+
+@pytest.mark.requires_threads
 def test_countries_mixed_under_retype_churn():
     report = run_scenario(Scenario(
         name="test-countries-churn", app="countries", mix="mixed",
