@@ -5,7 +5,7 @@ traffic, which means many request threads hitting the same engine — the
 same call plans, check cache, and subtype memo — concurrently.  The
 engine's locking discipline (lock-free warm reads, one writer lock,
 epoch-guarded memo stores; see ``docs/performance.md`` "Concurrency")
-makes that safe; this package makes it *drivable and measurable*:
+makes that safe; this package makes it *drivable and checkable*:
 
 * :class:`~repro.concurrency.driver.ConcurrentDriver` — replays a
   request schedule through an app from N worker threads, optionally
@@ -14,8 +14,8 @@ makes that safe; this package makes it *drivable and measurable*:
 * :class:`~repro.concurrency.supervise.SupervisedDriver` — the pre-fork
   mode: forks N workers that inherit the parent's (optionally
   snapshot-warmed) engine copy-on-write, reports each request's outcome
-  and latency back in batches, and respawns dead or hung workers from
-  the warm parent (``max_retries=0`` is the fail-fast measurement mode).
+  back in batches, and respawns dead or hung workers from the warm
+  parent (``max_retries=0`` is the fail-fast mode).
 
 Both deal the schedule with :func:`~repro.concurrency.driver.schedule_slice`.
 The request mixes live in :mod:`repro.serving.recipes`, and

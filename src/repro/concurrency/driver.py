@@ -3,17 +3,15 @@
 Models the production shape the ROADMAP aims at: N worker threads pull
 requests from a shared schedule and push them through one engine, while
 optional *churn* (mutator) threads — one per recipe — perform dev-mode
-reload mutations (retype/redefine/reload/typegen) mid-flight.  Workers never take the engine's writer
-lock — a request's warm path is lock-free — so aggregate throughput
-should scale with threads whenever per-request I/O (database, network,
-template writes) dominates, which is exactly the Rails profile the
-paper measures.
+reload mutations (retype/redefine/reload/typegen) mid-flight.  Workers
+never take the engine's writer lock — a request's warm path is
+lock-free.
 
-``io_wait_s`` simulates that per-request I/O with a sleep, which
-releases the GIL: it is the stand-in for the time a real request spends
-off-CPU.  With it at zero the driver measures pure interpreter
-throughput (GIL-bound by construction — useful for overhead and
-soundness runs, meaningless for scaling).
+``io_wait_s`` simulates per-request I/O (database, network, template
+writes) with a sleep, which releases the GIL: it is the stand-in for
+the time a real request spends off-CPU, and it makes request threads
+interleave with each other and with the mutators.  The driver takes no
+timings; it records outcomes and counts.
 
 Outcomes are recorded per schedule index with :func:`normalize_outcome`
 — the same ``("ok", repr) | ("err", type, str)`` shape the differential
@@ -60,13 +58,12 @@ def schedule_slice(requests: int, workers: int, worker: int) -> range:
 
 @dataclass
 class DriverRun:
-    """One driver execution: timings, outcomes, and error census."""
+    """One driver execution: outcomes and error census."""
 
     threads: int
     requests: int
-    elapsed_s: float
     #: requests that actually completed (== ``requests`` unless a worker
-    #: crashed); throughput is computed from this, never the schedule.
+    #: crashed).
     completed: int = 0
     #: scheduled requests a crashed worker never ran: the unfinished
     #: rest of its slice.
@@ -127,7 +124,7 @@ class ConcurrentDriver:
                 schedule_slice(self.requests, self.threads, worker)]
 
     def run(self) -> DriverRun:
-        result = DriverRun(self.threads, self.requests, 0.0)
+        result = DriverRun(self.threads, self.requests)
         outcomes_lock = threading.Lock()
         start_barrier = threading.Barrier(self.threads + 1)
         stop_churn = threading.Event()
@@ -190,15 +187,13 @@ class ConcurrentDriver:
         for t in churn_threads:
             t.start()
         start_barrier.wait(timeout=JOIN_TIMEOUT_S)
-        started = time.perf_counter()
         # One shared deadline across all joins, so a multi-worker
         # deadlock is reported after JOIN_TIMEOUT_S total — not
         # threads * JOIN_TIMEOUT_S, which would outlive CI's
         # faulthandler timeout and lose this curated diagnostic.
-        deadline = started + JOIN_TIMEOUT_S
+        deadline = time.perf_counter() + JOIN_TIMEOUT_S
         for t in workers:
             t.join(timeout=max(0.0, deadline - time.perf_counter()))
-        result.elapsed_s = time.perf_counter() - started
         stop_churn.set()
         for t in churn_threads:
             t.join(timeout=max(1.0, deadline - time.perf_counter()))

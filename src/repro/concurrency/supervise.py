@@ -14,15 +14,15 @@ The parent supervises: it watches the workers, detects crashes and
 hangs, respawns replacements forked from its still-warm engine,
 reassigns the unfinished remainder of the dead worker's slice, and
 gives up only after a bounded retry budget with exponential backoff.
-With ``max_retries=0`` this is the fail-fast pre-fork measurement mode:
+With ``max_retries=0`` this is the fail-fast pre-fork mode:
 a dead worker's unfinished slice is abandoned at once, and the death is
 also a crash — nothing recovers from it, so the run is void.
 
 **Protocol.**  First attempts wait at a start barrier with the parent,
-so the fleet's clock starts once every worker is forked and standing at
+so the fleet starts serving once every worker is forked and standing at
 the line; respawns start at once.  Each worker reports its completed
-requests in batches — ``("req", slot, attempt, [(sched_idx, outcome,
-dt), ...])`` — flushed once ``_REPORT_INTERVAL_S`` has passed since the
+requests in batches — ``("req", slot, attempt, [(sched_idx, outcome),
+...])`` — flushed once ``_REPORT_INTERVAL_S`` has passed since the
 last flush (and before every fault hook, so a scripted fault never
 loses a report), then a terminal ``("done", slot, attempt,
 stats_delta)``.
@@ -147,7 +147,6 @@ class SupervisedRun:
 
     workers: int
     requests: int
-    elapsed_s: float = 0.0
     #: outcomes accepted from first attempts (attempt 0).
     completed_first: int = 0
     #: outcomes accepted from respawned attempts (attempt >= 1) — the
@@ -161,12 +160,6 @@ class SupervisedRun:
     #: schedule index -> (slot, attempt, outcome tuple), deduplicated
     #: first-report-wins.
     outcomes: Dict[int, Tuple[int, int, tuple]] = field(default_factory=dict)
-    #: thunk-only latencies of accepted first-attempt outcomes.
-    first_samples: List[float] = field(default_factory=list)
-    #: thunk-only latencies of accepted replayed outcomes — kept apart
-    #: so recovery cost shows up in its own percentile column instead
-    #: of silently fattening the steady-state tail.
-    replay_samples: List[float] = field(default_factory=list)
     #: per slot: TRANSITION_FIELDS deltas summed over that slot's
     #: attempts that sent "done" — how much cold start (checks, misses,
     #: promotions, deopts) each worker actually paid.
@@ -248,7 +241,7 @@ class SupervisedDriver:
         faults = self.faults
         clock = time.perf_counter
         io_wait = self.io_wait_s
-        pending: List[Tuple[int, tuple, float]] = []
+        pending: List[Tuple[int, tuple]] = []
         try:
             before = self._stats_probe()
             if start_barrier is not None:
@@ -264,11 +257,9 @@ class SupervisedDriver:
                         pending = []
                     faults.on_request(slot, attempt, ordinal,
                                       in_process=True)
-                started = clock()
-                outcome = normalize_outcome(thunks[sched_idx % n])
-                finished = clock()
-                pending.append((sched_idx, outcome, finished - started))
-                if finished - last_flush >= _REPORT_INTERVAL_S:
+                pending.append(
+                    (sched_idx, normalize_outcome(thunks[sched_idx % n])))
+                if clock() - last_flush >= _REPORT_INTERVAL_S:
                     result_queue.put(("req", slot, attempt, pending))
                     pending = []
                     last_flush = clock()
@@ -317,7 +308,7 @@ class SupervisedDriver:
         run = SupervisedRun(self.workers, self.requests)
         run.per_worker = [dict.fromkeys(self._stats_probe(), 0)
                           for _ in range(self.workers)]
-        # workers + the parent: the clock starts when every first
+        # workers + the parent: serving starts when every first
         # attempt is forked, probed, and standing at the line.
         start_barrier = ctx.Barrier(self.workers + 1)
         states: Dict[int, _WorkerState] = {}
@@ -339,7 +330,7 @@ class SupervisedDriver:
             return [s for s in states.values() if not s.finished]
 
         def accept(slot: int, attempt: int, sched_idx: int,
-                   outcome: tuple, dt: float) -> None:
+                   outcome: tuple) -> None:
             state = states[slot]
             state.received.add(sched_idx)
             state.last_seen = time.perf_counter()
@@ -356,10 +347,8 @@ class SupervisedDriver:
             run.outcomes[sched_idx] = (slot, attempt, outcome)
             if attempt == 0:
                 run.completed_first += 1
-                run.first_samples.append(dt)
             else:
                 run.completed_retried += 1
-                run.replay_samples.append(dt)
 
         def drain_once(timeout: Optional[float]) -> bool:
             """Process one queue message; False when none arrived."""
@@ -375,8 +364,8 @@ class SupervisedDriver:
             kind = message[0]
             if kind == "req":
                 _, slot, attempt, batch = message
-                for sched_idx, outcome, dt in batch:
-                    accept(slot, attempt, sched_idx, outcome, dt)
+                for sched_idx, outcome in batch:
+                    accept(slot, attempt, sched_idx, outcome)
             elif kind == "done":
                 _, slot, attempt, delta = message
                 state = states[slot]
@@ -479,7 +468,6 @@ class SupervisedDriver:
         # Stragglers that arrived after their slice finished.
         while drain_once(None):
             pass
-        run.elapsed_s = time.perf_counter() - started
         for state in states.values():
             state.process.join(1.0)
         self._bump_engine("requests_replayed", run.completed_retried)

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from ..rtypes.types import (
     AnyType, IntersectionType, SelfType, Type, UnionType, VarType,
 )
-from .plans import ARG_CHECK_NEVER, CallPlan, PlanKey
+from .plans import CallPlan, PlanKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Engine
@@ -162,9 +162,9 @@ def _contract_blocks(engine: "Engine", name: str) -> bool:
 class Elider:
     """Per-engine elision stage, invoked by the specializer at promotion.
 
-    A verdict reads only the plan (its ``checked`` bit, argument mode,
-    signature arms and learned profiles), so deciding it is a few
-    attribute reads under the promotion's writer lock.
+    A verdict reads only the plan (its ``checked`` bit, signature arms
+    and learned profiles), so deciding it is a few attribute reads
+    under the promotion's writer lock.
     """
 
     def __init__(self, engine: "Engine") -> None:
@@ -187,7 +187,7 @@ class Elider:
                     else None)
         arity = len(dominant) if dominant is not None \
             else _fixed_arity(arms)
-        arg_relevant = bool(arms) and plan.arg_mode != ARG_CHECK_NEVER
+        arg_relevant = bool(arms)
         arg_ok = (arg_relevant and arity is not None and any(
             arm.block is None and arm.accepts_arity(arity)
             and all(is_vacuous(arm.param_type_at(j)) for j in range(arity))

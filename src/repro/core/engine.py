@@ -54,9 +54,9 @@ Concurrency discipline (lock-free read, locked write):
   traces, hot stats counters) is **thread-local**.
 
 Tiered execution: once a call plan has served ``specialize_threshold``
-warm hits with a stable shape, the engine promotes the site to **tier
-2** — an exec-generated wrapper with the plan's guards compiled to
-straight-line code (:mod:`repro.core.specialize`).  Every invalidation
+warm hits, the engine promotes the site to **tier 2** — an
+exec-generated wrapper with the plan's guards compiled to straight-line
+code (:mod:`repro.core.specialize`).  Every invalidation
 wave that drops a plan deoptimizes its specialized wrapper before the
 wave returns, and any guard failure inside a specialized wrapper falls
 back into :meth:`Engine.invoke` rather than raising.  Setting
@@ -93,10 +93,7 @@ from .errors import (
     ArgumentTypeError, CastError, NoMethodBodyError, StaticTypeError,
     TypeSignatureError,
 )
-from .plans import (
-    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, ARG_MODES, CallPlan,
-    CallPlanCache,
-)
+from .plans import CallPlan, CallPlanCache
 from .specialize import Specializer, specialize_disabled_by_env
 from .stats import Stats
 
@@ -129,15 +126,22 @@ def caches_disabled_by_env() -> bool:
 
 @dataclass
 class EngineConfig:
-    """Knobs for the paper's measurement modes and ablations."""
+    """Knobs for the paper's measurement modes and ablations.
+
+    Each field has a caller outside the tests: ``intercept`` and
+    ``caching`` give Table 1's Orig and No$ columns (evalharness,
+    perfbench); ``call_plans``, ``specialize`` and ``elide`` select the
+    tier ablations (perfbench, ``benchmarks/bench_hotpath.py``);
+    ``specialize_threshold`` is set by the serving harness and the
+    elision audit.  The paper's semantics (section 4's boundary-only
+    argument checks, no return checks, ``nil <= A``) and the deopt-storm
+    breaker's limits (:mod:`repro.core.specialize`) are constants.
+    """
 
     #: wrap annotated methods at all; False reproduces the "Orig" column.
     intercept: bool = True
     #: memoize static checks; False reproduces the "No$" column.
     caching: bool = True
-    #: dynamic argument checks: "boundary" (only from unchecked callers —
-    #: the paper's optimization), "always", or "never" (ablations).
-    dynamic_arg_checks: str = "boundary"
     #: memoize warm call sites as CallPlans (the steady-state fast path);
     #: False falls back to full per-call resolution (perf ablation).
     call_plans: bool = True
@@ -154,23 +158,6 @@ class EngineConfig:
     #: False (or ``REPRO_DISABLE_ELIDE=1``) keeps tier-2 wrappers
     #: performing every check — the ``tier1-noelide`` differential mode.
     elide: bool = True
-    #: deopt-storm circuit breaker: demote chronically flapping sites to
-    #: tier 1 with a cooldown, and pause all promotion during an
-    #: invalidation-wave storm (:mod:`repro.core.specialize`).  False
-    #: re-promotes forever — the ungated-thrash ablation mode.
-    breaker: bool = True
-    #: deopts of one site within ``breaker_window_s`` that count as a
-    #: flap storm and trip the per-site breaker.
-    breaker_flap_limit: int = 8
-    #: sliding window (seconds) for both the per-site flap count and
-    #: the engine-wide displacing-wave count.
-    breaker_window_s: float = 1.0
-    #: how long (seconds) a tripped site (or the whole engine) stays
-    #: demoted before the breaker re-arms.
-    breaker_cooldown_s: float = 2.0
-    #: displacing invalidation waves within ``breaker_window_s`` that
-    #: trip the engine-wide promotion pause.
-    breaker_wave_limit: int = 32
 
 
 class Engine:
@@ -233,8 +220,6 @@ class Engine:
         if (self._specializer is not None and self.config.elide
                 and not elide_disabled_by_env()):
             self._elider = Elider(self)
-        self._arg_mode: int = ARG_MODES.get(self.config.dynamic_arg_checks,
-                                            ARG_CHECK_BOUNDARY)
         self._contracts: Dict = {}  # populated by rdl.wrap pre/post hooks
         self.types.on_change(self._on_type_change)
         self.hier.on_change(self._on_hier_change)
@@ -533,12 +518,9 @@ class Engine:
                 if sig is not None:
                     if checked:
                         stats.cache_hits += 1
-                    mode = plan.arg_mode
-                    if mode == ARG_CHECK_BOUNDARY:
-                        do_check = not (stack and stack[-1])
-                    else:
-                        do_check = mode == ARG_CHECK_ALWAYS
-                    if do_check:
+                    # Section 4: only a call from unchecked code
+                    # checks its arguments.
+                    if not (stack and stack[-1]):
                         # Keyword calls skip the profile set: the full
                         # check binds them onto the declared parameters.
                         if plan.profile_eligible and not kwargs:
@@ -590,6 +572,7 @@ class Engine:
         sig: Optional[MethodSig] = None
         tls = self._tls
         hot = tls.counters
+        stack = tls.stack
         if resolved is not None:
             sig_owner, sig = resolved
             key = (owner, name)
@@ -601,7 +584,9 @@ class Engine:
                     # No$ mode re-checks on every call by design; a plan
                     # would wrongly skip the re-check.
                     plannable = False
-            if self._should_check_args(sig):
+            # Section 4: skip when the immediate caller was statically
+            # checked.
+            if not (stack and stack[-1]):
                 self._dynamic_arg_check(sig, fn, recv, args, kwargs, owner,
                                         name, kind)
                 hot.dynamic_arg_checks += 1
@@ -609,7 +594,7 @@ class Engine:
                 hot.dynamic_arg_checks_skipped += 1
         if plannable:
             plan = CallPlan(
-                sig_owner, sig, checked, self._arg_mode,
+                sig_owner, sig, checked,
                 sig is not None and _profile_eligible(sig))
             spec = self._specializer
             # Per-site adaptive threshold: a site the specializer saw
@@ -620,7 +605,6 @@ class Engine:
                 if spec is not None else self._spec_threshold)
             plans.store((def_owner, owner, name, kind), plan, trace,
                         epoch=epoch)
-        stack = tls.stack
         stack.append(checked)
         try:
             return fn(recv, *args, **kwargs)
@@ -729,17 +713,6 @@ class Engine:
                        sig_owner=sig_owner)
 
     # -- dynamic checks ------------------------------------------------------------------
-
-    def _should_check_args(self, sig: MethodSig) -> bool:
-        mode = self.config.dynamic_arg_checks
-        if mode == "always":
-            return True
-        if mode == "never":
-            return False
-        # "boundary": skip when the immediate caller was statically checked
-        # (section 4's optimization).
-        stack = self._tls.stack
-        return not (stack and stack[-1])
 
     def _dynamic_arg_check(self, sig: MethodSig, fn, recv, args, kwargs,
                            owner: str, name: str, kind: str) -> None:

@@ -73,14 +73,6 @@ from .deps import DepGraph, Resource
 PlanKey = Tuple[str, str, str, str]  # (def_owner, recv class, method, kind)
 CacheKey = Tuple[str, str]           # (recv class, method) — check-cache key
 
-#: ``EngineConfig.dynamic_arg_checks`` precompiled to an int for the fast
-#: path ("boundary" also covers unknown modes, matching the slow path).
-ARG_CHECK_NEVER = 0
-ARG_CHECK_BOUNDARY = 1
-ARG_CHECK_ALWAYS = 2
-ARG_MODES = {"never": ARG_CHECK_NEVER, "boundary": ARG_CHECK_BOUNDARY,
-             "always": ARG_CHECK_ALWAYS}
-
 #: Cap on remembered passing argument-class profiles per plan; beyond it
 #: the dynamic check still runs, it just stops learning new profiles.
 MAX_PROFILES = 64
@@ -89,12 +81,12 @@ MAX_PROFILES = 64
 class CallPlan:
     """The fully-resolved outcome of one warm intercepted call."""
 
-    __slots__ = ("sig_owner", "sig", "checked", "arg_mode",
-                 "profile_eligible", "profiles", "profile_hits",
-                 "hits", "promote_at", "promoted")
+    __slots__ = ("sig_owner", "sig", "checked", "profile_eligible",
+                 "profiles", "profile_hits", "hits", "promote_at",
+                 "promoted")
 
     def __init__(self, sig_owner: Optional[str], sig, checked: bool,
-                 arg_mode: int, profile_eligible: bool) -> None:
+                 profile_eligible: bool) -> None:
         #: ancestor the signature was found on (None when unannotated).
         self.sig_owner = sig_owner
         #: the resolved MethodSig, or None for wrapped-but-unannotated.
@@ -102,7 +94,6 @@ class CallPlan:
         #: the JIT static check is satisfied and memoized in the check
         #: cache; also what the checked-frame stack records for callees.
         self.checked = checked
-        self.arg_mode = arg_mode
         self.profile_eligible = profile_eligible
         #: copy-on-write: always reassigned (never mutated in place) so
         #: lock-free readers see a complete set or the previous one.
@@ -143,7 +134,8 @@ class CallPlan:
     def dominant_profile(self) -> Optional[tuple]:
         """The hottest passing profile by pre-promotion hit counts
         (falling back to any profile when nothing was counted — e.g.
-        boundary mode with every caller statically checked)."""
+        every caller was statically checked, so no call ran the
+        argument check)."""
         profiles = self.profiles
         if not profiles:
             return None

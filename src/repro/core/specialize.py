@@ -3,8 +3,8 @@
 Tier 1 (:mod:`repro.core.plans`) made the steady state "a guard plus a
 cache hit", but the guard itself is still ~30 lines of interpreted Python
 per call inside ``Engine.invoke``: build the plan key tuple, run
-``class_name_of``, fetch thread-locals, branch on the argument mode,
-push/pop the checked frame.  Lazy basic block versioning
+``class_name_of``, fetch thread-locals, decide the boundary argument
+check, push/pop the checked frame.  Lazy basic block versioning
 (Chevalier-Boisvert & Feeley) and "Transient Typechecks are (Almost)
 Free" (Roberts et al.) both make the same observation: type guards only
 become near-free when they are *compiled into the call site* as
@@ -12,10 +12,9 @@ straight-line code.  This module is that move for the CPython substrate.
 
 **Promotion.**  Once a :class:`~repro.core.plans.CallPlan` has served
 ``plan.promote_at`` warm hits (the engine's ``specialize_threshold``,
-or the reduced re-promotion threshold for sites that deopted before)
-and its shape is stable — a class-profile-guardable or check-free
-configuration — the :class:`Specializer` generates a wrapper function
-specialized to exactly that plan: the receiver-class identity guard, the
+or the reduced re-promotion threshold for sites that deopted before),
+the :class:`Specializer` generates a wrapper function specialized to
+exactly that plan: the receiver-class identity guard, the
 dominant argument-profile test (the *hottest* profile by pre-promotion
 hit counts) and the checked-frame push/pop are emitted as straight-line
 local-variable operations, ``exec``-compiled once, closing over the
@@ -55,18 +54,17 @@ dev-mode reload churn re-reaches tier 2 in a fraction of the warmup
 ways: a site whose guard assumptions are invalidated *continuously* —
 adversarial reload churn retyping the same method every few
 milliseconds — would otherwise cycle promote/deopt forever, paying
-wrapper compilation and teardown on every lap.  Two breakers gate the
-cycle (``EngineConfig.breaker``; ``False`` is the ungated-thrash
-ablation):
+wrapper compilation and teardown on every lap.  Two breakers, always
+armed, gate the cycle; their limits are the module constants below:
 
-* **per-site**: each deopt of a key is a *flap*; ``breaker_flap_limit``
-  flaps inside ``breaker_window_s`` trip the site — its re-warm
+* **per-site**: each deopt of a key is a *flap*; ``BREAKER_FLAP_LIMIT``
+  flaps inside ``BREAKER_WINDOW_S`` trip the site — its re-warm
   discount is revoked, promotion is refused for
-  ``breaker_cooldown_s``, and the site serves tier 1 (sound, just
+  ``BREAKER_COOLDOWN_S``, and the site serves tier 1 (sound, just
   unspecialized).  A flap during the cooldown restarts the quiet
   timer; a flap after it re-arms the site fresh.
   ``Stats.breaker_demotions`` counts trips;
-* **engine-wide**: ``breaker_wave_limit`` displacing invalidation
+* **engine-wide**: ``BREAKER_WAVE_LIMIT`` displacing invalidation
   waves inside the window pause *all* promotion for the cooldown —
   during a storm, compiling wrappers the next wave will tear down is
   pure overhead.
@@ -74,6 +72,8 @@ ablation):
 Both are perf governors, never soundness: a blocked promotion leaves
 the generic tier-1 wrapper serving every call, and deopt itself is
 never gated.  ``Stats.breaker_trips`` counts activations of either.
+The breaker engages on the benchmark: perfbench's ``metaprog_churn``
+workload trips it.
 
 **Guard failure falls back, never raises.**  Any situation the
 straight-line code does not cover — another receiver class, a keyword
@@ -140,9 +140,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
 
 from ..rdl.registry import CLASS
 from .elide import _contract_blocks
-from .plans import (
-    ARG_CHECK_ALWAYS, ARG_CHECK_BOUNDARY, CallPlan, PlanKey,
-)
+from .plans import CallPlan, PlanKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .elide import Elision
@@ -155,6 +153,21 @@ REWARM_DIVISOR = 4
 #: bound on the re-warm registry: reload churn in a long-lived dev
 #: server must not accumulate plan keys without limit.
 _REWARM_MAX = 4096
+
+#: deopts of one site inside ``BREAKER_WINDOW_S`` that trip its breaker.
+BREAKER_FLAP_LIMIT = 8
+
+#: sliding window (seconds) for both the per-site flap count and the
+#: engine-wide displacing-wave count.
+BREAKER_WINDOW_S = 1.0
+
+#: how long (seconds) a tripped site, or the whole engine, stays demoted
+#: before the breaker re-arms.
+BREAKER_COOLDOWN_S = 2.0
+
+#: displacing invalidation waves inside ``BREAKER_WINDOW_S`` that pause
+#: all promotion.
+BREAKER_WAVE_LIMIT = 32
 
 #: bound on the breaker's per-site flap/cooldown tracking maps.
 _FLAP_TRACK_MAX = 1024
@@ -232,12 +245,6 @@ class Specializer:
         self._rewarm_threshold = max(1, threshold // REWARM_DIVISOR)
         # Circuit-breaker state (all mutated under the internal lock;
         # the promotion-path probes are lock-free dict reads).
-        cfg = engine.config
-        self._breaker = bool(cfg.breaker)
-        self._flap_limit = max(1, cfg.breaker_flap_limit)
-        self._window = float(cfg.breaker_window_s)
-        self._cooldown = float(cfg.breaker_cooldown_s)
-        self._wave_limit = max(1, cfg.breaker_wave_limit)
         self._clock = time.monotonic
         #: plan key -> deopt timestamps inside the sliding window.
         self._flaps: Dict[PlanKey, List[float]] = {}
@@ -267,8 +274,6 @@ class Specializer:
         """Lock-free probe on the promotion path: True while the
         engine-wide pause or this site's cooldown is active.  A cooldown
         found expired re-arms the site (pruning its entry)."""
-        if not self._breaker:
-            return False
         now = self._clock()
         if now < self._pause_until:
             return True
@@ -287,10 +292,8 @@ class Specializer:
 
     def _note_flap_locked(self, key: PlanKey) -> None:
         """Record one deopt of ``key`` for the per-site breaker; trips
-        it at ``breaker_flap_limit`` flaps inside the window.  Caller
+        it at ``BREAKER_FLAP_LIMIT`` flaps inside the window.  Caller
         holds the internal lock."""
-        if not self._breaker:
-            return
         now = self._clock()
         cooling = self._cooling
         until = cooling.get(key)
@@ -298,7 +301,7 @@ class Specializer:
             if now < until:
                 # Still cooling and still flapping: restart the quiet
                 # timer, and keep the re-warm discount revoked.
-                cooling[key] = now + self._cooldown
+                cooling[key] = now + BREAKER_COOLDOWN_S
                 self._rewarm.pop(key, None)
                 return
             del cooling[key]  # quiet time served; count flaps fresh
@@ -309,11 +312,11 @@ class Specializer:
                 self._prune_flaps_locked(now)
             times = flaps[key] = []
         else:
-            times[:] = [t for t in times if now - t < self._window]
+            times[:] = [t for t in times if now - t < BREAKER_WINDOW_S]
         times.append(now)
-        if len(times) >= self._flap_limit:
+        if len(times) >= BREAKER_FLAP_LIMIT:
             del flaps[key]
-            cooling[key] = now + self._cooldown
+            cooling[key] = now + BREAKER_COOLDOWN_S
             # Revoke the reduced threshold: a chronic flapper must
             # re-earn promotion at the full threshold after cooldown.
             self._rewarm.pop(key, None)
@@ -325,24 +328,21 @@ class Specializer:
 
     def _note_wave_locked(self) -> None:
         """Record one displacing invalidation wave for the engine-wide
-        breaker; trips the all-promotion pause at ``breaker_wave_limit``
+        breaker; trips the all-promotion pause at ``BREAKER_WAVE_LIMIT``
         waves inside the window.  Caller holds the internal lock."""
-        if not self._breaker:
-            return
         now = self._clock()
         waves = self._wave_times
         waves.append(now)
-        while waves and now - waves[0] >= self._window:
+        while waves and now - waves[0] >= BREAKER_WINDOW_S:
             waves.popleft()
-        if len(waves) >= self._wave_limit and now >= self._pause_until:
-            self._pause_until = now + self._cooldown
+        if len(waves) >= BREAKER_WAVE_LIMIT and now >= self._pause_until:
+            self._pause_until = now + BREAKER_COOLDOWN_S
             self.engine.stats.breaker_trips += 1
 
     def _prune_flaps_locked(self, now: float) -> None:
-        window = self._window
         flaps = self._flaps
         for key in [k for k, ts in flaps.items()
-                    if not ts or now - ts[-1] >= window]:
+                    if not ts or now - ts[-1] >= BREAKER_WINDOW_S]:
             del flaps[key]
         if len(flaps) >= _FLAP_TRACK_MAX:  # all still in-window: drop LRU
             for key in list(flaps)[:_FLAP_TRACK_MAX // 2]:
@@ -355,8 +355,8 @@ class Specializer:
 
     def breaker_paused(self) -> bool:
         """Whether the engine-wide promotion pause is currently active
-        (introspection for tests and the chaos harness)."""
-        return self._breaker and self._clock() < self._pause_until
+        (introspection for tests)."""
+        return self._clock() < self._pause_until
 
     # -- promotion ----------------------------------------------------------
 
@@ -386,8 +386,6 @@ class Specializer:
         engine = self.engine
         if _contract_blocks(engine, key[2]):
             return False  # contracts only run in the generic wrapper
-        if not _plan_specializable(plan):
-            return False
         def_owner, recv_owner, name, kind = key
         if guard_cls is None:
             if kind == CLASS:
@@ -543,19 +541,6 @@ class Specializer:
                     for site in self._sites.values()]
 
 
-def _plan_specializable(plan: CallPlan) -> bool:
-    """Shape stability: every per-call decision must either fold into
-    straight-line code or have a sound bail-to-generic exit.
-
-    A dynamic argument check with no class profile to guard on in
-    ``always`` mode would bail on *every* call — promotion would only
-    add overhead."""
-    if plan.sig is None:
-        return True
-    return not (plan.arg_mode == ARG_CHECK_ALWAYS
-                and not plan.profile_eligible)
-
-
 #: synthetic filename stem for compiled wrappers (visible in tracebacks).
 _CODEGEN_FILE = "<hb-specialized {owner}#{name}>"
 
@@ -565,11 +550,11 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     """``exec``-compile the straight-line wrapper for one promoted site.
 
     The emitted code is the tier-1 warm path partially evaluated against
-    the site's plan: every mode branch is resolved at compile time,
-    every engine attribute chase becomes a closed-over local, and the
-    counter updates match the generic path bump for bump (the
-    stats-exactness suite runs with promotion active).  A receiver that
-    fails the class guard bails to the generic tier.
+    the site's plan: every branch the plan decides is resolved at
+    compile time, every engine attribute chase becomes a closed-over
+    local, and the counter updates match the generic path bump for bump
+    (the stats-exactness suite runs with promotion active).  A receiver
+    that fails the class guard bails to the generic tier.
     """
     def_owner, _, name, kind = key
     bail = ("return _invoke(_def_owner, _name, _kind, _fn, recv, "
@@ -657,25 +642,19 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
         else:
             profile_test, guard_classes = _profile_test_lines(plan, bail)
             ns.update(guard_classes)
-        if plan.arg_mode == ARG_CHECK_BOUNDARY:
-            lines += [
-                "if stack and stack[-1]:",
-                "    checked_args = False",
-                "else:",
-                *["    " + ln for ln in profile_test],
-                "    checked_args = True",
-            ]
-            arg_counters = [
-                "if checked_args:",
-                "    c.dynamic_arg_checks += 1",
-                "else:",
-                "    c.dynamic_arg_checks_skipped += 1",
-            ]
-        elif plan.arg_mode == ARG_CHECK_ALWAYS:
-            lines += profile_test
-            arg_counters = ["c.dynamic_arg_checks += 1"]
-        else:  # ARG_CHECK_NEVER
-            arg_counters = ["c.dynamic_arg_checks_skipped += 1"]
+        lines += [
+            "if stack and stack[-1]:",
+            "    checked_args = False",
+            "else:",
+            *["    " + ln for ln in profile_test],
+            "    checked_args = True",
+        ]
+        arg_counters = [
+            "if checked_args:",
+            "    c.dynamic_arg_checks += 1",
+            "else:",
+            "    c.dynamic_arg_checks_skipped += 1",
+        ]
     lines += [
         "c = tls.counters",
         "c.calls_intercepted += 1",

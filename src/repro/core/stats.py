@@ -47,9 +47,9 @@ HOT_COUNTER_FIELDS = (
 
 
 #: the counters a serving run reports per phase and per worker: the tier
-#: transitions that show up as tail latency when they wave, the
-#: cold-start work (static checks, check-cache traffic) a worker pays,
-#: and how much of the traffic rode call plans.
+#: transitions (promotion and deopt waves), the cold-start work (static
+#: checks, check-cache traffic) a worker pays, and how much of the
+#: traffic rode call plans.
 TRANSITION_FIELDS = (
     "calls_intercepted",
     "fast_path_hits",
@@ -302,6 +302,8 @@ class Stats:
             "calls_intercepted": self.calls_intercepted,
             "fast_path_hits": self.fast_path_hits,
             "specialized_hits": self.specialized_hits,
+            "dynamic_arg_checks": self.dynamic_arg_checks,
+            "dynamic_arg_checks_skipped": self.dynamic_arg_checks_skipped,
             "promotions": self.promotions,
             "repromotions": self.repromotions,
             "deopts": self.deopts,

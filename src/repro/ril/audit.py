@@ -25,8 +25,8 @@ The audit re-derives every verdict through
 engine's writer lock — it never mutates the engine and never installs
 wrappers.  The headline ``elision_rate`` is proved check ops over
 *applicable* check ops: a check that never runs at a site (an unchecked
-plan's cache guard, an argument check in ``never`` mode) counts in
-neither numerator nor denominator.
+plan's cache guard, the argument check of an unannotated method) counts
+in neither numerator nor denominator.
 
 This module is deliberately not exported from ``repro.ril``'s package
 init: it imports ``repro.core`` eagerly, and ``repro.core`` imports

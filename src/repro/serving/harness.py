@@ -10,8 +10,8 @@ takes every backend through the same steps:
 2. optionally **load a snapshot** into it (fail-closed: a rejected
    snapshot is a cold start, recorded in ``Report.snapshot``);
 3. **warm** it with ``warm_rounds`` sequential passes over the mix.
-   Tier promotion is otherwise left to happen *during* the measured
-   run, because promotion waves are part of the tail story;
+   Tier promotion is otherwise left to happen *during* the driven run,
+   so promotion waves race the request threads;
 4. **drive** the round-robin schedule through the backend:
 
    * ``thread`` — N request threads share the warm engine
@@ -20,7 +20,7 @@ takes every backend through the same steps:
    * ``fork`` — N workers forked from the warm parent, copy-on-write
      (:class:`~repro.concurrency.supervise.SupervisedDriver`).  With
      ``max_retries=0`` a dead worker's unfinished slice is abandoned at
-     once (the fail-fast measurement mode); above that, dead or hung
+     once (the fail-fast mode); above that, dead or hung
      workers are respawned from the parent and their remainder is
      replayed;
 
@@ -36,7 +36,8 @@ pass over the mix pins every index.  Comparing per index rather than as
 a multiset also catches outcomes delivered under the wrong index.
 
 Each step's tier transitions are recorded (``Report.phases``), so a
-deopt storm is attributable to the phase whose p999 it poisoned.
+deopt storm is attributable to the phase it happened in.  The harness
+takes no timings: ``perfbench/`` is the performance record.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from ..core import Engine, EngineConfig
 from ..core.stats import TRANSITION_FIELDS
 from ..snapshot import load_snapshot
 from .churn import churn_suite
-from .latency import LatencyRecorder, LatencySummary, summarize_samples
 from .recipes import build_serving_world, scenario_thunks
 
 
@@ -65,9 +65,10 @@ class Scenario:
     #: request threads (thread backend) or forked processes (fork).
     workers: int = 4
     requests: int = 400
-    #: simulated off-CPU time per request (a GIL-releasing sleep).
+    #: simulated off-CPU time per request (a GIL-releasing sleep, so
+    #: request threads interleave the way real I/O makes them).
     io_wait_s: float = 0.002
-    #: sequential passes over the mix before the measured run — what
+    #: sequential passes over the mix before the driven run — what
     #: the request threads share, or the forked workers inherit.
     warm_rounds: int = 0
     cfg: Optional[dict] = None
@@ -84,7 +85,7 @@ class Scenario:
 
 @dataclass
 class Report:
-    """Everything one scenario run measured and verified."""
+    """Everything one scenario run counted and verified."""
 
     scenario: str
     backend: str
@@ -97,12 +98,6 @@ class Report:
     #: unfinished slice, or a fork slot's remainder once its retries ran
     #: out.  ``completed + abandoned == requests`` always holds.
     abandoned: int = 0
-    elapsed_s: float = 0.0
-    #: first-attempt requests (every request, on the thread backend).
-    latency: Optional[LatencySummary] = None
-    #: fork backend: the replayed requests, kept apart so recovery cost
-    #: cannot hide in the steady-state tail (None when none replayed).
-    replay_latency: Optional[LatencySummary] = None
     errors: int = 0
     #: failures that void the run's guarantees: a thread's worker loop
     #: raised, a mutator died, or the fork protocol broke.  Worker
@@ -124,41 +119,9 @@ class Report:
     oracle_match: bool = False
 
     @property
-    def rps(self) -> float:
-        return self.completed / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
     def transitions(self) -> Dict[str, int]:
         """The measured run's TRANSITION_FIELDS deltas."""
         return self.phases["measured"]
-
-    def as_dict(self) -> dict:
-        """The JSON shape of this scenario's report.  Both oracle keys
-        carry the one per-index verdict."""
-        out = {
-            "backend": self.backend,
-            "app": self.app,
-            "mix": self.mix,
-            "workers": self.workers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "abandoned": self.abandoned,
-            "rps": round(self.rps, 1),
-            "errors": self.errors,
-            "crashes": len(self.crashes),
-            "restarts": self.restarts,
-            "completed_retried": self.completed_retried,
-            "churn_applied": self.churn_applied,
-            "snapshot_loaded": int(bool(self.snapshot.get("loaded"))),
-            "oracle_match": int(self.oracle_match),
-            "oracle_match_cache_free": int(self.oracle_match),
-            "phases": self.phases,
-        }
-        if self.latency is not None:
-            out.update(self.latency.as_ms_dict())
-        if self.replay_latency is not None:
-            out["replayed"] = self.replay_latency.as_ms_dict()
-        return out
 
 
 def _transitions(stats) -> Dict[str, int]:
@@ -173,18 +136,14 @@ def _drive_threads(scenario: Scenario, world, thunks, faults,
                    report: Report) -> Dict[int, tuple]:
     stats = world.engine.stats
     churns = churn_suite(world, scenario.churn)
-    recorder = LatencyRecorder()
     before = _transitions(stats)
     run = ConcurrentDriver(
-        [recorder.timed(t) for t in thunks], threads=scenario.workers,
-        requests=scenario.requests, io_wait_s=scenario.io_wait_s,
-        churn=churns or None, churn_interval_s=scenario.churn_interval_s,
-        faults=faults).run()
+        thunks, threads=scenario.workers, requests=scenario.requests,
+        io_wait_s=scenario.io_wait_s, churn=churns or None,
+        churn_interval_s=scenario.churn_interval_s, faults=faults).run()
     report.phases["measured"] = _delta(before, _transitions(stats))
     report.completed = run.completed
     report.abandoned = run.abandoned
-    report.elapsed_s = run.elapsed_s
-    report.latency = recorder.summary() if recorder.count else None
     report.crashes = list(run.crashes)
     report.churn_applied = run.churn_applied
     return {idx: outcome for _, idx, outcome in run.outcomes}
@@ -203,11 +162,6 @@ def _drive_fork(scenario: Scenario, world, thunks, faults,
     report.per_worker = run.per_worker
     report.completed = run.completed
     report.abandoned = run.abandoned
-    report.elapsed_s = run.elapsed_s
-    if run.first_samples:
-        report.latency = summarize_samples(run.first_samples)
-    if run.replay_samples:
-        report.replay_latency = summarize_samples(run.replay_samples)
     report.crashes = list(run.crashes)
     report.restarts = run.restarts
     report.completed_retried = run.completed_retried
@@ -216,7 +170,7 @@ def _drive_fork(scenario: Scenario, world, thunks, faults,
 
 
 #: backend name -> drive step: runs the schedule over the warm world,
-#: fills the report's measurements, and returns the completed outcomes
+#: fills the report's counts, and returns the completed outcomes
 #: by schedule index.
 _BACKENDS = {
     "thread": _drive_threads,

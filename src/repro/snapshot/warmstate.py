@@ -23,7 +23,7 @@ Soundness is layered, and every layer fails *closed* to cold start:
 2. **World fingerprint**: sha256 over the type registry (signatures +
    field types), the class hierarchy (parents, mixins, modules,
    typevars), and the semantics-affecting engine config.  Any drift —
-   a retyped method, a new subclass, a different checking mode — means
+   a retyped method, a new subclass, a different caching mode — means
    the saved verdicts were derived in a different world; the snapshot
    is rejected wholesale.
 3. **Per-entity IR fingerprints**: the world fingerprint cannot see
@@ -110,7 +110,7 @@ def world_fingerprint(engine: Engine) -> str:
         # Semantics-affecting knobs only: two engines that differ in
         # perf tuning (thresholds, specialization, elision) derive the
         # *same* verdicts, so those knobs do not poison reuse.
-        "config": [bool(cfg.caching), cfg.dynamic_arg_checks],
+        "config": [bool(cfg.caching)],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -330,7 +330,7 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
         return  # resolution shape drifted from the saved world
 
     plan = CallPlan(
-        sig_owner, sig, checked, engine._arg_mode,
+        sig_owner, sig, checked,
         sig is not None and _profile_eligible(sig))
     plan.promote_at = (spec.promote_threshold(key) if spec is not None
                        else engine._spec_threshold)

@@ -1,4 +1,4 @@
-"""Deopt-storm circuit breakers: trip, cooldown, re-arm, and ablation.
+"""Deopt-storm circuit breakers: trip, cooldown, re-arm, and flap storms.
 
 The breaker is a *performance governor*, never a soundness mechanism:
 every test here asserts both the gating behavior (a chronic flapper
@@ -7,14 +7,22 @@ outcomes stay exactly correct while the breaker is engaged — a demoted
 site serves from tier 1, which is the always-sound path.
 
 Timing is driven through a fake monotonic clock injected into the
-specializer, so trips, cooldowns, and re-arms are deterministic.
+specializer, so trips, cooldowns, and re-arms are deterministic against
+the breaker's real limits.
 """
 
 import pytest
 
 from repro import Engine, EngineConfig, StaticTypeError
+from repro.core.specialize import (
+    BREAKER_COOLDOWN_S, BREAKER_FLAP_LIMIT, BREAKER_WAVE_LIMIT,
+    BREAKER_WINDOW_S,
+)
 
 THRESHOLD = 3
+#: clock advance between flaps: the whole flap sequence of a test stays
+#: inside one breaker window.
+STEP_S = BREAKER_WINDOW_S / (2 * BREAKER_WAVE_LIMIT)
 
 
 class FakeClock:
@@ -30,12 +38,8 @@ class FakeClock:
         self.now += seconds
 
 
-def breaker_engine(**overrides):
-    cfg = dict(specialize_threshold=THRESHOLD, breaker_flap_limit=3,
-               breaker_window_s=60.0, breaker_cooldown_s=100.0,
-               breaker_wave_limit=1000)
-    cfg.update(overrides)
-    engine = Engine(EngineConfig(**cfg))
+def breaker_engine():
+    engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     clock = FakeClock()
     spec = engine._specializer
     if spec is not None:
@@ -71,6 +75,15 @@ def _flap(engine, cls_name="BreakerHot"):
                          check=True)
 
 
+def _trip(engine, clock, obj):
+    """Promote and deopt the site until its flap count trips it."""
+    for _ in range(BREAKER_FLAP_LIMIT):
+        _warm(obj)
+        _flap(engine)
+        clock.advance(STEP_S)
+    assert engine.stats.breaker_trips == 1
+
+
 def _plan_key(engine, name="bump"):
     keys = [key for key, _ in engine._plans.items() if key[2] == name]
     assert keys, f"no plan for {name}"
@@ -83,12 +96,14 @@ def _plan_key(engine, name="bump"):
 @pytest.mark.requires_specialization
 def test_flap_storm_trips_per_site_breaker():
     engine, clock = breaker_engine()
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):  # promote -> deopt, three flaps inside the window
+    obj = _hot_world(engine)()
+    for _ in range(BREAKER_FLAP_LIMIT - 1):
         _warm(obj)
         _flap(engine)
-        clock.advance(0.1)
+        clock.advance(STEP_S)
+    assert engine.stats.breaker_trips == 0  # one flap short
+    _warm(obj)
+    _flap(engine)
     stats = engine.stats
     assert stats.breaker_trips == 1
     assert stats.breaker_demotions == 1
@@ -101,20 +116,32 @@ def test_flap_storm_trips_per_site_breaker():
 
 
 @pytest.mark.requires_specialization
+def test_flaps_outside_the_window_never_trip():
+    engine, clock = breaker_engine()
+    obj = _hot_world(engine)()
+    for _ in range(2 * BREAKER_FLAP_LIMIT):
+        _warm(obj)
+        _flap(engine)
+        clock.advance(BREAKER_WINDOW_S / 4)  # at most 4 flaps per window
+    assert engine.stats.breaker_trips == 0
+    assert engine.stats.promotions == 2 * BREAKER_FLAP_LIMIT
+
+
+@pytest.mark.requires_specialization
 def test_tripped_site_loses_rewarm_discount():
     engine, clock = breaker_engine()
     spec = engine._specializer
-    cls = _hot_world(engine)
-    obj = cls()
+    obj = _hot_world(engine)()
     _warm(obj)
     _flap(engine)
+    clock.advance(STEP_S)
     # After one benign deopt the site holds the re-warm discount.
     _warm(obj)  # rebuilds the plan and re-promotes at the discount
     key = _plan_key(engine)
     assert spec.promote_threshold(key) < THRESHOLD
-    for _ in range(2):  # push it over the flap limit
+    for _ in range(BREAKER_FLAP_LIMIT - 1):  # push it over the limit
         _flap(engine)
-        clock.advance(0.1)
+        clock.advance(STEP_S)
         _warm(obj)
     assert engine.stats.breaker_trips == 1
     # Revoked: the chronic flapper re-earns promotion at full price.
@@ -124,15 +151,10 @@ def test_tripped_site_loses_rewarm_discount():
 @pytest.mark.requires_specialization
 def test_breaker_rearms_after_cooldown():
     engine, clock = breaker_engine()
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
-    assert engine.stats.breaker_trips == 1
+    obj = _hot_world(engine)()
+    _trip(engine, clock, obj)
     promotions = engine.stats.promotions
-    clock.advance(100.5)  # past the cooldown: quiet time served
+    clock.advance(BREAKER_COOLDOWN_S + STEP_S)  # quiet time served
     _warm(obj, calls=THRESHOLD + 10)
     assert engine.stats.promotions == promotions + 1
     assert engine.stats.breaker_trips == 1  # re-arm is not a trip
@@ -142,25 +164,20 @@ def test_breaker_rearms_after_cooldown():
 def test_flap_during_cooldown_restarts_quiet_timer():
     engine, clock = breaker_engine()
     spec = engine._specializer
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
-    assert engine.stats.breaker_trips == 1
+    obj = _hot_world(engine)()
+    _trip(engine, clock, obj)
     obj.bump(0)  # rebuild the dropped plan (tier 1; promotion is gated)
     key = _plan_key(engine)
-    clock.advance(99.0)  # almost served the cooldown...
+    clock.advance(BREAKER_COOLDOWN_S - 2 * STEP_S)  # almost served...
     # ...when another deopt of the site lands (a promotion that raced
     # the trip being displaced): the quiet timer must restart.  A
     # cooling site cannot re-promote organically, so drive the
     # specializer's flap note directly.
     with spec._lock:
         spec._note_flap_locked(key)
-    clock.advance(2.0)   # past the original deadline
+    clock.advance(3 * STEP_S)  # past the original deadline
     assert spec.breaker_blocked(key)
-    clock.advance(100.0)  # past the restarted deadline
+    clock.advance(BREAKER_COOLDOWN_S)  # past the restarted deadline
     assert not spec.breaker_blocked(key)
 
 
@@ -169,60 +186,60 @@ def test_flap_during_cooldown_restarts_quiet_timer():
 
 @pytest.mark.requires_specialization
 def test_wave_storm_pauses_all_promotion():
-    engine, clock = breaker_engine(breaker_wave_limit=3,
-                                   breaker_flap_limit=1000)
+    """``BREAKER_WAVE_LIMIT`` displacing waves inside the window pause
+    promotion everywhere.  Each wave deopts a different site once, so no
+    per-site breaker trips first."""
+    engine, clock = breaker_engine()
     spec = engine._specializer
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):  # three displacing waves inside the window
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
+    for i in range(BREAKER_WAVE_LIMIT):
+        name = f"BreakerWave{i}"
+        _warm(_hot_world(engine, cls_name=name)())
+        _flap(engine, cls_name=name)
+        clock.advance(STEP_S)
     assert spec.breaker_paused()
     assert engine.stats.breaker_trips == 1
+    assert engine.stats.breaker_demotions == 0
     # The pause is engine-wide: an unrelated, perfectly stable site
     # cannot promote while the storm cooldown runs.
-    other = _hot_world(engine, cls_name="BreakerCold")
-    cold = other()
+    cold = _hot_world(engine, cls_name="BreakerCold")()
     promotions = engine.stats.promotions
-    for i in range(THRESHOLD + 10):
-        assert cold.bump(i) == i + 1
+    _warm(cold, calls=THRESHOLD + 10)
     assert engine.stats.promotions == promotions
-    clock.advance(100.5)
+    clock.advance(BREAKER_COOLDOWN_S)
     assert not spec.breaker_paused()
-    for i in range(THRESHOLD + 10):
-        assert cold.bump(i) == i + 1
+    _warm(cold, calls=THRESHOLD + 10)
     assert engine.stats.promotions == promotions + 1
 
 
-def _storm(breaker: bool, cycles: int = 40, calls_per_cycle: int = 8):
+def _storm(engine, clock, cycles, calls_per_cycle=8):
     """A reload flap storm: each cycle warms the site past the promotion
     threshold (when promotion is allowed), then a same-signature reload
     deopts it."""
-    engine, _ = breaker_engine(breaker=breaker, breaker_flap_limit=4,
-                               breaker_window_s=600.0,
-                               breaker_cooldown_s=600.0,
-                               breaker_wave_limit=10 ** 9)
     obj = _hot_world(engine)()
     outcomes = []
     for _ in range(cycles):
         outcomes.extend(obj.bump(i) for i in range(calls_per_cycle))
         _flap(engine)
-    return engine.stats, outcomes
+        clock.advance(STEP_S)
+    return outcomes
 
 
 @pytest.mark.requires_specialization
 def test_armed_breaker_stops_flap_storm_promotions():
-    """Against the same storm, the armed engine trips, demotes the
-    flapper and stops re-promoting it; the unarmed engine never trips
-    and keeps paying a promotion per cycle.  Outcomes are identical."""
-    armed, armed_out = _storm(breaker=True)
-    unarmed, unarmed_out = _storm(breaker=False)
-    assert armed.breaker_trips >= 1
-    assert armed.breaker_demotions >= 1
-    assert armed.promotions < unarmed.promotions
-    assert unarmed.breaker_trips == 0
-    assert armed_out == unarmed_out
+    """Without the breaker every cycle of the storm would pay one
+    promotion.  The breaker trips once the site has flapped
+    ``BREAKER_FLAP_LIMIT`` times and refuses every promotion after that
+    within the cooldown.  Outcomes equal the cache-free oracle's."""
+    cycles = 5 * BREAKER_FLAP_LIMIT
+    engine, clock = breaker_engine()
+    outcomes = _storm(engine, clock, cycles)
+    assert cycles * STEP_S < BREAKER_COOLDOWN_S
+    stats = engine.stats
+    assert stats.breaker_trips == 1
+    assert stats.breaker_demotions == 1
+    assert stats.promotions == BREAKER_FLAP_LIMIT < cycles
+    oracle = Engine(disable_caches=True)
+    assert outcomes == _storm(oracle, FakeClock(), cycles)
 
 
 # -- correctness under the breaker -------------------------------------------
@@ -233,45 +250,18 @@ def test_tripped_site_still_enforces_types():
     """Graceful degradation must not relax checking: a demoted site
     raises exactly what the generic tier raises."""
     engine, clock = breaker_engine()
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
-    assert engine.stats.breaker_trips == 1
+    obj = _hot_world(engine)()
+    _trip(engine, clock, obj)
     with pytest.raises((StaticTypeError, Exception)) as excinfo:
         obj.bump("nope")
     assert excinfo.type is not AssertionError
 
 
-# -- ablations ---------------------------------------------------------------
-
-
-@pytest.mark.requires_specialization
-def test_breaker_disabled_by_config():
-    engine, clock = breaker_engine(breaker=False)
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(6):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
-    assert engine.stats.breaker_trips == 0
-    promotions = engine.stats.promotions
-    _warm(obj)
-    assert engine.stats.promotions == promotions + 1  # still promoting
-
-
 @pytest.mark.requires_specialization
 def test_breaker_counters_in_snapshot():
     engine, clock = breaker_engine()
-    cls = _hot_world(engine)
-    obj = cls()
-    for _ in range(3):
-        _warm(obj)
-        _flap(engine)
-        clock.advance(0.1)
+    obj = _hot_world(engine)()
+    _trip(engine, clock, obj)
     snap = engine.stats_snapshot()
     assert snap["breaker_trips"] == 1
     assert snap["breaker_demotions"] == 1

@@ -10,6 +10,7 @@ from repro import (
     ArgumentTypeError, CastError, Engine, EngineConfig, NoMethodBodyError,
     StaticTypeError, Sym,
 )
+from repro.core.stats import HOT_COUNTER_FIELDS
 
 
 def make_engine(**kwargs):
@@ -273,8 +274,9 @@ class TestDynamicChecks:
         assert engine.stats.dynamic_arg_checks == 1
         assert engine.stats.dynamic_arg_checks_skipped == 1
 
-    def test_always_mode_checks_everything(self):
-        engine = make_engine(dynamic_arg_checks="always")
+    @pytest.mark.requires_specialization
+    def test_nested_calls_skip_arg_checks_when_promoted(self):
+        engine = make_engine(specialize_threshold=3)
         hb = engine.api()
 
         class Api:
@@ -286,25 +288,21 @@ class TestDynamicChecks:
             def outer(self, n):
                 return self.inner(n)
 
-        Api().outer(1)
-        assert engine.stats.dynamic_arg_checks == 2
-        assert engine.stats.dynamic_arg_checks_skipped == 0
-
-    def test_never_mode_checks_nothing(self):
-        engine = make_engine(dynamic_arg_checks="never")
-        hb = engine.api()
-
-        class Api:
-            @hb.typed("(Integer) -> Integer")
-            def inner(self, n):
-                return n
-
-            @hb.typed("(Integer) -> Integer")
-            def outer(self, n):
-                return self.inner(n)
-
-        Api().outer(1)
-        assert engine.stats.dynamic_arg_checks == 0
+        api = Api()
+        for i in range(10):
+            api.outer(i)
+        assert all(getattr(Api.__dict__[name], "__hb_specialized__", False)
+                   for name in ("inner", "outer"))
+        stats = engine.stats
+        checks = stats.dynamic_arg_checks
+        skipped = stats.dynamic_arg_checks_skipped
+        hits = stats.specialized_hits
+        api.outer(1)
+        # Both compiled wrappers keep section 4's split: the entry from
+        # unchecked code is checked, the nested call is not.
+        assert stats.specialized_hits - hits == 2
+        assert stats.dynamic_arg_checks - checks == 1
+        assert stats.dynamic_arg_checks_skipped - skipped == 1
 
     def test_cast_runtime_failure(self):
         engine = make_engine()
@@ -334,3 +332,10 @@ class TestOrigMode:
         Fast().f(1)
         assert engine.stats.calls_intercepted == 0
         assert engine.stats.static_checks == 0
+
+
+def test_snapshot_reports_every_hot_counter():
+    # The snapshot's ``casts`` key is Table 1's distinct cast-site
+    # count, not the per-call counter of the same name.
+    snapshot = make_engine().stats_snapshot()
+    assert set(HOT_COUNTER_FIELDS) - {"casts"} <= set(snapshot)

@@ -6,8 +6,7 @@ so ``fork`` inheritance is the transport).  These tests pin down the
 fail-fast mode (``max_retries=0``) end to end:
 
 * every worker completes its round-robin schedule slice and streams
-  its outcomes, latencies and stats delta back;
-* merged latencies yield *exact* aggregate percentiles;
+  its outcomes and stats delta back;
 * every outcome equals the cache-free oracle's outcome for its exact
   schedule index — the differential soundness bar, per request;
 * a dead worker's unfinished slice is counted abandoned, never lost;
@@ -54,8 +53,16 @@ def test_all_workers_complete_and_report():
     assert report.errors == 0
     assert report.workers == WORKERS
     assert len(report.per_worker) == WORKERS
-    assert report.rps > 0
-    assert report.elapsed_s > 0
+    assert report.snapshot == {}  # cold run: no snapshot given
+    assert set(report.phases) == {"warmup", "measured"}
+    assert set(report.phases["measured"]) == set(TRANSITION_FIELDS) == {
+        "calls_intercepted", "fast_path_hits", "static_checks",
+        "cache_hits", "cache_misses", "promotions", "repromotions",
+        "deopts", "elide_promotions", "elide_deopts",
+        "plan_invalidations", "invalidations", "annotations_total"}
+    assert report.transitions == {
+        name: sum(worker[name] for worker in report.per_worker)
+        for name in TRANSITION_FIELDS}
 
 
 def test_crashed_worker_slice_is_counted_lost_not_vanished():
@@ -94,14 +101,6 @@ def test_schedule_partition_is_exhaustive_and_disjoint():
         == [list(schedule_slice(40, 3, w)) for w in range(3)]
 
 
-def test_merged_latency_is_exact_when_nothing_overflowed():
-    report = run_scenario(_small_scenario())
-    assert report.latency.exact
-    assert report.latency.count == REQUESTS
-    assert report.latency.sampled == REQUESTS
-    assert report.latency.p50 <= report.latency.p99 <= report.latency.max
-
-
 def test_per_worker_outcomes_match_cache_free_oracle():
     """The acceptance bar: every outcome any forked worker reports
     equals the cache-free oracle's outcome for its schedule index."""
@@ -119,28 +118,6 @@ def test_write_mix_stays_oracle_identical():
     assert not report.crashes, report.crashes
     assert report.completed == REQUESTS
     assert report.oracle_match
-
-
-def test_report_as_dict_shape():
-    report = run_scenario(_small_scenario())
-    doc = report.as_dict()
-    for key in ("backend", "app", "mix", "workers", "requests",
-                "completed", "abandoned", "rps", "errors", "crashes",
-                "phases", "snapshot_loaded",
-                "oracle_match", "oracle_match_cache_free", "p50_ms",
-                "p99_ms", "p999_ms", "latency_exact"):
-        assert key in doc, key
-    assert doc["snapshot_loaded"] == 0  # cold run: no snapshot given
-    assert doc["oracle_match_cache_free"] == doc["oracle_match"] == 1
-    assert set(doc["phases"]) == {"warmup", "measured"}
-    assert set(doc["phases"]["measured"]) == set(TRANSITION_FIELDS) == {
-        "calls_intercepted", "fast_path_hits", "static_checks",
-        "cache_hits", "cache_misses", "promotions", "repromotions",
-        "deopts", "elide_promotions", "elide_deopts",
-        "plan_invalidations", "invalidations", "annotations_total"}
-    assert report.transitions == {
-        name: sum(worker[name] for worker in report.per_worker)
-        for name in TRANSITION_FIELDS}
 
 
 @pytest.mark.requires_caches

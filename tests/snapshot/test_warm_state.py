@@ -192,7 +192,7 @@ def test_fingerprint_tracks_hierarchy_and_config():
 
     # a semantics-affecting config difference must change it
     engine3 = Engine(EngineConfig(specialize_threshold=THRESHOLD,
-                                  dynamic_arg_checks="always"))
+                                  caching=False))
     build_serving_world("countries", engine=engine3)
     with engine3.write_lock:
         assert world_fingerprint(engine3) != fp
