@@ -53,8 +53,7 @@ of three buckets::
     scheduled == completed_first + completed_retried + abandoned
 
 ``completed_first`` are outcomes accepted from attempt 0,
-``completed_retried`` from respawned attempts (these increment the
-engine's ``requests_replayed`` counter), and ``abandoned`` is the
+``completed_retried`` from respawned attempts, and ``abandoned`` is the
 remainder left when a slice keeps dying past ``max_retries``.  A
 healthy run has ``abandoned == 0`` and the run reports 100% of the
 schedule, oracle-identically, even with kill faults injected.
@@ -155,7 +154,7 @@ class SupervisedRun:
     #: scheduled requests still unfinished when their slice exhausted
     #: the retry budget (or the run deadline fired).
     abandoned: int = 0
-    #: worker respawns performed (mirrors ``stats.workers_restarted``).
+    #: worker respawns performed.
     restarts: int = 0
     #: schedule index -> (slot, attempt, outcome tuple), deduplicated
     #: first-report-wins.
@@ -193,8 +192,7 @@ class SupervisedDriver:
     per attempt up to ``backoff_cap_s``; ``hang_timeout_s`` is how long
     a worker may go silent before it is declared hung, terminated, and
     replayed.  ``engine`` (optional) is the engine the thunks run
-    against: workers report its TRANSITION_FIELDS deltas, and the
-    parent's copy counts restarts and replays.
+    against: workers report its TRANSITION_FIELDS deltas.
     """
 
     def __init__(self, thunks: Sequence[Callable[[], object]], *,
@@ -224,13 +222,6 @@ class SupervisedDriver:
         self.backoff_cap_s = backoff_cap_s
         self.hang_timeout_s = hang_timeout_s
 
-    def _stats_probe(self) -> Dict[str, int]:
-        if self.engine is None:
-            return {}
-        stats = self.engine.stats
-        return {name: int(getattr(stats, name))
-                for name in TRANSITION_FIELDS}
-
     # -- child ---------------------------------------------------------------
 
     def _supervised_child(self, slot: int, attempt: int,
@@ -241,9 +232,11 @@ class SupervisedDriver:
         faults = self.faults
         clock = time.perf_counter
         io_wait = self.io_wait_s
+        # Without an engine a worker reports an empty delta.
+        probe = dict if self.engine is None else self.engine.stats.transitions
         pending: List[Tuple[int, tuple]] = []
         try:
-            before = self._stats_probe()
+            before = probe()
             if start_barrier is not None:
                 start_barrier.wait(JOIN_TIMEOUT_S)
             last_flush = clock()
@@ -267,7 +260,7 @@ class SupervisedDriver:
                     time.sleep(io_wait)
             if pending:
                 result_queue.put(("req", slot, attempt, pending))
-            after = self._stats_probe()
+            after = probe()
             delta = {name: after[name] - before[name] for name in before}
             result_queue.put(("done", slot, attempt, delta))
         except BaseException:  # noqa: BLE001 - infra failure, not outcome
@@ -297,16 +290,12 @@ class SupervisedDriver:
                             process=process, received=received,
                             last_seen=time.perf_counter())
 
-    def _bump_engine(self, name: str, amount: int = 1) -> None:
-        if self.engine is not None and amount:
-            stats = self.engine.stats
-            setattr(stats, name, getattr(stats, name) + amount)
-
     def run(self) -> SupervisedRun:
         ctx = multiprocessing.get_context("fork")
         result_queue = _ResultPipe(ctx)
         run = SupervisedRun(self.workers, self.requests)
-        run.per_worker = [dict.fromkeys(self._stats_probe(), 0)
+        fields = TRANSITION_FIELDS if self.engine is not None else ()
+        run.per_worker = [dict.fromkeys(fields, 0)
                           for _ in range(self.workers)]
         # workers + the parent: serving starts when every first
         # attempt is forked, probed, and standing at the line.
@@ -431,7 +420,6 @@ class SupervisedDriver:
             if backoff:
                 time.sleep(backoff)
             run.restarts += 1
-            self._bump_engine("workers_restarted")
             # Forked from the parent's still-warm engine: the respawn
             # starts with every plan/cache/wrapper the parent has.
             states[state.slot] = self._spawn(
@@ -470,5 +458,4 @@ class SupervisedDriver:
             pass
         for state in states.values():
             state.process.join(1.0)
-        self._bump_engine("requests_replayed", run.completed_retried)
         return run

@@ -234,14 +234,14 @@ class Engine:
         return Api(self)
 
     def stats_snapshot(self) -> dict:
-        """The :meth:`Stats.snapshot` dict, with the substrate counters
-        (the subtype memo lives on the hierarchy, not the engine) synced
-        into the stats object first."""
-        cache = self.hier.subtype_cache
-        self.stats.subtype_cache_hits = cache.hits
-        self.stats.subtype_cache_misses = cache.misses
-        self.stats.subtype_lru_evictions = cache.evictions
-        return self.stats.snapshot()
+        """The :meth:`Stats.snapshot` dict plus the subtype memo's
+        counters, read live from the hierarchy that owns the memo."""
+        memo = self.hier.subtype_cache
+        snap = self.stats.snapshot()
+        snap["subtype_cache_hits"] = memo.hits
+        snap["subtype_cache_misses"] = memo.misses
+        snap["subtype_lru_evictions"] = memo.evictions
+        return snap
 
     # -- class registration -----------------------------------------------------
 
@@ -781,7 +781,7 @@ class Engine:
             key = (owner, name)
             removed = self.cache.invalidate(key)
             if removed:
-                self.stats.record_invalidation(removed)
+                self.stats.invalidations += len(removed)
                 self.stats.retype_edge_invalidations += len(removed - {key})
             if self._plans is not None:
                 flushed = self._plans.invalidate_resources(
@@ -800,7 +800,7 @@ class Engine:
             if kind == "field":
                 removed = self.cache.invalidate_field(owner, name)
                 if removed:
-                    self.stats.record_invalidation(removed)
+                    self.stats.invalidations += len(removed)
                     self.stats.retype_edge_invalidations += len(removed)
                     if self._plans is not None:
                         # Plans never read field types directly; flushing
@@ -829,7 +829,7 @@ class Engine:
             for cls in affected:
                 removed |= self.cache.invalidate_hier(cls)
             if removed:
-                self.stats.record_invalidation(removed)
+                self.stats.invalidations += len(removed)
                 self.stats.hier_edge_invalidations += len(removed)
             if self._plans is not None:
                 flushed = self._plans.invalidate_resources(

@@ -177,8 +177,6 @@ class CallPlanCache:
         #: (receiver, method) -> plan keys; Definition-1 removal sets are
         #: check-cache keys, so this index makes their flush O(set size).
         self._by_cache_key: Dict[CacheKey, Set[PlanKey]] = {}
-        #: total plans dropped by explicit invalidation.
-        self.invalidations = 0
         #: deopt listener: called (outside the lock) with each wave's
         #: dropped plan keys, and with a replaced key on store overwrite.
         self.on_drop: Optional[Callable[[Tuple[PlanKey, ...]], None]] = None
@@ -244,7 +242,6 @@ class CallPlanCache:
             for key in self._deps.invalidate_many(resources):
                 if self._drop(key):
                     dropped.append(key)
-            self.invalidations += len(dropped)
         self._notify_drop(dropped)
         return len(dropped)
 
@@ -260,7 +257,6 @@ class CallPlanCache:
             for key in stale:
                 if self._drop(key):
                     dropped.append(key)
-            self.invalidations += len(dropped)
         self._notify_drop(dropped)
         return len(dropped)
 
@@ -271,7 +267,6 @@ class CallPlanCache:
             self._plans.clear()
             self._deps.clear()
             self._by_cache_key.clear()
-            self.invalidations += len(dropped)
         self._notify_drop(dropped)
         return len(dropped)
 

@@ -4,12 +4,12 @@
   trusted app methods ("App"), and everything incl. library sigs ("All");
 * dynamically generated types ("Gen'd") and how many were consulted during
   checking ("Used");
-* run-time casts ("Casts");
+* distinct run-time cast sites ("Casts");
 * phases ("Phs"): a phase is "a sequence of type annotation calls with no
   intervening static type checks, followed by a sequence of static type
-  checks with no intervening annotations" — computed from the event stream;
-* cache hits/misses, per-method check counts (Table 2 "Chk'd", and the
-  no-cache recheck claim for Pubs), invalidation counts.
+  checks with no intervening annotations" — counted from the event stream;
+* per-method check counts (Table 2 "Chk'd", and the no-cache recheck
+  claim for Pubs), plus every engine counter in :data:`COUNTERS`.
 
 Concurrency discipline: the counters bumped on the *unlocked* hot path
 (every intercepted call) are sharded per thread — ``Stats.local()``
@@ -18,8 +18,7 @@ attributes aggregate across shards on read.  A plain ``self.x += 1``
 from many threads loses updates (the read-modify-write is three
 bytecodes, and the GIL can switch between them); per-thread shards make
 every total *exact* with no lock and no contention.  Counters mutated
-only under the engine's writer lock (annotation records, check counts,
-invalidation sets) stay plain attributes.
+only under a lock stay plain attributes.
 """
 
 from __future__ import annotations
@@ -27,44 +26,83 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import Counter
-from typing import List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 Key = Tuple[str, str]
 
+#: counter kinds: bumped lock-free on the intercepted-call path into the
+#: calling thread's shard, or bumped only while the engine's writer lock
+#: (or the specializer's lock) is held.
+SHARDED, LOCKED = "sharded", "locked"
+
+#: Every engine counter, declared once: name, kind, whether a serving run
+#: reports it per phase and per worker, and what it counts.  The shards,
+#: the aggregate properties, the snapshot and the field lists below are
+#: all derived from this table.
+COUNTERS = (
+    ("calls_intercepted", SHARDED, True,
+     "intercepted calls, in every tier"),
+    ("fast_path_hits", SHARDED, True,
+     "calls served by a warm call plan, tier-2 wrappers included"),
+    ("specialized_hits", SHARDED, False,
+     "the share of fast_path_hits served by a tier-2 wrapper (keyword "
+     "calls and other receiver classes bail to the generic tier)"),
+    ("static_checks", LOCKED, True,
+     "JIT static checks of a method body"),
+    ("cache_hits", SHARDED, True,
+     "checked calls whose derivation was found in the check cache"),
+    ("cache_misses", SHARDED, True,
+     "check-cache lookups that went on to a static check"),
+    ("dynamic_arg_checks", SHARDED, False,
+     "argument checks run at an unchecked-to-checked boundary (§4)"),
+    ("dynamic_arg_checks_skipped", SHARDED, False,
+     "argument checks skipped because the caller is a checked frame"),
+    ("checks_elided", SHARDED, False,
+     "per-call check ops a promoted wrapper omitted"),
+    ("casts", SHARDED, False,
+     "rdl_cast calls (Table 1's Casts is the cast_sites view)"),
+    ("promotions", LOCKED, True,
+     "call sites compiled to a tier-2 wrapper"),
+    ("repromotions", LOCKED, True,
+     "promotions at the reduced re-warm threshold after a deopt"),
+    ("deopts", LOCKED, True,
+     "tier-2 wrappers actually displaced from a live slot"),
+    ("elide_promotions", LOCKED, True,
+     "promotions whose wrapper omits at least one check op"),
+    ("elide_deopts", LOCKED, True,
+     "deopts of wrappers that omitted at least one check op"),
+    ("plan_invalidations", LOCKED, True,
+     "call plans dropped by invalidation"),
+    ("invalidations", LOCKED, True,
+     "check-cache entries dropped by invalidation"),
+    ("annotations_total", LOCKED, True,
+     "type annotations recorded"),
+    ("annotations_checked", LOCKED, False,
+     "annotations of app methods whose bodies are checked (Chk'd)"),
+    ("annotations_app_trusted", LOCKED, False,
+     "trusted annotations of app methods (App = checked + trusted)"),
+    ("annotations_generated", LOCKED, False,
+     "annotations made by metaprogramming hooks (Gen'd)"),
+    ("breaker_trips", LOCKED, False,
+     "circuit-breaker trips: per-site flaps plus promotion pauses"),
+    ("breaker_demotions", LOCKED, False,
+     "chronic flappers demoted to tier 1 (per-site breaker_trips)"),
+    ("retype_edge_invalidations", LOCKED, False,
+     "invalidated entries other than the mutated key (ancestor retypes)"),
+    ("hier_edge_invalidations", LOCKED, False,
+     "invalidated entries whose consulted linearization changed"),
+)
+
 #: counters bumped on the lock-free intercepted-call path; these live in
 #: per-thread shards and are summed on read.
-HOT_COUNTER_FIELDS = (
-    "calls_intercepted",
-    "fast_path_hits",
-    "specialized_hits",
-    "cache_hits",
-    "cache_misses",
-    "dynamic_arg_checks",
-    "dynamic_arg_checks_skipped",
-    "checks_elided",
-    "casts",
-)
-
+HOT_COUNTER_FIELDS = tuple(name for name, kind, _, _ in COUNTERS
+                           if kind == SHARDED)
 
 #: the counters a serving run reports per phase and per worker: the tier
-#: transitions (promotion and deopt waves), the cold-start work (static
-#: checks, check-cache traffic) a worker pays, and how much of the
+#: transitions, the cold-start work a worker pays, and how much of the
 #: traffic rode call plans.
-TRANSITION_FIELDS = (
-    "calls_intercepted",
-    "fast_path_hits",
-    "static_checks",
-    "cache_hits",
-    "cache_misses",
-    "promotions",
-    "repromotions",
-    "deopts",
-    "elide_promotions",
-    "elide_deopts",
-    "plan_invalidations",
-    "invalidations",
-    "annotations_total",
-)
+TRANSITION_FIELDS = tuple(name for name, _, per_phase, _ in COUNTERS
+                          if per_phase)
 
 
 class HotCounters:
@@ -79,29 +117,31 @@ class HotCounters:
 
 
 class PhaseTracker:
-    """Counts annotation/check phases from an event stream."""
+    """Counts annotation/check phases as events arrive: a new phase
+    starts with the first event and with every annotation that follows
+    a check."""
 
     def __init__(self) -> None:
-        self._events: List[str] = []  # 'A' (annotation) or 'C' (check)
+        self.reset()
 
     def annotation(self) -> None:
-        self._events.append("A")
+        self._event("A")
 
     def check(self) -> None:
-        self._events.append("C")
+        self._event("C")
+
+    def _event(self, kind: str) -> None:
+        if self._last is None or (self._last == "C" and kind == "A"):
+            self._count += 1
+        self._last = kind
 
     def phases(self) -> int:
         """Number of maximal annotation-run + check-run blocks."""
-        if not self._events:
-            return 0
-        count = 1
-        for prev, cur in zip(self._events, self._events[1:]):
-            if prev == "C" and cur == "A":
-                count += 1
-        return count
+        return self._count
 
     def reset(self) -> None:
-        self._events.clear()
+        self._count = 0
+        self._last: Optional[str] = None  # 'A' (annotation) or 'C' (check)
 
 
 class Stats:
@@ -109,7 +149,7 @@ class Stats:
 
     Hot-path counters (:data:`HOT_COUNTER_FIELDS`) are per-thread shards
     reached through :meth:`local`; everything else is mutated only while
-    the engine's writer lock is held.
+    a lock is held.
     """
 
     def __init__(self) -> None:
@@ -122,65 +162,16 @@ class Stats:
         self._shard_lock = threading.Lock()
         self._shard_tl = threading.local()
         self.phase = PhaseTracker()
-        # annotations
-        self.annotations_total = 0
-        self.annotations_checked = 0       # app methods we statically check
-        self.annotations_app_trusted = 0   # app methods with trusted sigs
-        self.annotations_generated = 0     # created by metaprogramming hooks
+        for name, kind, _, _ in COUNTERS:
+            if kind == LOCKED:
+                setattr(self, name, 0)
+        # Table 1's sets and Table 2's per-method check counts
         self.generated_keys: Set[Key] = set()
         self.used_generated: Set[Key] = set()
         self.app_annotation_keys: Set[Key] = set()
         self.consulted_keys: Set[Key] = set()  # sigs looked up during checks
         self.cast_sites: Set[Tuple[str, str, int]] = set()
-        # checking (cache_hits / cache_misses live in the thread shards)
-        self.static_checks = 0
         self.check_counts: Counter = Counter()   # key -> times checked
-        self.invalidations = 0
-        self.invalidated_keys: Set[Key] = set()
-        # dynamic checks and the call-plan fast path are all sharded:
-        # casts, dynamic_arg_checks(_skipped), calls_intercepted and
-        # fast_path_hits are aggregate properties over the per-thread
-        # HotCounters.
-        self.plan_invalidations = 0      # plans dropped by invalidation
-        # tiered execution (the tier-2 specializer); promotions happen
-        # under the writer lock and deopts under the specializer's lock,
-        # so plain attributes suffice (specialized_hits is sharded).
-        self.promotions = 0              # call sites compiled to tier 2
-        self.deopts = 0                  # specialized entries actually
-        #                                  displaced from a live slot
-        #: promotions that fired at the reduced re-promotion threshold
-        #: (the site deopted before and re-warmed).
-        self.repromotions = 0
-        #: promotions whose wrapper omits at least one per-call check
-        #: op (signature-fact elision; checks_elided shards count the
-        #: per-call ops actually skipped).
-        self.elide_promotions = 0
-        #: elided entries among the displaced deopt counts — elided
-        #: wrappers torn down by an invalidation wave.
-        self.elide_deopts = 0
-        #: circuit-breaker activations: per-site flap trips plus
-        #: engine-wide promotion pauses (see core/specialize.py).
-        self.breaker_trips = 0
-        #: chronic flappers demoted to tier 1 with a cooldown — the
-        #: per-site subset of breaker_trips.
-        self.breaker_demotions = 0
-        #: requests completed on a retry attempt after their original
-        #: worker crashed or hung (bumped by the supervised driver).
-        self.requests_replayed = 0
-        #: worker processes respawned by the supervisor.
-        self.workers_restarted = 0
-        self.subtype_cache_hits = 0      # synced by Engine.stats_snapshot
-        self.subtype_cache_misses = 0
-        # dependency-tracked invalidation (the deps.DepGraph subsystem)
-        #: cache entries/plans invalidated through an edge whose key is
-        #: *not* the mutated method itself — e.g. retyping an ancestor
-        #: signature removing a descendant's receiver-keyed derivation.
-        self.retype_edge_invalidations = 0
-        #: subtype-memo lines evicted by LRU overflow (not invalidation);
-        #: synced from the hierarchy by Engine.stats_snapshot.
-        self.subtype_lru_evictions = 0
-        #: cache entries removed because a consulted linearization changed.
-        self.hier_edge_invalidations = 0
 
     # -- per-thread hot counters ----------------------------------------------
 
@@ -242,11 +233,6 @@ class Stats:
         if key in self.generated_keys:
             self.used_generated.add(key)
 
-    def record_invalidation(self, keys) -> None:
-        keys = set(keys)
-        self.invalidations += len(keys)
-        self.invalidated_keys |= keys
-
     # -- Table 1 views ---------------------------------------------------------
 
     def chkd(self) -> int:
@@ -287,43 +273,27 @@ class Stats:
         return max(self.check_counts.values(), default=0)
 
     def snapshot(self) -> dict:
-        """A plain-dict summary for harness printing."""
-        return {
+        """Table 1's views, then every :data:`COUNTERS` row by name."""
+        snap = {
             "chkd": self.chkd(),
             "app": self.app_count(),
             "all": self.all_count(),
             "generated": self.generated_count(),
             "used": self.used_generated_count(),
-            "casts": self.cast_site_count(),
+            "cast_sites": self.cast_site_count(),
             "phases": self.phases(),
-            "static_checks": self.static_checks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "calls_intercepted": self.calls_intercepted,
-            "fast_path_hits": self.fast_path_hits,
-            "specialized_hits": self.specialized_hits,
-            "dynamic_arg_checks": self.dynamic_arg_checks,
-            "dynamic_arg_checks_skipped": self.dynamic_arg_checks_skipped,
-            "promotions": self.promotions,
-            "repromotions": self.repromotions,
-            "deopts": self.deopts,
-            "checks_elided": self.checks_elided,
-            "elide_promotions": self.elide_promotions,
-            "elide_deopts": self.elide_deopts,
-            "plan_invalidations": self.plan_invalidations,
-            "breaker_trips": self.breaker_trips,
-            "breaker_demotions": self.breaker_demotions,
-            "requests_replayed": self.requests_replayed,
-            "workers_restarted": self.workers_restarted,
-            "subtype_cache_hits": self.subtype_cache_hits,
-            "subtype_cache_misses": self.subtype_cache_misses,
-            "subtype_lru_evictions": self.subtype_lru_evictions,
-            "retype_edge_invalidations": self.retype_edge_invalidations,
-            "hier_edge_invalidations": self.hier_edge_invalidations,
         }
+        for name, _, _, _ in COUNTERS:
+            snap[name] = getattr(self, name)
+        return snap
+
+    def transitions(self) -> Dict[str, int]:
+        """The :data:`TRANSITION_FIELDS` counters by name: what a serving
+        run diffs per phase and per worker."""
+        return {name: getattr(self, name) for name in TRANSITION_FIELDS}
 
 
-def _aggregate(field: str) -> property:
+def _aggregate(field: str, doc: str) -> property:
     def total(self: Stats) -> int:
         # Under the shard lock so a concurrent fold (dead shard moving
         # into the base counters) can neither double-count nor drop it.
@@ -333,10 +303,11 @@ def _aggregate(field: str) -> property:
             return getattr(self._folded, field) + sum(
                 getattr(shard, field) for _, shard in self._shards)
     total.__name__ = field
-    total.__doc__ = f"Total {field} across live shards + folded dead ones."
+    total.__doc__ = f"Total {doc}, summed over every thread's shard."
     return property(total)
 
 
-for _field in HOT_COUNTER_FIELDS:
-    setattr(Stats, _field, _aggregate(_field))
-del _field
+for _name, _kind, _, _doc in COUNTERS:
+    if _kind == SHARDED:
+        setattr(Stats, _name, _aggregate(_name, _doc))
+del _name, _kind, _doc

@@ -124,10 +124,6 @@ class Report:
         return self.phases["measured"]
 
 
-def _transitions(stats) -> Dict[str, int]:
-    return {name: int(getattr(stats, name)) for name in TRANSITION_FIELDS}
-
-
 def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in before}
 
@@ -136,12 +132,12 @@ def _drive_threads(scenario: Scenario, world, thunks, faults,
                    report: Report) -> Dict[int, tuple]:
     stats = world.engine.stats
     churns = churn_suite(world, scenario.churn)
-    before = _transitions(stats)
+    before = stats.transitions()
     run = ConcurrentDriver(
         thunks, threads=scenario.workers, requests=scenario.requests,
         io_wait_s=scenario.io_wait_s, churn=churns or None,
         churn_interval_s=scenario.churn_interval_s, faults=faults).run()
-    report.phases["measured"] = _delta(before, _transitions(stats))
+    report.phases["measured"] = _delta(before, stats.transitions())
     report.completed = run.completed
     report.abandoned = run.abandoned
     report.crashes = list(run.crashes)
@@ -221,11 +217,11 @@ def run_scenario(scenario: Scenario, *, faults=None) -> Report:
 
     thunks = scenario_thunks(world, scenario.mix)
     stats = world.engine.stats
-    before = _transitions(stats)
+    before = stats.transitions()
     for _ in range(scenario.warm_rounds):
         for thunk in thunks:
             thunk()
-    report.phases["warmup"] = _delta(before, _transitions(stats))
+    report.phases["warmup"] = _delta(before, stats.transitions())
 
     outcomes = drive(scenario, world, thunks, faults, report)
     if report.completed + report.abandoned != scenario.requests:

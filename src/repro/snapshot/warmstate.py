@@ -51,7 +51,7 @@ import io
 import json
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.engine import Engine, _profile_eligible
@@ -256,15 +256,7 @@ class SnapshotLoad:
     errors: List[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "loaded": self.loaded,
-            "reason": self.reason,
-            "checks_restored": self.checks_restored,
-            "checks_skipped": self.checks_skipped,
-            "plans_restored": self.plans_restored,
-            "plans_skipped": self.plans_skipped,
-            "promotions": self.promotions,
-        }
+        return asdict(self)
 
 
 def _read_document(source) -> Tuple[Optional[dict], str]:

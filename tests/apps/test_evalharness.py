@@ -43,6 +43,29 @@ class TestPhaseTracker:
         t.check()
         assert t.phases() == 1
 
+    @pytest.mark.parametrize("stream, expected", [
+        ("CAC", 2),       # check-first: the leading check is a phase
+        ("AACCAC", 2),
+        ("CCAACCA", 3),
+        ("AAAA", 1),
+    ])
+    def test_stream(self, stream, expected):
+        t = PhaseTracker()
+        for event in stream:
+            {"A": t.annotation, "C": t.check}[event]()
+        assert t.phases() == expected
+
+    def test_reset_mid_stream(self):
+        t = PhaseTracker()
+        for _ in range(3):
+            t.annotation()
+            t.check()
+        t.reset()
+        assert t.phases() == 0
+        t.check()
+        t.annotation()
+        assert t.phases() == 2
+
 
 class TestStats:
     def test_all_counts_library_consultations(self):
@@ -66,7 +89,7 @@ class TestStats:
 
     def test_snapshot_keys(self):
         snap = Stats().snapshot()
-        assert {"chkd", "app", "all", "generated", "used", "casts",
+        assert {"chkd", "app", "all", "generated", "used", "cast_sites",
                 "phases"} <= set(snap)
 
 
