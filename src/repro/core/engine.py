@@ -101,12 +101,12 @@ Key = Tuple[str, str]
 
 
 class _PerThreadState(threading.local):
-    """Each thread's engine-call state: the stack of "is the active
-    frame statically checked?" flags (the section 4 boundary-check
-    bookkeeping) plus the thread's hot-counter shard.  One engine serves
-    many request threads, and a caller's checkedness must never leak
-    into another thread's frames.  Bundling the counters here keeps the
-    warm path at a single thread-local fetch per intercepted call.
+    """Each thread's engine-call state: the thread's hot-counter shard,
+    which also carries the stack of "is the active frame statically
+    checked?" flags (the section 4 boundary-check bookkeeping).  One
+    engine serves many request threads, and a caller's checkedness must
+    never leak into another thread's frames.  Keeping both on the shard
+    holds every intercepted call to a single thread-local fetch.
 
     ``threading.local`` re-runs ``__init__`` (with these constructor
     arguments) in every thread that touches the object — that is what
@@ -114,7 +114,6 @@ class _PerThreadState(threading.local):
     """
 
     def __init__(self, stats: Stats) -> None:
-        self.stack: List[bool] = []
         self.counters = stats.local()
 
 
@@ -483,8 +482,7 @@ class Engine:
         the check cache) protects against direct ``cache.clear()`` calls
         that bypass ``Engine.invalidate``.
         """
-        tls = self._tls
-        stats = tls.counters
+        stats = self._tls.counters
         stats.calls_intercepted += 1
         if kind == CLASS:
             owner = recv.__name__ if isinstance(recv, type) else \
@@ -514,7 +512,7 @@ class Engine:
                                            plan, fn, recv)
                 checked = plan.checked
                 sig = plan.sig
-                stack = tls.stack
+                stack = stats.stack
                 if sig is not None:
                     if checked:
                         stats.cache_hits += 1
@@ -570,9 +568,8 @@ class Engine:
         checked = False
         sig_owner: Optional[str] = None
         sig: Optional[MethodSig] = None
-        tls = self._tls
-        hot = tls.counters
-        stack = tls.stack
+        hot = self._tls.counters
+        stack = hot.stack
         if resolved is not None:
             sig_owner, sig = resolved
             key = (owner, name)

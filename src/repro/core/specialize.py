@@ -24,12 +24,21 @@ wrapper is then atomically displaced: one ``setattr`` rebinds the class
 attribute, so promotion needs no cooperation from in-flight calls.
 
 **One shape per site.**  A promoted slot compiles exactly one shape: one
-receiver class, positional calls.  Keyword calls and every other
-receiver class take the generic tier, which binds keywords through the
-full dynamic check.  Running every benchmark workload past warm-up,
-seed 1, made no keyword call through an intercepted method and never
-grew a second receiver class hot on a promoted slot, so compiled
-versions for those shapes would be guards that no call runs.
+receiver class and positional calls of one arity when the site fixes
+it (the elided arity, the dominant profile's, or the function's own),
+so the call is ``_fn(recv, args[0], ...)`` with no re-splat.  Keyword
+calls, other arities and other receiver classes take the generic tier,
+which binds them through the full dynamic check.  No benchmark workload
+(each past warm-up, seed 1) made a keyword call through an intercepted
+method or grew a second hot receiver class on a promoted slot, so
+compiled versions for those shapes would be guards no call runs.
+
+**Counters by derivation.**  Each call bumps one slot of its thread's
+counter shard, named by its shape (plan checked or not, argument
+branch, check ops omitted).  ``Stats`` derives the totals from the
+slots' contribution vectors (:data:`~repro.core.stats.SHAPES`), so a
+wrapper reports what the generic tier would have, plus
+``checks_elided``.
 
 **Signature-fact elision.**  At promotion time the
 :class:`~repro.core.elide.Elider` reads two facts off the plan
@@ -37,10 +46,7 @@ versions for those shapes would be guards that no call runs.
 check ops they make redundant instead of partially evaluating them: the
 check-cache membership probe of a checked plan, and the argument-profile
 test where some arm's parameter types are all vacuous (only the arity
-is guarded).  The checked-frame push/pop is always emitted.  Counter
-parity is preserved bump for bump — an elided wrapper reports exactly
-what the generic tier would have reported, plus ``checks_elided``
-advancing by the number of omitted operations per call.  Both facts
+is guarded).  The checked-frame push/pop is always emitted.  Both facts
 read only the plan, so the plan's own dependency edges deopt an elided
 site exactly like any other.
 
@@ -77,9 +83,9 @@ workload trips it.
 
 **Guard failure falls back, never raises.**  Any situation the
 straight-line code does not cover — another receiver class, a keyword
-call, an unseen argument-class tuple, a missing check-cache entry —
-bails into ``Engine.invoke`` *before
-touching any counter*, so the generic tier observes exactly the call it
+call, another arity, an unseen argument-class tuple, a missing
+check-cache entry — bails into ``Engine.invoke`` *before touching any
+counter*, so the generic tier observes exactly the call it
 would have seen without specialization (including raising the right
 ``ArgumentTypeError`` and learning new profiles).  A specialized
 wrapper is therefore a pure fast-path overlay: it can be wrong about
@@ -135,12 +141,14 @@ import os
 import threading
 import time
 from collections import deque
+from inspect import CO_VARARGS
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
     Tuple
 
 from ..rdl.registry import CLASS
 from .elide import _contract_blocks
 from .plans import CallPlan, PlanKey
+from .stats import shape_slot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .elide import Elision
@@ -552,15 +560,16 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     The emitted code is the tier-1 warm path partially evaluated against
     the site's plan: every branch the plan decides is resolved at
     compile time, every engine attribute chase becomes a closed-over
-    local, and the counter updates match the generic path bump for bump
-    (the stats-exactness suite runs with promotion active).  A receiver
+    local, and each call bumps the one shard slot whose contribution
+    vector is what the generic path would have counted (the
+    stats-exactness suite runs with promotion active).  A receiver
     that fails the class guard bails to the generic tier.
     """
     def_owner, _, name, kind = key
     bail = ("return _invoke(_def_owner, _name, _kind, _fn, recv, "
             "args, kwargs)")
     guard = "recv is _cls0" if kind == CLASS else "type(recv) is _cls0"
-    body, namespace = _body_lines(engine, key, plan, elision, bail)
+    body, namespace = _body_lines(key, plan, fn, elision, bail)
     lines = ["def _specialized(recv, *args, **kwargs):",
              f"    if {guard}:",
              *["        " + ln for ln in body],
@@ -593,22 +602,29 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     return wrapper
 
 
-def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
-                el: Optional["Elision"], bail: str) -> Tuple[list, dict]:
+def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
+                bail: str) -> Tuple[list, dict]:
     """The guarded body (unindented), all paths returning.
 
     When the site carries an :class:`Elision`, the corresponding check
-    operations are *not emitted*; the counters still report what the
-    generic tier would have reported (the boundary probe still picks
-    ``dynamic_arg_checks`` vs ``_skipped`` even when the test itself is
-    gone), plus ``checks_elided`` advancing by the number of omitted
-    operations."""
+    operations are *not emitted*; the shape slot a call bumps still
+    names the argument branch it took, plus how many check operations
+    the wrapper omits."""
     sig = plan.sig
     checked = plan.checked
-    recv_owner, name = key[1], key[2]
+    elided = el.count if el is not None else 0
+    dominant = (plan.dominant_profile()
+                if sig is not None and plan.profile_eligible else None)
+    arity = _site_arity(fn, el, dominant)
     ns: dict = {"_key0": key, "_plan0": plan}
+    if arity is None:  # no fixed arity: keep the re-splat
+        guard, call = "kwargs", "_fn(recv, *args)"
+    else:  # another arity, or a keyword, binds in the generic tier
+        guard = f"kwargs or len(args) != {arity}"
+        call = "_fn(" + ", ".join(
+            ["recv"] + [f"args[{j}]" for j in range(arity)]) + ")"
     lines = [
-        "if kwargs:",
+        f"if {guard}:",
         f"    {bail}",
         # Liveness guard: the wrapper is only valid while the exact plan
         # it was compiled from is still in the plan cache.  Deopt swaps
@@ -620,71 +636,55 @@ def _body_lines(engine: "Engine", key: PlanKey, plan: CallPlan,
         "if _live.get(_key0) is not _plan0:",
         f"    {bail}",
     ]
-    cache_guard_elided = checked and el is not None and el.cache_guard
-    if checked and not cache_guard_elided:
+    if checked and not (el is not None and el.cache_guard):
         # Mirrors the tier-1 guard against direct CheckCache flushes
         # that bypass Engine.invalidate: no entry, no fast path.
-        lines += [
-            "if _ckey0 not in _entries:",
-            f"    {bail}",
-        ]
-        ns["_ckey0"] = (recv_owner, name)
-    lines += ["tls = _tls", "stack = tls.stack"]
+        lines += ["if _ckey0 not in _entries:", f"    {bail}"]
+        ns["_ckey0"] = (key[1], key[2])
+    lines += ["c = _tls.counters", "stack = c.stack"]
     if sig is None:
-        arg_counters = []
+        lines.append(f"c.{shape_slot(checked, 'nosig', elided)} += 1")
     else:
-        if el is not None and el.arg_check:
-            # Every matching parameter type is vacuous: the dynamic
-            # check passes for any value — only the arity it was proved
-            # at needs guarding.
-            profile_test = [f"if len(args) != {el.arity}:",
-                            f"    {bail}"]
-        else:
-            profile_test, guard_classes = _profile_test_lines(plan, bail)
-            ns.update(guard_classes)
+        # Every matching parameter type vacuous: only the arity, guarded
+        # above, needed checking.
+        profile_test = [] if el is not None and el.arg_check else \
+            _profile_test_lines(plan, dominant, bail, ns)
         lines += [
             "if stack and stack[-1]:",
-            "    checked_args = False",
+            f"    c.{shape_slot(checked, 'skip', elided)} += 1",
             "else:",
             *["    " + ln for ln in profile_test],
-            "    checked_args = True",
+            f"    c.{shape_slot(checked, 'args', elided)} += 1",
         ]
-        arg_counters = [
-            "if checked_args:",
-            "    c.dynamic_arg_checks += 1",
-            "else:",
-            "    c.dynamic_arg_checks_skipped += 1",
-        ]
-    lines += [
-        "c = tls.counters",
-        "c.calls_intercepted += 1",
-        "c.fast_path_hits += 1",
-        "c.specialized_hits += 1",
-    ]
-    if checked:
-        # Kept even when the membership probe is elided: the memoized
-        # derivation is still what admits this call.
-        lines.append("c.cache_hits += 1")
-    lines += arg_counters
-    if el is not None and el.count:
-        lines.append(f"c.checks_elided += {el.count}")
-    lines += [
-        f"stack.append({checked})",
-        "try:",
-        "    return _fn(recv, *args)",
-        "finally:",
-        "    stack.pop()",
-    ]
+    lines += [f"stack.append({checked})", "try:", f"    return {call}",
+              "finally:", "    stack.pop()"]
     return lines, ns
 
 
-def _profile_test_lines(plan: CallPlan, bail: str) -> Tuple[list, dict]:
+def _site_arity(fn, el: Optional["Elision"],
+                dominant: Optional[tuple]) -> Optional[int]:
+    """The one positional arity the wrapper serves: the elided arity,
+    else the dominant profile's, else ``fn``'s own when it has no
+    defaults, ``*args`` or keyword-only parameters; else ``None``."""
+    if el is not None and el.arity is not None:
+        return el.arity
+    if dominant is not None:
+        return len(dominant)
+    code = getattr(fn, "__code__", None)
+    if (code is None or fn.__defaults__ or code.co_kwonlyargcount
+            or code.co_flags & CO_VARARGS or code.co_argcount < 1):
+        return None
+    return code.co_argcount - 1
+
+
+def _profile_test_lines(plan: CallPlan, dominant: Optional[tuple],
+                        bail: str, ns: dict) -> list:
     """The membership test against the plan's COW profile set, fronted
     by an identity guard on the *dominant* profile — the hottest shape
     by pre-promotion hit counts (:meth:`CallPlan.dominant_profile`), so
-    the steady state is a ``len``/``type``/``is`` chain with no tuple
-    allocation.  Returns the (unindented) lines and the ``_d0_<j>``
-    guard classes to close over.
+    the steady state is a ``type``/``is`` chain with no tuple
+    allocation (the arity is guarded already).  Binds the ``_d0_<j>``
+    guard classes into ``ns``.
 
     Misses bail to the generic tier, which runs the real conformance
     walk (raising on genuinely bad arguments) and COW-learns passing
@@ -694,18 +694,16 @@ def _profile_test_lines(plan: CallPlan, bail: str) -> Tuple[list, dict]:
     if not plan.profile_eligible:
         # No sound class guard exists; a check-path call must run the
         # full conformance walk — in the generic tier.
-        return [bail], {}
+        return [bail]
     fallback = [
         "if tuple(map(type, args)) not in _plan0.profiles:",
         f"    {bail}",
     ]
-    dominant = plan.dominant_profile()
     if dominant is None:
-        return fallback, {}
-    guard = [f"len(args) == {len(dominant)}"]
-    guard += [f"type(args[{j}]) is _d0_{j}" for j in range(len(dominant))]
-    lines = [
-        f"if not ({' and '.join(guard)}):",
-        *["    " + ln for ln in fallback],
-    ]
-    return lines, {f"_d0_{j}": cls for j, cls in enumerate(dominant)}
+        return fallback
+    ns.update({f"_d0_{j}": cls for j, cls in enumerate(dominant)})
+    guard = [f"type(args[{j}]) is _d0_{j}" for j in range(len(dominant))]
+    if not guard:  # the arity guard alone admits the empty profile
+        return []
+    return [f"if not ({' and '.join(guard)}):",
+            *["    " + ln for ln in fallback]]

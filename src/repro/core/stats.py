@@ -19,6 +19,12 @@ from many threads loses updates (the read-modify-write is three
 bytecodes, and the GIL can switch between them); per-thread shards make
 every total *exact* with no lock and no contention.  Counters mutated
 only under a lock stay plain attributes.
+
+Counters by derivation: a tier-2 wrapper bumps one :data:`SHAPES` slot
+per call instead of one shard counter per row it affects.  Each slot
+carries a static contribution vector, and an aggregate is its own shard
+bumps plus the sum of slot times vector, so the totals are the same
+numbers the per-counter bumps gave.
 """
 
 from __future__ import annotations
@@ -104,16 +110,59 @@ HOT_COUNTER_FIELDS = tuple(name for name, kind, _, _ in COUNTERS
 TRANSITION_FIELDS = tuple(name for name, _, per_phase, _ in COUNTERS
                           if per_phase)
 
+#: the argument branch a tier-2 call took: checked at an
+#: unchecked-to-checked boundary, skipped under a checked caller, or no
+#: signature to check against.
+ARG_BRANCHES = ("args", "skip", "nosig")
+
+
+def shape_slot(checked: bool, branch: str, elided: int) -> str:
+    """The shard slot a tier-2 wrapper bumps, once, per call of this
+    shape: plan checked or not, argument branch, check ops omitted."""
+    return f"shape_{'c' if checked else 'u'}_{branch}_{elided}"
+
+
+def _shape_vector(checked: bool, branch: str,
+                  elided: int) -> Dict[str, int]:
+    """What one call of a shape adds to each counter: exactly what the
+    generic tier's per-counter bumps would add, plus the omitted ops."""
+    vector = {"calls_intercepted": 1, "fast_path_hits": 1,
+              "specialized_hits": 1}
+    if checked:
+        vector["cache_hits"] = 1
+    if branch == "args":
+        vector["dynamic_arg_checks"] = 1
+    elif branch == "skip":
+        vector["dynamic_arg_checks_skipped"] = 1
+    if elided:
+        vector["checks_elided"] = elided
+    return vector
+
+
+#: every tier-2 call shape as (slot, contribution vector); an elision
+#: omits at most the cache probe and the argument test.
+SHAPES = tuple((shape_slot(c, b, e), _shape_vector(c, b, e))
+               for c in (False, True) for b in ARG_BRANCHES
+               for e in range(3))
+SHAPE_SLOTS = tuple(slot for slot, _ in SHAPES)
+
+#: every int a shard holds: the sharded counters, then the shape slots.
+_SHARD_INTS = HOT_COUNTER_FIELDS + SHAPE_SLOTS
+
 
 class HotCounters:
     """One thread's shard of the hot-path counters (plain ints, no lock:
-    only the owning thread ever writes them)."""
+    only the owning thread ever writes them), plus that thread's
+    checked-frame stack, so the intercepted-call path reaches both with
+    one thread-local fetch."""
 
-    __slots__ = HOT_COUNTER_FIELDS
+    __slots__ = _SHARD_INTS + ("stack",)
 
     def __init__(self) -> None:
-        for field in HOT_COUNTER_FIELDS:
+        for field in _SHARD_INTS:
             setattr(self, field, 0)
+        #: "is the active frame statically checked?" flags (section 4).
+        self.stack: List[bool] = []
 
 
 class PhaseTracker:
@@ -198,7 +247,7 @@ class Stats:
         for ref, shard in self._shards:
             thread = ref()
             if thread is None or not thread.is_alive():
-                for field in HOT_COUNTER_FIELDS:
+                for field in _SHARD_INTS:
                     setattr(folded, field,
                             getattr(folded, field) + getattr(shard, field))
             else:
@@ -294,16 +343,23 @@ class Stats:
 
 
 def _aggregate(field: str, doc: str) -> property:
+    # The counter's own bumps, then each shape slot times its weight.
+    terms = ((field, 1),) + tuple((slot, vector[field])
+                                  for slot, vector in SHAPES
+                                  if field in vector)
+
     def total(self: Stats) -> int:
         # Under the shard lock so a concurrent fold (dead shard moving
         # into the base counters) can neither double-count nor drop it.
         # Aggregate reads are snapshot/assertion paths, never the
         # per-call hot path, so the lock costs nothing that matters.
         with self._shard_lock:
-            return getattr(self._folded, field) + sum(
-                getattr(shard, field) for _, shard in self._shards)
+            shards = [self._folded, *(shard for _, shard in self._shards)]
+            return sum(weight * getattr(shard, slot)
+                       for slot, weight in terms for shard in shards)
     total.__name__ = field
-    total.__doc__ = f"Total {doc}, summed over every thread's shard."
+    total.__doc__ = (f"Total {doc}, summed over every thread's shard "
+                     "(tier-2 shape slots weighted by their vectors).")
     return property(total)
 
 

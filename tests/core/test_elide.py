@@ -8,7 +8,7 @@ parameter types.  ``repro.ril.audit`` reports them per warm site.
 
 import pytest
 
-from repro import Engine, EngineConfig
+from repro import ArgumentTypeError, Engine, EngineConfig
 from repro.core.elide import CHECK_KINDS, is_vacuous
 from repro.rdl.registry import CLASS
 from repro.ril.audit import audit_engine, warm_serving_engine
@@ -32,11 +32,22 @@ def _wrapper_source(cls, name) -> str:
     return getattr(fn, "__hb_source__", "")
 
 
+#: the counters an elided wrapper's unchecked-caller call moves.
+_MOVED = ("specialized_hits", "checks_elided", "dynamic_arg_checks",
+          "cache_hits")
+
+
+def _deltas(engine, before) -> dict:
+    after = engine.stats_snapshot()
+    return {k: after[k] - before[k] for k in _MOVED}
+
+
 @pytest.mark.requires_elision
 def test_vacuous_params_guard_only_the_arity():
     """A ``%any`` parameter passes the dynamic check for every value, so
-    the promoted wrapper guards the arity alone — and both facts count
-    in ``checks_elided``."""
+    the promoted wrapper guards the arity alone: argument classes it
+    never saw stay on the wrapper, another arity leaves it, and both
+    facts count in ``checks_elided``."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     cls = type("ElideAny", (object,), {})
     body = "def relay(self, x):\n    return x\n"
@@ -47,18 +58,26 @@ def test_vacuous_params_guard_only_the_arity():
     obj = cls()
     for i in range(THRESHOLD + 5):
         assert obj.relay(i) == i
-    source = _wrapper_source(cls, "relay")
-    assert "if len(args) != 1:" in source
-    assert "_plan0.profiles" not in source
-    assert "c.checks_elided += 2" in source
-    assert "stack.append(True)" in source
-    assert obj.relay("any value") == "any value"  # any class, same wrapper
+    unseen = ["any value", [1], 2.5, None, {"k": 1}]
+    before = engine.stats_snapshot()
+    for value in unseen:  # no profile test: every class is served
+        assert obj.relay(value) == value
+    n = len(unseen)
+    assert _deltas(engine, before) == {
+        "specialized_hits": n, "checks_elided": 2 * n,
+        "dynamic_arg_checks": n, "cache_hits": n}
+    before = engine.stats_snapshot()
+    with pytest.raises(ArgumentTypeError):
+        obj.relay(1, 2)  # arity guard: the generic tier rejects it
+    assert _deltas(engine, before)["specialized_hits"] == 0
 
 
 @pytest.mark.requires_elision
 def test_classmethod_site_elides_the_cache_probe():
     """Both facts read only the plan, so a checked class-method site
-    drops its check-cache probe exactly like an instance-method site."""
+    drops its check-cache probe exactly like an instance-method site:
+    the wrapper holds no ``_entries`` probe and keeps serving across a
+    direct check-cache flush."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     cls = type("ElideClassKind", (object,), {})
     body = "def tally(cls, n):\n    return n + 2\n"
@@ -70,9 +89,14 @@ def test_classmethod_site_elides_the_cache_probe():
     for i in range(THRESHOLD + 5):
         assert cls.tally(i) == i + 2
     assert engine.stats.elide_promotions == 1
-    source = _wrapper_source(cls, "tally")
-    assert "_ckey0" not in source
-    assert "c.checks_elided += 1" in source
+    assert "_entries" not in _wrapper_source(cls, "tally")
+    engine.cache.clear()
+    before = engine.stats_snapshot()
+    for i in range(7):
+        assert cls.tally(i) == i + 2
+    assert _deltas(engine, before) == {
+        "specialized_hits": 7, "checks_elided": 7,
+        "dynamic_arg_checks": 7, "cache_hits": 7}
 
 
 @pytest.mark.requires_caches

@@ -29,8 +29,11 @@ from hypothesis import example, given, settings, strategies as st
 from repro import (
     ArgumentTypeError, Engine, EngineConfig, StaticTypeError,
 )
+from repro.core.stats import (
+    ARG_BRANCHES, HOT_COUNTER_FIELDS, SHAPE_SLOTS, SHAPES, shape_slot,
+)
 from repro.rdl.registry import CLASS
-from repro.rdl.wrap import add_pre, is_wrapped, unwrap_method
+from repro.rdl.wrap import add_pre, is_wrapped, unwrap_method, wrap_method
 
 THRESHOLD = 5  # tiny, so tests cross the promotion boundary quickly
 
@@ -599,21 +602,30 @@ def _wrapper_source(cls, name) -> str:
 @pytest.mark.requires_elision
 def test_elision_fires_on_hot_checked_leaf():
     """A checked method promotes with the check-cache probe elided: the
-    emitted wrapper simply does not contain it, still pushes and pops
-    the checked frame, and ``checks_elided`` advances by the
-    omitted-operation count on every call."""
+    emitted wrapper holds no ``_entries`` probe, ``checks_elided``
+    advances by the omitted-operation count on every call, and the
+    checked frame is still pushed — a checked caller's callee skips its
+    argument check."""
     engine = spec_engine()
-    cls = _hot_world(engine)
+    cls = type("SpecChain", (object,), {})
+    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
+    _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
     obj = cls()
-    _warm(obj)
+    _warm(obj, "double")
     stats = engine.stats
-    assert stats.promotions == 1
-    assert stats.elide_promotions == 1
-    assert stats.checks_elided > 0
-    source = _wrapper_source(cls, "bump")
-    assert "_ckey0" not in source      # cache membership probe: gone
-    assert "stack.append(True)" in source  # checked-frame push/pop: kept
-    assert "checks_elided" in source
+    assert stats.promotions == stats.elide_promotions == 2  # both methods
+    assert "_entries" not in _wrapper_source(cls, "double")
+    assert "_entries" not in _wrapper_source(cls, "base")
+    calls = 9
+    before = engine.stats_snapshot()
+    _warm(obj, "double", calls)
+    after = engine.stats_snapshot()
+    delta = {k: after[k] - before[k] for k in after}
+    assert delta["calls_intercepted"] == 2 * calls    # double + base
+    assert delta["specialized_hits"] == 2 * calls     # both on wrappers
+    assert delta["checks_elided"] == 2 * calls        # one probe per call
+    assert delta["dynamic_arg_checks"] == calls       # double's boundary
+    assert delta["dynamic_arg_checks_skipped"] == calls  # base, in a frame
     # counter parity: the generic-tier invariant still holds
     assert (stats.dynamic_arg_checks + stats.dynamic_arg_checks_skipped
             == stats.calls_intercepted)
@@ -1140,3 +1152,139 @@ def test_identical_reannotation_restores_the_annotated_kind():
         SpecKinds.make(1)  # the instance-kind wrapper checks (String)
     engine.annotate(SpecKinds, "make", "(Integer) -> Integer", kind=CLASS)
     assert SpecKinds.make(1) == 1
+
+
+# -- fixed-arity calls and shape counters ------------------------------------
+
+_PAIR = "def pair(self, a, b):\n    return a + b\n"
+
+#: checked callers: the callee sees a checked frame on top of the stack.
+_PAIR_CALLERS = {
+    "via1": "def via1(self, o, n):\n    return o.pair(n)\n",
+    "via3": "def via3(self, o, n):\n    return o.pair(n, n, n)\n",
+    "viakw": "def viakw(self, o, n):\n    return o.pair(n, b=n)\n",
+    "viabad": "def viabad(self, o, n):\n    return o.pair(n, c=n)\n",
+}
+
+
+def _outcome(thunk):
+    try:
+        return ("ok", thunk())
+    except Exception as exc:  # noqa: BLE001 - the outcome is the subject
+        return (type(exc).__name__, str(exc))
+
+
+def _arity_outcomes(engine, sig, check):
+    """Promote ``pair`` on its 2-arity, then call it with every other
+    shape from unchecked and checked callers.  Returns the outcomes and
+    how far ``specialized_hits`` moved across those calls."""
+    cls = type("SpecArity", (object,), {})
+    _define(engine, cls, "pair", _PAIR, sig, check=check)
+    for name, body in _PAIR_CALLERS.items():
+        _define(engine, cls, name, body, "(%any, Integer) -> %any")
+    obj = cls()
+    for i in range(THRESHOLD + 5):
+        assert obj.pair(i, i) == 2 * i
+    assert _slot_is_specialized(cls, "pair") == (
+        engine._specializer is not None)
+    before = engine.stats.specialized_hits
+    outcomes = [_outcome(thunk) for thunk in (
+        lambda: obj.pair(1),
+        lambda: obj.pair(1, 2, 3),
+        lambda: obj.pair(1, b=2),
+        lambda: obj.pair(a=1, b=2),
+        lambda: obj.pair(1, c=2),
+        lambda: obj.via1(obj, 1),
+        lambda: obj.via3(obj, 1),
+        lambda: obj.viakw(obj, 1),
+        lambda: obj.viabad(obj, 1),
+    )]
+    moved = engine.stats.specialized_hits - before
+    assert obj.pair(2, 3) == 5  # the site is still healthy afterwards
+    return outcomes, moved
+
+
+@pytest.mark.parametrize("sig, check", [
+    ("(Integer, Integer) -> Integer", True),
+    ("(Integer, Integer) -> Integer", False),
+    ("(%any, %any) -> %any", True),
+])
+def test_other_arities_and_keywords_match_the_generic_tier(sig, check):
+    """A promoted site serves one positional arity: too few or too many
+    arguments and keyword calls bail to the generic tier, so the result,
+    or the error type and message, equals what tier 1 and the cache-free
+    oracle give — from checked and unchecked callers alike."""
+    promoted, moved = _arity_outcomes(spec_engine(), sig, check)
+    tier1, _ = _arity_outcomes(
+        Engine(EngineConfig(specialize=False)), sig, check)
+    oracle, _ = _arity_outcomes(Engine(disable_caches=True), sig, check)
+    assert promoted == tier1 == oracle
+    assert {kind for kind, _ in promoted} >= {"ok", "TypeError"}
+    assert moved == 0  # no bad shape ran on the wrapper
+
+
+def _moved_slots(shard, before: dict) -> dict:
+    return {slot: getattr(shard, slot) - n for slot, n in before.items()
+            if getattr(shard, slot) != n}
+
+
+def _expected_shape(engine, name: str, branch: str) -> str:
+    for key, elision in engine._specializer.promoted_entries():
+        if key[2] == name:
+            plan = engine._plans.get(key)
+            return shape_slot(plan.checked,
+                              "nosig" if plan.sig is None else branch,
+                              elision.count if elision is not None else 0)
+    raise AssertionError(f"{name} is not promoted")
+
+
+@pytest.mark.requires_specialization
+def test_each_shape_moves_the_snapshot_by_its_vector():
+    """One call through each emitted shape bumps exactly that shape's
+    slot, once, and moves ``stats_snapshot()`` by exactly its vector:
+    checked and trusted plans, vacuous and non-vacuous parameters,
+    unchecked and checked callers, and a signature-less wrapped
+    method."""
+    engine = spec_engine()
+    cls = type("SpecShapes", (object,), {})
+    targets = {"chk": ("(Integer) -> Integer", True),
+               "chk_any": ("(%any) -> %any", True),
+               "trust": ("(Integer) -> Integer", False),
+               "trust_any": ("(%any) -> %any", False),
+               "bare": (None, False)}
+    for name, (sig, check) in targets.items():
+        _define(engine, cls, name, f"def {name}(self, n):\n    return n\n",
+                sig, check=check)
+        _define(engine, cls, f"via_{name}",
+                f"def via_{name}(self, o, n):\n    return o.{name}(n)\n",
+                "(%any, Integer) -> %any")
+    wrap_method(engine, cls, "bare")
+    obj = cls()
+    for name in targets:
+        _warm(obj, name)
+        for i in range(THRESHOLD + 5):
+            getattr(obj, f"via_{name}")(obj, i)
+    shard = engine.stats.local()
+    vectors = dict(SHAPES)
+    seen = set()
+    for name in targets:
+        via = getattr(obj, f"via_{name}")
+        for branch, call in (("args", lambda: getattr(obj, name)(1)),
+                             ("skip", lambda: via(obj, 1))):
+            expected = {_expected_shape(engine, name, branch): 1}
+            if branch == "skip":  # the checked caller rides its wrapper too
+                expected[_expected_shape(engine, f"via_{name}", "args")] = 1
+            slots = {slot: getattr(shard, slot) for slot in SHAPE_SLOTS}
+            before = engine.stats_snapshot()
+            assert call() == 1
+            after = engine.stats_snapshot()
+            assert _moved_slots(shard, slots) == expected
+            for field in HOT_COUNTER_FIELDS:
+                assert after[field] - before[field] == sum(
+                    n * vectors[slot].get(field, 0)
+                    for slot, n in expected.items()), (name, branch, field)
+            seen |= set(expected)
+    # Every branch and every elided count this engine can emit was hit.
+    assert {slot.split("_")[2] for slot in seen} == set(ARG_BRANCHES)
+    if engine._elider is not None:
+        assert {slot.split("_")[3] for slot in seen} == {"0", "1", "2"}

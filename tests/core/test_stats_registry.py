@@ -8,8 +8,8 @@ import pathlib
 import repro
 from repro import Engine
 from repro.core.stats import (
-    COUNTERS, HOT_COUNTER_FIELDS, SHARDED, TRANSITION_FIELDS, HotCounters,
-    Stats,
+    ARG_BRANCHES, COUNTERS, HOT_COUNTER_FIELDS, SHAPE_SLOTS, SHAPES, SHARDED,
+    TRANSITION_FIELDS, HotCounters, Stats, shape_slot,
 )
 
 NAMES = [name for name, _, _, _ in COUNTERS]
@@ -35,8 +35,31 @@ def test_every_row_is_a_snapshot_key():
 
 
 def test_shards_hold_exactly_the_sharded_rows():
+    # A shard holds the sharded rows, one slot per tier-2 call shape and
+    # the thread's checked-frame stack — nothing else.
     sharded = tuple(name for name, kind, _, _ in COUNTERS if kind == SHARDED)
-    assert HotCounters.__slots__ == HOT_COUNTER_FIELDS == sharded
+    shapes = tuple(shape_slot(checked, branch, elided)
+                   for checked in (False, True) for branch in ARG_BRANCHES
+                   for elided in range(3))
+    assert HOT_COUNTER_FIELDS == sharded
+    assert SHAPE_SLOTS == shapes
+    assert HotCounters.__slots__ == sharded + shapes + ("stack",)
+
+
+def test_shape_vectors_name_only_sharded_rows():
+    for slot, vector in SHAPES:
+        assert set(vector) <= set(HOT_COUNTER_FIELDS), slot
+        assert vector["calls_intercepted"] == vector["specialized_hits"] == 1
+
+
+def test_shape_slots_aggregate_by_their_vectors():
+    stats = Stats()
+    shard = stats.local()
+    for slot, _ in SHAPES:
+        setattr(shard, slot, 3)
+    for field in HOT_COUNTER_FIELDS:
+        expected = sum(3 * vector.get(field, 0) for _, vector in SHAPES)
+        assert getattr(stats, field) == expected, field
 
 
 def test_transition_fields_are_the_phase_rows():
