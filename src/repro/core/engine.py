@@ -30,9 +30,11 @@ modes: ``intercept=False`` is "Orig", ``caching=False`` is "No$", defaults
 are "Hum".  Setting ``REPRO_DISABLE_CACHES=1`` in the environment (or
 ``Engine(..., disable_caches=True)``) builds a *cache-free oracle*: call
 plans off, check memoization off, subtype/linearization memos off, every
-body lowered from its source (no shared lowering memo) — every judgment
-recomputed from scratch.  The differential soundness harness
-runs workloads in both modes and asserts identical outcomes.
+body lowered from its source (no shared lowering memo), every run-time
+conformance check walked by the interpreted ``value_conforms`` instead of
+a compiled predicate — every judgment recomputed from scratch.  The
+differential soundness harness runs workloads in both modes and asserts
+identical outcomes.
 
 Concurrency discipline (lock-free read, locked write):
 
@@ -79,7 +81,7 @@ from ..ril import CFGRegistry, bodies_differ
 from ..ril.registry import MethodIR, RegistrationError
 from ..rtypes import (
     ANY,
-    ClassObjectType, MethodType, NominalType, Type, class_name_of,
+    ClassObjectType, MethodType, NominalType, Type, class_name_of, conforms,
     default_hierarchy, is_class_determined, parse_type, value_conforms,
 )
 from .builtins_sigs import install as install_builtins
@@ -170,6 +172,10 @@ class Engine:
             disable_caches = caches_disabled_by_env()
         #: the differential-soundness oracle: recompute every judgment.
         self.caches_disabled = disable_caches
+        #: ``v : t`` for casts, the params check and generic-tier
+        #: argument checks: compiled per type, except in the oracle,
+        #: which walks the interpreted specification.
+        self._conforms = value_conforms if disable_caches else conforms
         if disable_caches:
             self.config = dc_replace(self.config, caching=False,
                                      call_plans=False)
@@ -739,7 +745,7 @@ class Engine:
             # Higher-order contract checks are not implemented (section 4:
             # "simply assumes code block arguments are type safe").
             return True
-        return value_conforms(value, expected, self.hier)
+        return self._conforms(value, expected, self.hier)
 
     def cast(self, value, type_text: str):
         """``rdl_cast``: dynamic conformance check, returns the value.
@@ -748,8 +754,8 @@ class Engine:
         in section 4.
         """
         t = parse_type(type_text)
-        self.stats.local().casts += 1
-        if not value_conforms(value, t, self.hier):
+        self._tls.counters.casts += 1
+        if not self._conforms(value, t, self.hier):
             raise CastError(
                 f"value {value!r} does not conform to {type_text}")
         return value
@@ -758,7 +764,7 @@ class Engine:
         """Dynamic check for untrusted inputs (the Rails ``params`` hash is
         always checked, section 4)."""
         t = parse_type(type_text)
-        if not value_conforms(h, t, self.hier):
+        if not self._conforms(h, t, self.hier):
             raise ArgumentTypeError(
                 f"untrusted hash {h!r} does not conform to {type_text}")
 

@@ -20,7 +20,8 @@ from .lexer import TypeSyntaxError
 from .parser import parse_method_type, parse_type
 from .subtype import equivalent, is_subtype, join, join_all
 from .typeof import (
-    Sym, class_name_of, is_class_determined, type_of, value_conforms,
+    Sym, class_name_of, conformance, conforms, is_class_determined, type_of,
+    value_conforms,
 )
 from .types import (
     ANY, BOOL, BOT, NIL, OBJECT, SELF,
@@ -41,7 +42,8 @@ __all__ = [
     "SubtypeCache", "Sym",
     "TupleType", "Type", "TypeSyntaxError", "UnionType", "UnknownClassError",
     "VarType", "VarargParam",
-    "array_of", "class_name_of", "default_hierarchy", "equivalent",
+    "array_of", "class_name_of", "conformance", "conforms",
+    "default_hierarchy", "equivalent",
     "free_vars", "generic", "hash_of", "instantiate_for_receiver",
     "int_singleton", "intersection_of", "is_class_determined", "is_subtype",
     "join", "join_all",

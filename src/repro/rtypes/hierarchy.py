@@ -50,7 +50,11 @@ Concurrency discipline (lock-free read, locked write):
   memo flush — the lost-invalidation race);
 * the subtype memo's store path is epoch-guarded the same way, and its
   LRU bookkeeping takes an internal leaf lock (never held while calling
-  back out).
+  back out);
+* the class-verdict memo behind compiled conformance
+  (:func:`repro.rtypes.typeof.conformance`) follows the walk memos:
+  version-guarded stores, and a mutation drops the rows of exactly the
+  classes it affected.
 """
 
 from __future__ import annotations
@@ -209,6 +213,10 @@ class ClassHierarchy:
         self.memo_enabled = True
         self._linearizations: Dict[str, Tuple[str, ...]] = {}
         self._ancestor_sets: Dict[str, frozenset] = {}
+        #: value class name -> {expected class name -> is_subtype verdict},
+        #: read lock-free by compiled conformance predicates and filled
+        #: through :meth:`store_verdict`.
+        self.verdicts: Dict[str, Dict[str, bool]] = {}
         self._listeners: List[Callable[[FrozenSet[str]], None]] = []
         #: per-thread stacks of active read-trace sets (see :meth:`trace`).
         self._trace_tl = threading.local()
@@ -258,11 +266,15 @@ class ClassHierarchy:
         self._listeners.append(listener)
 
     def _changed(self, affected: Set[str]) -> None:
-        self.version += 1
         for name in affected:
             self._linearizations.pop(name, None)
             self._ancestor_sets.pop(name, None)
+            self.verdicts.pop(name, None)
         self.subtype_cache.invalidate_classes(affected)
+        # Bumped only after the flushes: a lock-free reader that reads
+        # the new version can no longer reach a memo this mutation
+        # drops, so a store it makes under that version is fresh.
+        self.version += 1
         frozen = frozenset(affected)
         for listener in self._listeners:
             listener(frozen)
@@ -406,6 +418,18 @@ class ClassHierarchy:
                     if ver == self.version:
                         self._ancestor_sets[sub] = ancestors
         return sup in ancestors
+
+    def store_verdict(self, sub: str, sup: str, verdict: bool,
+                      ver: int) -> None:
+        """Memoize ``NominalType(sub) <= NominalType(sup)``, computed
+        while :attr:`version` read ``ver``; dropped if a mutation ran
+        since, exactly like the linearization memo's store."""
+        with self.lock:
+            if ver == self.version:
+                row = self.verdicts.get(sub)
+                if row is None:
+                    row = self.verdicts[sub] = {}
+                row[sup] = verdict
 
     def typevars(self, name: str) -> Tuple[str, ...]:
         self._touch(name)

@@ -1,13 +1,28 @@
 """Mapping host-language (Python) run-time values onto RDL types.
 
-Two operations:
+Three operations:
 
 * :func:`type_of` — the ``type_of(v)`` of the paper's dynamic semantics,
   extended from {nil, [A]} to the full host language.  Used by the engine's
   dynamic argument checks (EApp* side conditions).
 * :func:`value_conforms` — a *deep* check ``v : t`` used by ``rdl_cast``
   (the paper iterates through arrays/hashes when casting to a generic) and
-  by dynamic checks against generic expected types.
+  by dynamic checks against generic expected types.  It is the
+  specification: an interpreted walk over ``t`` per value, and the only
+  conformance code the cache-free oracle (``Engine(disable_caches=True)``)
+  runs.
+* :func:`conformance` — the same relation *compiled*: each type is turned
+  once into a predicate ``pred(v, hier)`` (memoized on the type object,
+  process wide), so a check pays for the shape of ``t`` and not for a
+  dispatch over every kind of type at every node.  ``%any``, type
+  variables, ``self`` and ``Object`` compile to one always-true
+  predicate; a nominal test reads a per-class verdict memo kept on the
+  hierarchy (:attr:`~repro.rtypes.hierarchy.ClassHierarchy.verdicts`,
+  filled by ``is_subtype`` and dropped per class by structural edits);
+  collections still check every element (paper section 4).  The engine's
+  ``rdl_cast``, its ``params`` check and its generic-tier argument checks
+  run it; ``tests/rtypes/test_conformance_differential.py`` holds it to
+  :func:`value_conforms`.
 
 User-defined classes map to their Python class name; Ruby symbols are
 modelled by :class:`Sym`, an interned identifier class the substrates use
@@ -18,7 +33,7 @@ from __future__ import annotations
 
 import datetime
 import weakref
-from typing import Callable, Optional
+from typing import Callable, Tuple
 
 from .hierarchy import ClassHierarchy
 from .subtype import is_subtype
@@ -256,6 +271,204 @@ def value_conforms(value: object, t: Type, hier: ClassHierarchy) -> bool:
         # SingletonType / %bool sources all reduce to their base class).
         return is_subtype(NominalType(class_name_of(value)), t, hier)
     return False
+
+
+# -- compiled conformance ---------------------------------------------------
+
+#: ``pred(value, hier) -> bool``: ``value_conforms(value, t, hier)`` compiled.
+Predicate = Callable[[object, ClassHierarchy], bool]
+
+
+def conformance(t: Type) -> Predicate:
+    """The compiled conformance predicate for ``t``.
+
+    ``conformance(t)(v, hier) == value_conforms(v, t, hier)`` for every
+    value and hierarchy.  Compiled once per type object and stored on it
+    (types are immutable and interned, so every engine in the process
+    shares the predicate); only the nominal verdicts it reads are per
+    hierarchy.  Racing first compiles build equal predicates, and either
+    may win.
+    """
+    pred = t._conformance
+    if pred is None:
+        pred = _compile(t)
+        object.__setattr__(t, "_conformance", pred)
+    return pred
+
+
+def conforms(value: object, t: Type, hier: ClassHierarchy) -> bool:
+    """:func:`value_conforms` through the compiled predicate."""
+    return (t._conformance or conformance(t))(value, hier)
+
+
+def _always(value: object, hier: ClassHierarchy) -> bool:
+    return True
+
+
+def _is_nil(value: object, hier: ClassHierarchy) -> bool:
+    return value is None
+
+
+def _verdict(value: object, sup: str, hier: ClassHierarchy) -> bool:
+    """``is_subtype(NominalType(class_name_of(value)), NominalType(sup))``
+    for a non-nil value, through the hierarchy's verdict memo."""
+    sub = _CLASS_NAME_MEMO.get(id(type(value))) or class_name_of(value)
+    row = hier.verdicts.get(sub)
+    if row is not None:
+        verdict = row.get(sup)
+        if verdict is not None:
+            return verdict
+    ver = hier.version
+    verdict = is_subtype(NominalType(sub), NominalType(sup), hier)
+    hier.store_verdict(sub, sup, verdict, ver)
+    return verdict
+
+
+def _compile(t: Type) -> Predicate:
+    """Build ``t``'s predicate, following :func:`value_conforms` arm by
+    arm.  Every predicate but the always-true one admits ``None`` first
+    (``nil <= A``)."""
+    if isinstance(t, (AnyType, VarType, SelfType)):
+        return _always
+    if isinstance(t, (NilType, BotType)):
+        return _is_nil
+    if isinstance(t, NominalType):
+        return _compile_nominal(t.name)
+    if isinstance(t, UnionType):
+        return _compile_union(tuple(conformance(a) for a in t.arms))
+    if isinstance(t, IntersectionType):
+        return _compile_intersection(
+            tuple(conformance(a) for a in t.arms))
+    if isinstance(t, GenericType):
+        return _compile_generic(t)
+    if isinstance(t, BoolType):
+        return lambda v, hier: v is None or isinstance(v, bool)
+    if isinstance(t, SingletonType):
+        literal = t.value
+        if t.base == "Symbol":
+            return lambda v, hier: v is None or (
+                isinstance(v, Sym) and v.name == literal)
+        return lambda v, hier: v is None or (
+            v == literal and not isinstance(v, bool))
+    if isinstance(t, TupleType):
+        return _compile_tuple(tuple(conformance(e) for e in t.elems))
+    if isinstance(t, FiniteHashType):
+        return _compile_finite_hash(tuple(
+            (Sym(key), key, conformance(ft)) for key, ft in t.fields))
+    if isinstance(t, ClassObjectType):
+        name = t.name
+        return lambda v, hier: v is None or (
+            isinstance(v, type) and hier.is_subclass(v.__name__, name))
+    if isinstance(t, MethodType):
+        return lambda v, hier: v is None or callable(v)
+    if isinstance(t, StructuralType):
+        names = tuple(name for name, _ in t.methods)
+        return lambda v, hier: v is None or all(
+            hasattr(v, name) for name in names)
+    return _is_nil
+
+
+def _compile_nominal(sup: str) -> Predicate:
+    if sup == "Object":
+        return _always  # is_subtype's "everything is an Object" rule
+
+    def nominal(v: object, hier: ClassHierarchy) -> bool:
+        return v is None or _verdict(v, sup, hier)
+    return nominal
+
+
+def _compile_union(arms: Tuple[Predicate, ...]) -> Predicate:
+    if _always in arms:
+        return _always
+    if len(arms) == 2:
+        first, second = arms
+        return lambda v, hier: first(v, hier) or second(v, hier)
+
+    def union(v: object, hier: ClassHierarchy) -> bool:
+        for arm in arms:
+            if arm(v, hier):
+                return True
+        return False
+    return union
+
+
+def _compile_intersection(arms: Tuple[Predicate, ...]) -> Predicate:
+    arms = tuple(a for a in arms if a is not _always)
+    if not arms:
+        return _always
+
+    def intersection(v: object, hier: ClassHierarchy) -> bool:
+        for arm in arms:
+            if not arm(v, hier):
+                return False
+        return True
+    return intersection
+
+
+def _compile_generic(t: GenericType) -> Predicate:
+    base = conformance(NominalType(t.name))  # admits nil
+    if t.name in ("Array", "Set") and len(t.args) == 1:
+        elem = conformance(t.args[0])
+        if elem is not _always:
+            def collection(v: object, hier: ClassHierarchy) -> bool:
+                if not base(v, hier):
+                    return False
+                if isinstance(v, (list, tuple, set)):
+                    for item in v:
+                        if not elem(item, hier):
+                            return False
+                return True
+            return collection
+    elif t.name == "Hash" and len(t.args) == 2:
+        key_p, val_p = (conformance(a) for a in t.args)
+        if key_p is not _always or val_p is not _always:
+            def hash_(v: object, hier: ClassHierarchy) -> bool:
+                if not base(v, hier):
+                    return False
+                if isinstance(v, dict):
+                    for key, item in v.items():
+                        if not (key_p(key, hier) and val_p(item, hier)):
+                            return False
+                return True
+            return hash_
+    # Element types that admit everything: only the base class is tested
+    # (iterating a list, tuple, set or dict has no effect to preserve).
+    return base
+
+
+def _compile_tuple(elems: Tuple[Predicate, ...]) -> Predicate:
+    n = len(elems)
+
+    def tuple_(v: object, hier: ClassHierarchy) -> bool:
+        if v is None:
+            return True
+        if not isinstance(v, (list, tuple)) or len(v) != n:
+            return False
+        for item, elem in zip(v, elems):
+            if not elem(item, hier):
+                return False
+        return True
+    return tuple_
+
+
+def _compile_finite_hash(fields: Tuple[Tuple[Sym, str, Predicate], ...]
+                         ) -> Predicate:
+    def finite_hash(v: object, hier: ClassHierarchy) -> bool:
+        if v is None:
+            return True
+        if not isinstance(v, dict):
+            return False
+        for sym, key, field in fields:
+            if sym in v:
+                item = v[sym]
+            elif key in v:
+                item = v[key]
+            else:
+                continue  # absent reads as nil, which conforms
+            if not field(item, hier):
+                return False
+        return True
+    return finite_hash
 
 
 def is_class_determined(t: Type) -> bool:

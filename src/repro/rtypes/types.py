@@ -53,6 +53,11 @@ def _intern(cls, key, args):
 class Type:
     """Base class for every type in the RDL type language."""
 
+    #: the compiled conformance predicate, set on first use by
+    #: :func:`repro.rtypes.typeof.conformance`; not a field, so equality,
+    #: hashing and printing never see it.
+    _conformance = None
+
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         raise NotImplementedError
 

@@ -23,12 +23,15 @@ cache-free oracle with a tiny threshold, so every script crosses the
 promotion boundary many times.
 """
 
+import traceback
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import (
     ArgumentTypeError, Engine, EngineConfig, StaticTypeError,
 )
+from repro.core import specialize
 from repro.core.stats import (
     ARG_BRANCHES, HOT_COUNTER_FIELDS, SHAPE_SLOTS, SHAPES, shape_slot,
 )
@@ -573,6 +576,71 @@ def test_deopt_counter_ignores_already_rebound_slots():
     assert engine.stats.deopts == deopts0  # nothing was actually restored
     assert cls.__dict__["bump"] is plain   # and nothing was clobbered
     assert obj.bump(1) == 2
+
+
+# -- wrapper code compiled once per text -------------------------------------
+
+
+@pytest.mark.requires_specialization
+def test_same_shape_sites_share_one_compile_and_keep_their_names(
+        monkeypatch):
+    """Two promoted sites of one shape emit one text, which is compiled
+    once; each wrapper's code still names its own site."""
+    monkeypatch.setattr(specialize, "_CODE_MEMO", {})
+    compiled = []
+    real_compile = compile
+
+    def counting_compile(source, *args, **kwargs):
+        compiled.append(source)
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(specialize, "compile", counting_compile,
+                        raising=False)
+    engine = spec_engine()
+    classes = [type(name, (object,), {}) for name in ("SpecOne", "SpecTwo")]
+    for cls in classes:
+        _define(engine, cls, "bump", _BUMP, "(Integer) -> Integer")
+        _warm(cls())
+    one, two = (_slot(cls, "bump") for cls in classes)
+    assert one.__hb_specialized__ and two.__hb_specialized__
+    assert one.__hb_source__ == two.__hb_source__
+    assert compiled == [one.__hb_source__]
+    assert one.__code__.co_code == two.__code__.co_code
+    assert one.__code__.co_filename == "<hb-specialized SpecOne#bump>"
+    assert two.__code__.co_filename == "<hb-specialized SpecTwo#bump>"
+    assert one(classes[0](), 1) == two(classes[1](), 1) == 2
+
+
+_BOOM = ("def boom(self, n):\n"
+         "    if n < 0:\n"
+         "        raise ValueError(\"negative\")\n"
+         "    return n\n")
+
+
+@pytest.mark.requires_specialization
+def test_traceback_through_a_promoted_wrapper_names_the_site():
+    engine = spec_engine()
+    cls = type("SpecBoom", (object,), {})
+    _define(engine, cls, "boom", _BOOM, "(Integer) -> Integer")
+    obj = cls()
+    _warm(obj, "boom")
+    assert _slot_is_specialized(cls, "boom")
+    with pytest.raises(ValueError) as info:
+        obj.boom(-1)
+    files = [frame.filename
+             for frame in traceback.extract_tb(info.value.__traceback__)]
+    assert "<hb-specialized SpecBoom#boom>" in files
+
+
+def test_wrapper_code_memo_stays_at_its_bound(monkeypatch):
+    monkeypatch.setattr(specialize, "_CODE_MEMO", {})
+    monkeypatch.setattr(specialize, "_CODE_MEMO_MAX", 3)
+    sources = [f"def _specialized():\n    return {i}\n" for i in range(8)]
+    for source in sources:
+        code = specialize._wrapper_code(source)
+        assert specialize._wrapper_code(source) is code  # a hit
+        assert len(specialize._CODE_MEMO) <= 3
+    assert list(specialize._CODE_MEMO) == sources[-3:]  # oldest go first
 
 
 # -- trusted signatures and return checks ------------------------------------

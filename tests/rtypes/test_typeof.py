@@ -10,7 +10,8 @@ from repro import CastError, Engine
 from repro.rtypes import (
     BOOL, NIL,
     ClassObjectType, GenericType, NominalType, SingletonType, Sym,
-    class_name_of, default_hierarchy, parse_type, type_of, value_conforms,
+    class_name_of, conforms, default_hierarchy, parse_type, type_of,
+    value_conforms,
 )
 
 
@@ -110,89 +111,97 @@ class TestTypeOf:
 
 
 class TestValueConforms:
+    """The interpreted specification, :func:`value_conforms`."""
+
+    check = staticmethod(value_conforms)
+
     def test_scalar(self, hier):
-        assert value_conforms(1, parse_type("Integer"), hier)
-        assert not value_conforms("x", parse_type("Integer"), hier)
+        assert self.check(1, parse_type("Integer"), hier)
+        assert not self.check("x", parse_type("Integer"), hier)
 
     def test_nil_paper_rule(self, hier):
         # nil conforms to any type (paper's nil <= A).
-        assert value_conforms(None, parse_type("User"), hier)
+        assert self.check(None, parse_type("User"), hier)
 
     def test_deep_array_check(self, hier):
         # The paper: rdl_cast iterates through elements for generic casts.
-        assert value_conforms([1, 2], parse_type("Array<Integer>"), hier)
-        assert not value_conforms([1, "x"], parse_type("Array<Integer>"),
-                                  hier)
+        assert self.check([1, 2], parse_type("Array<Integer>"), hier)
+        assert not self.check([1, "x"], parse_type("Array<Integer>"), hier)
 
     def test_deep_hash_check(self, hier):
         ok = {Sym("a"): "x"}
-        assert value_conforms(ok, parse_type("Hash<Symbol, String>"), hier)
-        assert not value_conforms({Sym("a"): 1},
-                                  parse_type("Hash<Symbol, String>"), hier)
+        assert self.check(ok, parse_type("Hash<Symbol, String>"), hier)
+        assert not self.check({Sym("a"): 1},
+                              parse_type("Hash<Symbol, String>"), hier)
 
     def test_tuple(self, hier):
-        assert value_conforms([1, "a"], parse_type("[Integer, String]"), hier)
-        assert not value_conforms([1], parse_type("[Integer, String]"), hier)
+        assert self.check([1, "a"], parse_type("[Integer, String]"), hier)
+        assert not self.check([1], parse_type("[Integer, String]"), hier)
 
     def test_finite_hash(self, hier):
         v = {Sym("name"): "bob", Sym("age"): 3}
-        assert value_conforms(v, parse_type("{name: String, age: Integer}"),
-                              hier)
-        assert not value_conforms(v, parse_type("{name: Integer}"), hier)
+        assert self.check(v, parse_type("{name: String, age: Integer}"),
+                          hier)
+        assert not self.check(v, parse_type("{name: Integer}"), hier)
 
     def test_finite_hash_missing_nilable_field(self, hier):
         v = {Sym("name"): "bob"}
-        assert value_conforms(v, parse_type("{name: String, age: Integer or nil}"),
-                              hier)
+        assert self.check(
+            v, parse_type("{name: String, age: Integer or nil}"), hier)
 
     @pytest.mark.parametrize("key", [Sym("b"), "b"])
     def test_finite_hash_checks_keys_after_an_absent_one(self, hier, key):
         # ``a`` is absent (nil <= Integer), but ``b`` is present with the
         # wrong type: the check must keep going past the absent key.
         t = parse_type("{a: Integer, b: String}")
-        assert not value_conforms({key: 5}, t, hier)
-        assert value_conforms({key: "five"}, t, hier)
+        assert not self.check({key: 5}, t, hier)
+        assert self.check({key: "five"}, t, hier)
         with pytest.raises(CastError):
             Engine().cast({key: 5}, "{a: Integer, b: String}")
 
     def test_finite_hash_all_keys_absent_conforms(self, hier):
         # Every absent key reads as nil, and nil <= A for every A.
         t = parse_type("{a: Integer, b: String}")
-        assert value_conforms({}, t, hier)
+        assert self.check({}, t, hier)
         empty = {}
         assert Engine().cast(empty, "{a: Integer, b: String}") is empty
 
     def test_union(self, hier):
-        assert value_conforms(1, parse_type("Integer or String"), hier)
-        assert value_conforms("s", parse_type("Integer or String"), hier)
-        assert not value_conforms(1.5, parse_type("Integer or String"), hier)
+        assert self.check(1, parse_type("Integer or String"), hier)
+        assert self.check("s", parse_type("Integer or String"), hier)
+        assert not self.check(1.5, parse_type("Integer or String"), hier)
 
     def test_singleton_symbol(self, hier):
-        assert value_conforms(Sym("up"), parse_type(":up"), hier)
-        assert not value_conforms(Sym("down"), parse_type(":up"), hier)
+        assert self.check(Sym("up"), parse_type(":up"), hier)
+        assert not self.check(Sym("down"), parse_type(":up"), hier)
 
     def test_bool(self, hier):
-        assert value_conforms(True, parse_type("%bool"), hier)
-        assert not value_conforms(1, parse_type("%bool"), hier)
+        assert self.check(True, parse_type("%bool"), hier)
+        assert not self.check(1, parse_type("%bool"), hier)
 
     def test_any(self, hier):
-        assert value_conforms(object(), parse_type("%any"), hier)
+        assert self.check(object(), parse_type("%any"), hier)
 
     def test_class_object(self, hier):
-        assert value_conforms(Widget, parse_type("Class<Widget>"), hier)
-        assert not value_conforms(Widget(), parse_type("Class<Widget>"), hier)
+        assert self.check(Widget, parse_type("Class<Widget>"), hier)
+        assert not self.check(Widget(), parse_type("Class<Widget>"), hier)
 
     def test_proc(self, hier):
-        assert value_conforms(lambda: 1, parse_type("() -> Integer"), hier)
-        assert not value_conforms(3, parse_type("() -> Integer"), hier)
+        assert self.check(lambda: 1, parse_type("() -> Integer"), hier)
+        assert not self.check(3, parse_type("() -> Integer"), hier)
 
     def test_structural(self, hier):
-        assert value_conforms("abc", parse_type("[upper: () -> String]"), hier)
-        assert not value_conforms("abc", parse_type("[quack: () -> nil]"),
-                                  hier)
+        assert self.check("abc", parse_type("[upper: () -> String]"), hier)
+        assert not self.check("abc", parse_type("[quack: () -> nil]"), hier)
 
     def test_user_instance(self, hier):
         hier.add_class("Widget")
-        assert value_conforms(Widget(), parse_type("Widget"), hier)
-        assert value_conforms(Widget(), parse_type("Object"), hier)
-        assert not value_conforms(Widget(), parse_type("User"), hier)
+        assert self.check(Widget(), parse_type("Widget"), hier)
+        assert self.check(Widget(), parse_type("Object"), hier)
+        assert not self.check(Widget(), parse_type("User"), hier)
+
+
+class TestCompiledConformance(TestValueConforms):
+    """The same cases through the compiled predicate the engine runs."""
+
+    check = staticmethod(conforms)
