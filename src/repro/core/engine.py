@@ -135,8 +135,7 @@ class EngineConfig:
     tier ablations (perfbench, ``benchmarks/bench_hotpath.py``);
     ``specialize_threshold`` is set by the serving harness and the
     elision audit.  The paper's semantics (section 4's boundary-only
-    argument checks, no return checks, ``nil <= A``) and the deopt-storm
-    breaker's limits (:mod:`repro.core.specialize`) are constants.
+    argument checks, no return checks, ``nil <= A``) are constants.
     """
 
     #: wrap annotated methods at all; False reproduces the "Orig" column.

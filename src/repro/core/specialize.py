@@ -56,32 +56,10 @@ site exactly like any other.
 a bounded re-warm registry; when the plan is rebuilt, the engine stamps
 it with the reduced threshold (``specialize_threshold // 4``), so
 dev-mode reload churn re-reaches tier 2 in a fraction of the warmup
-(``Stats.repromotions`` counts these).
-
-**Deopt-storm circuit breakers.**  Adaptive re-promotion cuts both
-ways: a site whose guard assumptions are invalidated *continuously* —
-adversarial reload churn retyping the same method every few
-milliseconds — would otherwise cycle promote/deopt forever, paying
-wrapper compilation and teardown on every lap.  Two breakers, always
-armed, gate the cycle; their limits are the module constants below:
-
-* **per-site**: each deopt of a key is a *flap*; ``BREAKER_FLAP_LIMIT``
-  flaps inside ``BREAKER_WINDOW_S`` trip the site — its re-warm
-  discount is revoked, promotion is refused for
-  ``BREAKER_COOLDOWN_S``, and the site serves tier 1 (sound, just
-  unspecialized).  A flap during the cooldown restarts the quiet
-  timer; a flap after it re-arms the site fresh.
-  ``Stats.breaker_demotions`` counts trips;
-* **engine-wide**: ``BREAKER_WAVE_LIMIT`` displacing invalidation
-  waves inside the window pause *all* promotion for the cooldown —
-  during a storm, compiling wrappers the next wave will tear down is
-  pure overhead.
-
-Both are perf governors, never soundness: a blocked promotion leaves
-the generic tier-1 wrapper serving every call, and deopt itself is
-never gated.  ``Stats.breaker_trips`` counts activations of either.
-The breaker engages on the benchmark: perfbench's ``metaprog_churn``
-workload trips it.
+(``Stats.repromotions`` counts these).  Nothing rations the cycle: a
+site that a reload storm deopts over and over re-promotes on every
+lap, and since the wrapper code is memoized by text, each lap costs
+one ``exec`` of already-compiled code, not a ``compile()``.
 
 **Guard failure falls back, never raises.**  Any situation the
 straight-line code does not cover — another receiver class, a keyword
@@ -141,12 +119,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
-from collections import deque
 from inspect import CO_VARARGS
 from types import CodeType
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, \
-    Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..rdl.registry import CLASS
 from .elide import _contract_blocks
@@ -164,24 +139,6 @@ REWARM_DIVISOR = 4
 #: bound on the re-warm registry: reload churn in a long-lived dev
 #: server must not accumulate plan keys without limit.
 _REWARM_MAX = 4096
-
-#: deopts of one site inside ``BREAKER_WINDOW_S`` that trip its breaker.
-BREAKER_FLAP_LIMIT = 8
-
-#: sliding window (seconds) for both the per-site flap count and the
-#: engine-wide displacing-wave count.
-BREAKER_WINDOW_S = 1.0
-
-#: how long (seconds) a tripped site, or the whole engine, stays demoted
-#: before the breaker re-arms.
-BREAKER_COOLDOWN_S = 2.0
-
-#: displacing invalidation waves inside ``BREAKER_WINDOW_S`` that pause
-#: all promotion.
-BREAKER_WAVE_LIMIT = 32
-
-#: bound on the breaker's per-site flap/cooldown tracking maps.
-_FLAP_TRACK_MAX = 1024
 
 
 def specialize_disabled_by_env() -> bool:
@@ -254,17 +211,6 @@ class Specializer:
         threshold = engine._spec_threshold
         self._threshold = threshold
         self._rewarm_threshold = max(1, threshold // REWARM_DIVISOR)
-        # Circuit-breaker state (all mutated under the internal lock;
-        # the promotion-path probes are lock-free dict reads).
-        self._clock = time.monotonic
-        #: plan key -> deopt timestamps inside the sliding window.
-        self._flaps: Dict[PlanKey, List[float]] = {}
-        #: tripped plan key -> when its cooldown lapses (re-arm time).
-        self._cooling: Dict[PlanKey, float] = {}
-        #: timestamps of recent displacing invalidation waves.
-        self._wave_times: Deque[float] = deque()
-        #: engine-wide promotion pause deadline (0.0 = not paused).
-        self._pause_until = 0.0
 
     def __len__(self) -> int:
         """Live promoted sites."""
@@ -273,101 +219,11 @@ class Specializer:
     def promote_threshold(self, key: PlanKey) -> int:
         """The per-site promotion threshold the engine stamps onto a
         freshly built plan: reduced for sites that deopted before (so
-        reload churn re-reaches tier 2 quickly), full otherwise.  A
-        tripped site lost its discount — the breaker revoked the
-        re-warm entry — so it pays the full threshold again."""
+        reload churn re-reaches tier 2 quickly), full otherwise.  A key
+        evicted from the bounded registry pays the full threshold
+        again."""
         return (self._rewarm_threshold if key in self._rewarm
                 else self._threshold)
-
-    # -- circuit breaker ----------------------------------------------------
-
-    def breaker_blocked(self, key: PlanKey) -> bool:
-        """Lock-free probe on the promotion path: True while the
-        engine-wide pause or this site's cooldown is active.  A cooldown
-        found expired re-arms the site (pruning its entry)."""
-        now = self._clock()
-        if now < self._pause_until:
-            return True
-        cooling = self._cooling
-        until = cooling.get(key)
-        if until is None:
-            return False
-        if now < until:
-            return True
-        with self._lock:
-            # Re-arm after quiet time; compare the deadline so a trip
-            # that raced this probe keeps its fresh cooldown.
-            if cooling.get(key) == until:
-                del cooling[key]
-        return False
-
-    def _note_flap_locked(self, key: PlanKey) -> None:
-        """Record one deopt of ``key`` for the per-site breaker; trips
-        it at ``BREAKER_FLAP_LIMIT`` flaps inside the window.  Caller
-        holds the internal lock."""
-        now = self._clock()
-        cooling = self._cooling
-        until = cooling.get(key)
-        if until is not None:
-            if now < until:
-                # Still cooling and still flapping: restart the quiet
-                # timer, and keep the re-warm discount revoked.
-                cooling[key] = now + BREAKER_COOLDOWN_S
-                self._rewarm.pop(key, None)
-                return
-            del cooling[key]  # quiet time served; count flaps fresh
-        flaps = self._flaps
-        times = flaps.get(key)
-        if times is None:
-            if len(flaps) >= _FLAP_TRACK_MAX:
-                self._prune_flaps_locked(now)
-            times = flaps[key] = []
-        else:
-            times[:] = [t for t in times if now - t < BREAKER_WINDOW_S]
-        times.append(now)
-        if len(times) >= BREAKER_FLAP_LIMIT:
-            del flaps[key]
-            cooling[key] = now + BREAKER_COOLDOWN_S
-            # Revoke the reduced threshold: a chronic flapper must
-            # re-earn promotion at the full threshold after cooldown.
-            self._rewarm.pop(key, None)
-            if len(cooling) > _FLAP_TRACK_MAX:
-                self._prune_cooling_locked(now)
-            stats = self.engine.stats
-            stats.breaker_trips += 1
-            stats.breaker_demotions += 1
-
-    def _note_wave_locked(self) -> None:
-        """Record one displacing invalidation wave for the engine-wide
-        breaker; trips the all-promotion pause at ``BREAKER_WAVE_LIMIT``
-        waves inside the window.  Caller holds the internal lock."""
-        now = self._clock()
-        waves = self._wave_times
-        waves.append(now)
-        while waves and now - waves[0] >= BREAKER_WINDOW_S:
-            waves.popleft()
-        if len(waves) >= BREAKER_WAVE_LIMIT and now >= self._pause_until:
-            self._pause_until = now + BREAKER_COOLDOWN_S
-            self.engine.stats.breaker_trips += 1
-
-    def _prune_flaps_locked(self, now: float) -> None:
-        flaps = self._flaps
-        for key in [k for k, ts in flaps.items()
-                    if not ts or now - ts[-1] >= BREAKER_WINDOW_S]:
-            del flaps[key]
-        if len(flaps) >= _FLAP_TRACK_MAX:  # all still in-window: drop LRU
-            for key in list(flaps)[:_FLAP_TRACK_MAX // 2]:
-                del flaps[key]
-
-    def _prune_cooling_locked(self, now: float) -> None:
-        cooling = self._cooling
-        for key in [k for k, until in cooling.items() if now >= until]:
-            del cooling[key]
-
-    def breaker_paused(self) -> bool:
-        """Whether the engine-wide promotion pause is currently active
-        (introspection for tests)."""
-        return self._clock() < self._pause_until
 
     # -- promotion ----------------------------------------------------------
 
@@ -386,13 +242,6 @@ class Specializer:
         has produced a live receiver, and passes the host class of the
         plan's receiver owner instead.
         """
-        if self.breaker_blocked(key):
-            # Graceful degradation: refuse without consuming the plan's
-            # promotion attempt, and push the retry out by a full
-            # threshold of warm hits so a cooling site pays one dict
-            # probe per threshold window, not per call.
-            plan.promote_at = plan.hits + self._threshold
-            return False
         plan.promoted = True
         engine = self.engine
         if _contract_blocks(engine, key[2]):
@@ -493,7 +342,6 @@ class Specializer:
                 site.install(site.generic)
             if displaced:
                 engine.stats.deopts += displaced
-                self._note_wave_locked()
             if elided:
                 engine.stats.elide_deopts += elided
         return displaced
@@ -523,21 +371,19 @@ class Specializer:
             stats.deopts += 1
             if site.elision is not None:
                 stats.elide_deopts += 1
-            self._note_wave_locked()
 
     def _note_rewarm(self, key: PlanKey) -> None:
         """Grant ``key`` the reduced re-promotion threshold, evicting
         the least-recently-deopted entry at the bound — never the whole
         registry, which would forget every discount at once and trigger
-        a synchronized full-threshold re-promotion wave.  Also feeds the
-        per-site breaker, which may immediately revoke the discount."""
+        a synchronized full-threshold re-promotion wave.  Caller holds
+        the internal lock."""
         rewarm = self._rewarm
         if key in rewarm:
             del rewarm[key]  # re-insert below: dict order is recency
         elif len(rewarm) >= _REWARM_MAX:
             del rewarm[next(iter(rewarm))]
         rewarm[key] = True
-        self._note_flap_locked(key)
 
     def is_promoted(self, key: PlanKey) -> bool:
         return key in self._by_key

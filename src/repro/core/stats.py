@@ -89,10 +89,6 @@ COUNTERS = (
      "trusted annotations of app methods (App = checked + trusted)"),
     ("annotations_generated", LOCKED, False,
      "annotations made by metaprogramming hooks (Gen'd)"),
-    ("breaker_trips", LOCKED, False,
-     "circuit-breaker trips: per-site flaps plus promotion pauses"),
-    ("breaker_demotions", LOCKED, False,
-     "chronic flappers demoted to tier 1 (per-site breaker_trips)"),
     ("retype_edge_invalidations", LOCKED, False,
      "invalidated entries other than the mutated key (ancestor retypes)"),
     ("hier_edge_invalidations", LOCKED, False,

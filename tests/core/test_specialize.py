@@ -329,6 +329,117 @@ def test_repromotion_after_deopt():
     assert _slot_is_specialized(cls, "bump")
 
 
+STORM_CYCLES = 40
+
+
+def _reload(engine, cls_name="SpecHot"):
+    """Same-signature reload churn: deopts a promoted ``bump``."""
+    engine.types.replace(cls_name, "bump", "(Integer) -> Integer",
+                         check=True)
+
+
+def _storm(engine, on_cycle=lambda cycle, cls, obj: None):
+    """A reload storm: each cycle warms ``bump`` past its promotion
+    threshold, calls ``on_cycle`` while the site is hot, then reloads
+    it.  Returns every call's result."""
+    cls = _hot_world(engine)
+    obj = cls()
+    outcomes = []
+    for cycle in range(STORM_CYCLES):
+        outcomes.extend(obj.bump(i) for i in range(THRESHOLD + 5))
+        on_cycle(cycle, cls, obj)
+        _reload(engine)
+    return outcomes
+
+
+@pytest.mark.requires_specialization
+def test_reload_storm_repromotes_every_cycle_and_matches_oracle():
+    """Nothing rations re-promotion: every lap of the storm promotes
+    once, and outcomes equal the cache-free oracle's."""
+    engine = spec_engine()
+    outcomes = _storm(engine)
+    assert outcomes == _storm(Engine(disable_caches=True))
+    assert engine.stats.promotions == STORM_CYCLES
+    assert engine.stats.deopts == STORM_CYCLES
+
+
+@pytest.mark.requires_specialization
+def test_reload_storm_bad_argument_raises_what_the_oracle_raises():
+    """Churn never relaxes checking: a bad argument in the middle of the
+    storm reaches a promoted wrapper and raises what the oracle raises."""
+    def bad_call(log):
+        def on_cycle(cycle, cls, obj):
+            if cycle == STORM_CYCLES // 2:
+                log.append((_slot_is_specialized(cls, "bump"),
+                            _outcome(lambda: obj.bump("nope"))))
+        return on_cycle
+
+    engine = spec_engine()
+    seen, expected = [], []
+    outcomes = _storm(engine, bad_call(seen))
+    assert outcomes == _storm(Engine(disable_caches=True),
+                              bad_call(expected))
+    assert engine.stats.promotions == STORM_CYCLES
+    (promoted, error), = seen
+    assert promoted  # the bad call reached a compiled wrapper
+    assert error[0] == ArgumentTypeError.__name__
+    assert error == expected[0][1]
+
+
+@pytest.mark.requires_specialization
+def test_reload_storm_compiles_each_wrapper_text_once(monkeypatch):
+    """A re-promotion execs memoized code: over the whole storm,
+    ``compile()`` runs once per distinct wrapper text, not per cycle."""
+    monkeypatch.setattr(specialize, "_CODE_MEMO", {})
+    compiled = []
+    real_compile = compile
+
+    def counting_compile(source, *args, **kwargs):
+        compiled.append(source)
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(specialize, "compile", counting_compile,
+                        raising=False)
+    sources = []
+    _storm(spec_engine(), lambda cycle, cls, obj: sources.append(
+        _slot(cls, "bump").__hb_source__))
+    assert len(sources) == STORM_CYCLES
+    assert sorted(compiled) == sorted(set(sources))
+    assert len(compiled) < STORM_CYCLES
+
+
+@pytest.mark.requires_specialization
+def test_rewarm_registry_evicts_the_least_recently_deopted(monkeypatch):
+    bound = 3
+    monkeypatch.setattr(specialize, "_REWARM_MAX", bound)
+    engine = spec_engine()
+    spec = engine._specializer
+    classes = {}
+
+    def deopt(name):
+        """Promote ``name#bump`` (defining it first time round) and
+        reload it; returns its plan key."""
+        if name not in classes:
+            cls = classes[name] = type(name, (object,), {})
+            _define(engine, cls, "bump", _BUMP, "(Integer) -> Integer")
+        _warm(classes[name]())
+        (key,) = [k for k in engine._plans._plans if k[0] == name]
+        assert spec.is_promoted(key)
+        _reload(engine, name)
+        assert len(spec._rewarm) <= bound
+        return key
+
+    first, second, third = (deopt(f"Rewarm{i}") for i in range(bound))
+    assert list(spec._rewarm) == [first, second, third]
+    assert deopt("Rewarm0") == first  # a second deopt refreshes recency
+    assert list(spec._rewarm) == [second, third, first]
+    latest = deopt("Rewarm3")  # over the bound: ``second`` goes, not ``first``
+    assert list(spec._rewarm) == [third, first, latest]
+    assert spec.promote_threshold(second) == THRESHOLD
+    assert spec.promote_threshold(latest) == max(
+        1, THRESHOLD // specialize.REWARM_DIVISOR) < THRESHOLD
+
+
 @pytest.mark.requires_specialization
 def test_unwrap_restores_the_original_function():
     engine = spec_engine()
