@@ -2,7 +2,7 @@
 
 The ROADMAP north star is a production-scale system serving heavy
 traffic, which means many request threads hitting the same engine — the
-same call plans, check cache, and subtype memo — concurrently.  The
+same call plans, check cache, and hierarchy memos — concurrently.  The
 engine's locking discipline (lock-free warm reads, one writer lock,
 epoch-guarded memo stores; see ``docs/performance.md`` "Concurrency")
 makes that safe; this package makes it *drivable and checkable*:

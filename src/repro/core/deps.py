@@ -31,10 +31,8 @@ Resource taxonomy (plain tuples, so they hash fast and print readably):
     an instance/class field type read by a checked derivation.
 
 Users: the engine's :class:`~repro.core.plans.CallPlanCache` (per-plan
-resolution dependencies), the :class:`~repro.core.cache.CheckCache`
-(per-derivation signature/field/hierarchy edges), and — with class names
-as resources — the per-line read sets of the subtype memo
-(:class:`repro.rtypes.hierarchy.SubtypeCache`).
+resolution dependencies) and the :class:`~repro.core.cache.CheckCache`
+(per-derivation signature/field/hierarchy edges).
 
 Locking contract: a :class:`DepGraph` is **not** internally
 synchronized — ``record``/``forget``/``invalidate`` are multi-step

@@ -20,8 +20,8 @@ The protocol (paper sections 1, 3, 4):
    cache entry and its dependents (Definitions 1 and 2).
 
 Invalidation is *dependency-tracked*: every cached judgment (check-cache
-entry, call plan, subtype-memo line) records exactly which signature
-slots, field types, and class linearizations it read, and each mutation
+entry, call plan) records exactly which signature slots, field types,
+and class linearizations it read, and each mutation
 removes exactly the dependents of what it changed (see
 :mod:`repro.core.deps` and ``docs/performance.md``).
 
@@ -29,7 +29,7 @@ Different :class:`EngineConfig` settings give the paper's measurement
 modes: ``intercept=False`` is "Orig", ``caching=False`` is "No$", defaults
 are "Hum".  Setting ``REPRO_DISABLE_CACHES=1`` in the environment (or
 ``Engine(..., disable_caches=True)``) builds a *cache-free oracle*: call
-plans off, check memoization off, subtype/linearization memos off, every
+plans off, check memoization off, hierarchy memos off, every
 body lowered from its source (no shared lowering memo), every run-time
 conformance check walked by the interpreted ``value_conforms`` instead of
 a compiled predicate — every judgment recomputed from scratch.  The
@@ -48,7 +48,7 @@ Concurrency discipline (lock-free read, locked write):
   other mutation *and* every in-flight ``jit_check`` (which takes the
   same lock);
 * cold-path **memo stores** that run outside the writer lock (call
-  plans, subtype-memo lines, linearization memos) are *epoch-guarded*:
+  plans, hierarchy memos) are *epoch-guarded*:
   the builder snapshots an epoch before resolving, and the store is
   discarded if any invalidation wave ran in between — a judgment
   resolved against a half-mutated world is never memoized;
@@ -187,7 +187,6 @@ class Engine:
         self.hier = default_hierarchy()
         self.hier.lock = self.write_lock
         if disable_caches:
-            self.hier.subtype_cache.enabled = False
             self.hier.memo_enabled = False
         self.types = TypeRegistry()
         self.types.lock = self.write_lock
@@ -238,14 +237,9 @@ class Engine:
         return Api(self)
 
     def stats_snapshot(self) -> dict:
-        """The :meth:`Stats.snapshot` dict plus the subtype memo's
-        counters, read live from the hierarchy that owns the memo."""
-        memo = self.hier.subtype_cache
-        snap = self.stats.snapshot()
-        snap["subtype_cache_hits"] = memo.hits
-        snap["subtype_cache_misses"] = memo.misses
-        snap["subtype_lru_evictions"] = memo.evictions
-        return snap
+        """The :meth:`Stats.snapshot` dict: one key per ``COUNTERS`` row
+        plus Table 1's views."""
+        return self.stats.snapshot()
 
     # -- class registration -----------------------------------------------------
 

@@ -10,7 +10,7 @@ The substrate Hummingbird's checking is built on: type objects
 """
 
 from .hierarchy import (
-    ClassHierarchy, SubtypeCache, UnknownClassError, default_hierarchy,
+    ClassHierarchy, UnknownClassError, default_hierarchy,
 )
 from .instantiate import (
     free_vars, instantiate_for_receiver, receiver_bindings, resolve_self,
@@ -39,7 +39,7 @@ __all__ = [
     "ClassObjectType", "FiniteHashType", "GenericType", "IntersectionType",
     "MethodType", "NilType", "NominalType", "OptionalParam", "Param",
     "RequiredParam", "SelfType", "SingletonType", "StructuralType",
-    "SubtypeCache", "Sym",
+    "Sym",
     "TupleType", "Type", "TypeSyntaxError", "UnionType", "UnknownClassError",
     "VarType", "VarargParam",
     "array_of", "class_name_of", "conformance", "conforms",

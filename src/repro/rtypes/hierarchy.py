@@ -21,17 +21,13 @@ Invalidation contract (the dependency-tracked scheme):
   that linearizes through it — and reports that *affected set* to
   registered :meth:`on_change` listeners (the engine maps each name to a
   ``("lin", name)`` dependency edge);
-* the per-class linearization/ancestor-set memos are dropped only for
-  affected classes;
-* the subtype memo evicts only the lines whose recorded hierarchy reads
-  intersect the affected set (see :class:`SubtypeCache`).
+* the per-class linearization, ancestor-set and verdict memos are
+  dropped only for affected classes.
 
 Read tracing: while a :meth:`trace` context is active, every hierarchy
 query records the class names it consulted — including *negative*
 lookups, so registering a previously-unknown class invalidates answers
-that observed its absence.  The subtype memo stores each line's read set
-and replays it into the active trace on a hit, keeping outer read sets
-complete without re-walking.  Trace stacks are **thread-local**: one
+that observed its absence.  Trace stacks are **thread-local**: one
 hierarchy serves many request threads, and an inner trace must merge
 into *its own thread's* enclosing trace, never another's.
 
@@ -48,9 +44,6 @@ Concurrency discipline (lock-free read, locked write):
   that rebuilt a walk stores it only if no mutation ran meanwhile
   (otherwise the stale walk would be memoized *after* the mutation's
   memo flush — the lost-invalidation race);
-* the subtype memo's store path is epoch-guarded the same way, and its
-  LRU bookkeeping takes an internal leaf lock (never held while calling
-  back out);
 * the class-verdict memo behind compiled conformance
   (:func:`repro.rtypes.typeof.conformance`) follows the walk memos:
   version-guarded stores, and a mutation drops the rows of exactly the
@@ -60,7 +53,6 @@ Concurrency discipline (lock-free read, locked write):
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
@@ -72,126 +64,13 @@ class UnknownClassError(KeyError):
     """Raised when a class name is not registered in the hierarchy."""
 
 
-class SubtypeCache:
-    """Memoized ``is_subtype`` answers for one hierarchy — a bounded LRU.
-
-    Each line maps ``(s, t)`` to ``(answer, reads)`` where
-    ``reads`` is the frozenset of class names whose hierarchy placement
-    the computation consulted.  The cache is owned by the hierarchy
-    because answers depend on its edges: a structural mutation evicts
-    exactly the lines whose reads intersect the affected classes
-    (:meth:`invalidate_classes`), so a stored answer is always valid for
-    the current hierarchy.  When full, the least-recently-used line is
-    evicted (``evictions`` counts them) instead of dropping the table
-    wholesale — hot pairs stay resident across overflow.  Queries that
-    carry a method resolver (structural-type checks) bypass the cache
-    entirely — see ``repro.rtypes.subtype.is_subtype``.
-    """
-
-    __slots__ = ("table", "hits", "misses", "evictions", "enabled",
-                 "max_entries", "_by_class", "_lock", "epoch")
-
-    def __init__(self, max_entries: int = 16384) -> None:
-        #: key -> (answer, reads); ordered oldest-first for LRU eviction.
-        self.table: "OrderedDict[tuple, Tuple[bool, FrozenSet[str]]]" = \
-            OrderedDict()
-        #: hit/miss counters are bumped on the unlocked read path, so
-        #: under concurrency they are monotonic but may undercount
-        #: (approximate observability; the engine Stats shards are the
-        #: exact ones).
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.enabled = True
-        self.max_entries = max_entries
-        #: leaf lock for stores/evictions/invalidation; never held while
-        #: calling out, so it cannot participate in a lock cycle.
-        self._lock = threading.Lock()
-        #: bumped by every invalidation; :meth:`store` discards lines
-        #: computed before a concurrent invalidation wave.
-        self.epoch = 0
-        #: class name -> keys of lines whose reads include it.
-        self._by_class: Dict[str, Set[tuple]] = {}
-
-    def store(self, key: tuple, answer: bool, reads: FrozenSet[str],
-              epoch: Optional[int] = None) -> bool:
-        """Insert a memo line unless the hierarchy was mutated since the
-        caller snapshotted ``epoch``.  Returns whether it was stored."""
-        with self._lock:
-            if epoch is not None and epoch != self.epoch:
-                return False
-            table = self.table
-            if key in table:
-                self._unindex(key)
-            while len(table) >= self.max_entries:
-                old_key, (_, old_reads) = table.popitem(last=False)
-                self.evictions += 1
-                self._unindex(old_key, old_reads)
-            table[key] = (answer, reads)
-            by_class = self._by_class
-            for name in reads:
-                bucket = by_class.get(name)
-                if bucket is None:
-                    by_class[name] = {key}
-                else:
-                    bucket.add(key)
-            return True
-
-    def touch(self, key: tuple) -> None:
-        """Opportunistic LRU recency bump for a hit: contended attempts
-        are simply skipped (recency is a heuristic; a read must never
-        block on the memo's bookkeeping)."""
-        lock = self._lock
-        if lock.acquire(blocking=False):
-            try:
-                if key in self.table:
-                    self.table.move_to_end(key)
-            finally:
-                lock.release()
-
-    def _unindex(self, key: tuple,
-                 reads: Optional[FrozenSet[str]] = None) -> None:
-        if reads is None:
-            line = self.table.get(key)
-            if line is None:
-                return
-            reads = line[1]
-        by_class = self._by_class
-        for name in reads:
-            bucket = by_class.get(name)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del by_class[name]
-
-    def invalidate_classes(self, names) -> int:
-        """Evict every line whose reads mention any of ``names``."""
-        with self._lock:
-            self.epoch += 1
-            stale: Set[tuple] = set()
-            by_class = self._by_class
-            for name in names:
-                stale |= by_class.pop(name, set())
-            for key in stale:
-                line = self.table.pop(key, None)
-                if line is not None:
-                    self._unindex(key, line[1])
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.epoch += 1
-            self.table.clear()
-            self._by_class.clear()
-
-
 class ClassHierarchy:
     """A registry of class names with superclass, mixin, and generic info.
 
-    Mutations bump :attr:`version` (kept for observability and for
-    snapshot comparison) and notify :meth:`on_change` listeners with the
-    precise set of classes whose linearizations changed, so dependent
-    caches invalidate per key instead of wholesale.
+    Mutations bump :attr:`version` (the memos' store guard) and notify
+    :meth:`on_change` listeners with the precise set of classes whose
+    linearizations changed, so dependent caches invalidate per key
+    instead of wholesale.
     """
 
     def __init__(self) -> None:
@@ -207,7 +86,6 @@ class ClassHierarchy:
         #: lock here so hierarchy mutations serialize with every other
         #: engine mutation under a single lock (no ordering cycles).
         self.lock = threading.RLock()
-        self.subtype_cache = SubtypeCache()
         #: memoize linearizations/ancestor sets; the cache-disabled
         #: differential oracle turns this off to recompute every walk.
         self.memo_enabled = True
@@ -253,12 +131,6 @@ class ClassHierarchy:
         if stack:
             stack[-1].add(name)
 
-    def replay_reads(self, names) -> None:
-        """Merge a memoized read set into the active trace (if any)."""
-        stack = getattr(self._trace_tl, "frames", None)
-        if stack:
-            stack[-1] |= names
-
     # -- change notification -----------------------------------------------
 
     def on_change(self, listener: Callable[[FrozenSet[str]], None]) -> None:
@@ -270,7 +142,6 @@ class ClassHierarchy:
             self._linearizations.pop(name, None)
             self._ancestor_sets.pop(name, None)
             self.verdicts.pop(name, None)
-        self.subtype_cache.invalidate_classes(affected)
         # Bumped only after the flushes: a lock-free reader that reads
         # the new version can no longer reach a memo this mutation
         # drops, so a store it makes under that version is fresh.
@@ -356,19 +227,11 @@ class ClassHierarchy:
         self._touch(name)
         return name in self._parent
 
-    def is_module(self, name: str) -> bool:
-        self._touch(name)
-        return name in self._modules
-
     def superclass(self, name: str) -> Optional[str]:
         self._touch(name)
         if name not in self._parent:
             raise UnknownClassError(name)
         return self._parent[name]
-
-    def mixins(self, name: str) -> Tuple[str, ...]:
-        self._touch(name)
-        return tuple(self._mixins.get(name, ()))
 
     def ancestors(self, name: str) -> Iterator[str]:
         """Linearized lookup order: the class, its mixins, then the
@@ -438,22 +301,6 @@ class ClassHierarchy:
     def generic_arity(self, name: str) -> int:
         self._touch(name)
         return len(self._typevars.get(name, ()))
-
-    def class_names(self) -> Tuple[str, ...]:
-        return tuple(self._parent)
-
-    def snapshot(self) -> "ClassHierarchy":
-        """A deep copy, used by engines that must not mutate the default.
-        Listeners, memo state, and the lock are deliberately not carried
-        over (the copy gets a fresh lock of its own)."""
-        with self.lock:
-            out = ClassHierarchy()
-            out._parent = dict(self._parent)
-            out._mixins = {k: list(v) for k, v in self._mixins.items()}
-            out._modules = set(self._modules)
-            out._typevars = dict(self._typevars)
-            out.version = self.version
-            return out
 
 
 def default_hierarchy() -> ClassHierarchy:

@@ -38,52 +38,13 @@ def is_subtype(s: Type, t: Type, hier: ClassHierarchy, *,
                resolver: Optional[MethodResolver] = None) -> bool:
     """True when ``s <= t`` under hierarchy ``hier``.
 
-    Memoized per hierarchy: answers live in ``hier.subtype_cache``, a
-    bounded LRU keyed ``(s, t)``.  Each line also records the
-    class names whose hierarchy placement the computation consulted, so
-    a structural mutation evicts exactly the lines it could have changed
-    (dependency-tracked invalidation) and an overflow evicts the
-    least-recently-used line instead of the whole table.  This is safe
-    because types are immutable (and usually interned, making the key
-    hash cheap).  Queries carrying a ``resolver`` bypass the cache —
-    structural checks depend on which method table the resolver reads,
-    which is not part of the key.
+    Not memoized: the hierarchy's linearization and ancestor-set memos
+    make the nominal steps cheap, and every class name the walk consults
+    goes straight into the caller's active
+    :meth:`~repro.rtypes.hierarchy.ClassHierarchy.trace`.  A ``resolver``
+    answers structural-type checks from a method table.
     """
-    if s is t:
-        return True
-    cache = hier.subtype_cache
-    if resolver is not None or not cache.enabled:
-        return _is_subtype(s, t, hier, resolver)
-    key = (s, t)
-    line = cache.table.get(key)
-    if line is not None:
-        cache.hits += 1      # approximate under threads (monotonic)
-        cache.touch(key)     # opportunistic LRU recency; never blocks
-        answer, reads = line
-        if reads:
-            # Keep enclosing read traces complete: a memo hit consulted
-            # (transitively) everything the original computation did.
-            hier.replay_reads(reads)
-        return answer
-    cache.misses += 1
-    # Epoch-guarded store: if a hierarchy mutation invalidates lines
-    # while we compute, this answer may predate the mutation and must
-    # not be memoized after its eviction wave (lost-invalidation race).
-    epoch = cache.epoch
-    with hier.trace() as reads:
-        result = _is_subtype(s, t, hier, None)
-    cache.store(key, result, frozenset(reads), epoch=epoch)
-    return result
-
-
-def _is_subtype(s: Type, t: Type, hier: ClassHierarchy,
-                resolver: Optional[MethodResolver]) -> bool:
-    """The uncached structural dispatch behind :func:`is_subtype`.
-
-    Recursive positions call back through the public entry point so every
-    sub-query lands in (and benefits from) the memo table.
-    """
-    if s == t:
+    if s is t or s == t:
         return True
     if isinstance(s, BotType):
         return True

@@ -14,8 +14,8 @@ round-trip is property-tested.
 
 The common constructors are *hash-consed*: building ``NominalType("User")``
 twice yields the same object, so equal types are usually identity-equal and
-the memoized subtype cache (``repro.rtypes.subtype``) can key on them
-cheaply.  Interning is an optimization, not an invariant — structural
+``is_subtype`` (``repro.rtypes.subtype``) settles ``A <= A`` with an
+identity test.  Interning is an optimization, not an invariant — structural
 ``__eq__``/``__hash__`` remain authoritative, and un-interned construction
 paths (e.g. building a ``UnionType`` directly) still compare correctly.
 """

@@ -13,7 +13,7 @@ thread — one writer wave) followed by a batch of calls executed across
 phase every call is deterministic, so the phase's outcome multiset must
 equal a cache-free, single-threaded oracle replaying the same script.
 The races this provokes are real: worker threads are mid-flight
-building plans, filling the subtype memo, and re-checking bodies while
+building plans, filling the hierarchy memos, and re-checking bodies while
 the main thread's next wave lands — hypothesis shrinks any divergence
 to a minimal phase script.
 """

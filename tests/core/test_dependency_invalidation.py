@@ -269,21 +269,3 @@ class TestReturnChecks:
         hits = engine.stats.specialized_hits
         assert liar.fib() == "paper semantics: unchecked"
         assert engine.stats.specialized_hits == hits + 1
-
-
-# -- subtype-memo LRU observability ------------------------------------------
-
-
-class TestSubtypeLruCounters:
-    def test_evictions_synced_into_snapshot(self):
-        engine, hb = fresh()
-        engine.hier.subtype_cache.max_entries = 4
-        from repro.rtypes import NominalType, is_subtype
-        names = ["Integer", "Float", "String", "Symbol", "Proc", "Time"]
-        for a in names:
-            for b in names:
-                is_subtype(NominalType(a), NominalType(b), engine.hier)
-        snap = engine.stats_snapshot()
-        assert snap["subtype_lru_evictions"] > 0
-        assert snap["subtype_lru_evictions"] == \
-            engine.hier.subtype_cache.evictions

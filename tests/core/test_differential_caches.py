@@ -155,7 +155,6 @@ def test_env_switch_builds_oracle_engines(monkeypatch):
     assert engine.caches_disabled
     assert engine.config.caching is False
     assert engine.config.call_plans is False
-    assert engine.hier.subtype_cache.enabled is False
     assert engine.hier.memo_enabled is False
     monkeypatch.setenv("REPRO_DISABLE_CACHES", "0")
     assert not Engine().caches_disabled

@@ -81,13 +81,10 @@ def test_snapshot_casts_is_the_per_call_counter():
     assert snap["cast_sites"] == engine.stats.cast_site_count()
 
 
-def test_subtype_memo_counters_read_live():
-    engine = Engine()
-    memo = engine.hier.subtype_cache
-    snap = engine.stats_snapshot()
-    assert snap["subtype_cache_hits"] == memo.hits
-    assert snap["subtype_cache_misses"] == memo.misses
-    assert snap["subtype_lru_evictions"] == memo.evictions
+def test_engine_snapshot_keys_are_the_registry_keys():
+    # Nothing outside the registry adds a key: the engine's snapshot is
+    # exactly Table 1's views plus one key per COUNTERS row.
+    assert set(Engine().stats_snapshot()) == set(Stats().snapshot())
 
 
 def test_counter_names_are_declared_only_in_the_registry():

@@ -25,7 +25,7 @@ from repro import CastError, Engine
 from repro.rtypes import (
     ANY, BOOL, BOT, NIL, SELF,
     ClassObjectType, FiniteHashType, GenericType, MethodType, NominalType,
-    RequiredParam, SingletonType, StructuralType, SubtypeCache, Sym,
+    RequiredParam, SingletonType, StructuralType, Sym,
     TupleType, VarType, conformance, conforms, default_hierarchy,
     intersection_of, parse_type, union_of, value_conforms,
 )
@@ -113,7 +113,6 @@ class _World:
     def __init__(self):
         self.hier = default_hierarchy()
         self.oracle = default_hierarchy()
-        self.oracle.subtype_cache.enabled = False
         self.oracle.memo_enabled = False
         self.host = {name: type(name, (), {"name": "app"}) for name in APP}
 
@@ -268,31 +267,31 @@ class TestVerdictMemo:
         assert "M0" not in hier.verdicts.get("_Widget", {})
         assert conforms(_Widget(), NominalType("M0"), hier)
 
-    def test_fill_racing_an_edit_flush_is_not_memoized(self,
-                                                        monkeypatch):
+    def test_fill_racing_an_edit_flush_is_not_memoized(self):
         """A cast that runs while an edit is still flushing its memos
-        reads the stale subtype-memo line, and its store waits for the
-        edit's lock.  The version moves only after the flush, so that
-        store is refused and the next cast sees the edit."""
+        reads the stale ancestor set, and its verdict store waits for
+        the edit's lock.  The version moves only after the flush, so
+        that store is refused and the next cast sees the edit."""
         hier = default_hierarchy()
         hier.add_class("_Widget")
+        hier.add_module("M0")
         t = NominalType("M0")
-        assert not conforms(_Widget(), t, hier)  # memoizes the old answer
-        real = SubtypeCache.invalidate_classes
+        assert not hier.is_subclass("_Widget", "M0")  # memoizes ancestors
+        assert "_Widget" not in hier.verdicts
         readers = []
 
-        def flush_with_a_reader_racing(cache, names):
-            reader = threading.Thread(target=conforms,
-                                      args=(_Widget(), t, hier))
-            reader.start()
-            readers.append(reader)
-            reader.join(timeout=0.2)  # it blocks on the edit's lock
-            return real(cache, names)
+        class FlushWithAReaderRacing(dict):
+            def pop(self, name, *default):
+                if name == "_Widget" and not readers:
+                    reader = threading.Thread(target=conforms,
+                                              args=(_Widget(), t, hier))
+                    reader.start()
+                    readers.append(reader)
+                    reader.join(timeout=0.2)  # it blocks on the edit's lock
+                return super().pop(name, *default)
 
-        monkeypatch.setattr(SubtypeCache, "invalidate_classes",
-                            flush_with_a_reader_racing)
+        hier._ancestor_sets = FlushWithAReaderRacing(hier._ancestor_sets)
         hier.include_module("_Widget", "M0")
-        monkeypatch.undo()
         for reader in readers:
             reader.join(timeout=10)
             assert not reader.is_alive()

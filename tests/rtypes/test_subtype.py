@@ -260,9 +260,42 @@ class TestHierarchy:
         assert h.typevars("Hash") == ("k", "v")
         assert h.generic_arity("String") == 0
 
-    def test_snapshot_isolated(self):
+
+class TestHierarchyEdits:
+    """An edit after a query changes the next answer, and every query
+    reports the classes it consulted to the active trace."""
+
+    def test_registering_a_class_after_a_query_flips_it(self):
         h = default_hierarchy()
-        snap = h.snapshot()
-        snap.add_class("OnlyInSnap")
-        assert snap.is_known("OnlyInSnap")
-        assert not h.is_known("OnlyInSnap")
+        h.add_class("Animal")
+        cat, animal = NominalType("Cat"), NominalType("Animal")
+        assert not is_subtype(cat, animal, h)  # Cat is unknown
+        h.add_class("Cat", "Animal")
+        assert is_subtype(cat, animal, h)
+
+    def test_registering_a_ghost_flips_only_its_answer(self, hier):
+        ghost, user = NominalType("Ghost"), NominalType("User")
+        admin = NominalType("AdminUser")
+        assert not is_subtype(ghost, user, hier)
+        assert is_subtype(admin, user, hier)
+        hier.add_class("Ghost", "User")
+        assert is_subtype(ghost, user, hier)
+        assert is_subtype(admin, user, hier)
+
+    def test_include_module_after_a_query_flips_it(self):
+        h = default_hierarchy()
+        h.add_class("Post")
+        h.add_module("Commentable")
+        post, mod = NominalType("Post"), NominalType("Commentable")
+        assert not is_subtype(post, mod, h)
+        h.include_module("Post", "Commentable")
+        assert is_subtype(post, mod, h)
+
+    def test_repeated_query_records_its_reads_in_the_trace(self, hier):
+        admin, user = NominalType("AdminUser"), NominalType("User")
+        ghost = NominalType("Ghost")
+        for _ in range(2):
+            with hier.trace() as reads:
+                assert is_subtype(admin, user, hier)
+                assert not is_subtype(ghost, user, hier)  # Ghost is unknown
+            assert {"AdminUser", "Ghost"} <= reads
