@@ -1,33 +1,32 @@
 """The type-check cache — the X of the formalism.
 
 An entry memoizes a successful static check of ``A#m``'s body.  Each entry
-records its *dependencies*: every ``B#m'`` whose signature the derivation
-consulted (the (TApp) uses of the formalism), every field type read, and
-— the dependency-tracked extension — every class whose ancestor
-linearization the derivation's subtype queries walked (``hier_deps``).
-The edges live in a shared :class:`~repro.core.deps.DepGraph`, so each
-kind of mutation removes exactly its dependents:
+records its *dependencies*: its own ``A#m`` slot, every ``B#m'`` whose
+signature the derivation consulted (the (TApp) uses of the formalism),
+every field type read, and — the dependency-tracked extension — every
+class whose ancestor linearization the derivation's subtype queries
+walked (``hier_deps``).  The edges live in a shared
+:class:`~repro.core.deps.DepGraph`, and every mutation is one
+:meth:`CheckCache.invalidate` over the resources it changed:
 
-* **Definition 1** (signature/body change of ``A#m``): entries keyed
-  ``A#m`` are removed, and entries whose derivation consulted ``A#m``'s
-  slot are removed.  This is *one* level, not transitive: if ``C`` calls
-  ``B`` calls ``A``, changing ``A`` invalidates ``B`` (whose derivation
-  used ``A``'s signature) but not ``C`` (whose derivation used only
-  ``B``'s signature, which did not change).  Entries storing a derivation
-  of an *ancestor's* body under a descendant receiver record an explicit
-  edge to the ancestor slot (the engine adds the body/signature owner to
-  ``deps``), so retyping or redefining the ancestor invalidates exactly
-  the receiver-keyed descendants.
+* **Definition 1** (signature/body change of ``A#m``): the ``A#m`` slot
+  drops the entry keyed ``A#m`` (its own edge) and the entries whose
+  derivation consulted it.  This is *one* level, not transitive: if ``C``
+  calls ``B`` calls ``A``, changing ``A`` invalidates ``B`` (whose
+  derivation used ``A``'s signature) but not ``C`` (whose derivation used
+  only ``B``'s signature, which did not change).  Entries storing a
+  derivation of an *ancestor's* body under a descendant receiver record
+  an explicit edge to the ancestor slot (the engine adds the
+  body/signature owner to ``deps``), so retyping or redefining the
+  ancestor invalidates exactly the receiver-keyed descendants.
 * **field change**: entries whose derivations read the field type.
-* **hierarchy change**: the engine maps the hierarchy's affected-class
-  report onto :meth:`invalidate_hier`, removing entries whose subtype
-  reasoning consulted a changed linearization — previously these were
-  only caught indirectly (or not at all for receiver-keyed entries).
+* **hierarchy change**: the ``("lin", C)`` resources of the hierarchy's
+  affected classes drop entries whose subtype reasoning consulted a
+  changed linearization.
 
-Cache *upgrading* (Definition 2) is represented by stamping each entry
-with the type-table version; since invalidation already removed every
-entry that mentioned the changed signature, surviving entries remain
-valid under the new table and simply have their stamp refreshed.
+Definition 2 (upgrading the surviving entries to the new table) needs no
+work: invalidation removed every entry that mentioned the changed slot,
+and an entry carries nothing else that depends on the table.
 """
 
 from __future__ import annotations
@@ -35,55 +34,28 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .deps import DepGraph, field_resource, lin_resource, sig_resource
+from .deps import (
+    DepGraph, Resource, field_resource, lin_resource, sig_resource,
+)
 
 Key = Tuple[str, str]  # (class name, method name)
 
 
-class _TableStamp:
-    """A shared, mutable table-version holder (one per cache)."""
-
-    __slots__ = ("version",)
-
-    def __init__(self, version: int = 0) -> None:
-        self.version = version
-
-
 class CacheEntry:
-    """A memoized derivation: what was checked and what it relied on.
+    """A memoized derivation: what was checked and what it relied on."""
 
-    ``table_version`` reads through a stamp shared with the owning cache:
-    :meth:`CheckCache.upgrade` (Definition 2) restamps every surviving
-    entry by writing one integer instead of reallocating each entry.
-    """
-
-    __slots__ = ("key", "deps", "field_deps", "hier_deps",
-                 "_stored_version", "_stamp")
+    __slots__ = ("key", "deps", "field_deps", "hier_deps")
 
     def __init__(self, key: Key, deps: Iterable[Key],
                  field_deps: Iterable[Key] = (),
-                 hier_deps: Iterable[str] = (), table_version: int = 0,
-                 stamp: Optional[_TableStamp] = None) -> None:
+                 hier_deps: Iterable[str] = ()) -> None:
         self.key = key
         self.deps = frozenset(deps)
         self.field_deps = frozenset(field_deps)  # (owner, field name) reads
         self.hier_deps = frozenset(hier_deps)    # class linearization reads
-        self._stored_version = table_version
-        self._stamp = stamp if stamp is not None else _TableStamp(
-            table_version)
-
-    @property
-    def table_version(self) -> int:
-        stamped = self._stamp.version
-        return stamped if stamped > self._stored_version \
-            else self._stored_version
-
-    def mentions(self, key: Key) -> bool:
-        return key in self.deps or key == self.key
 
     def __repr__(self) -> str:
-        return (f"CacheEntry({self.key}, deps={sorted(self.deps)}, "
-                f"table_version={self.table_version})")
+        return f"CacheEntry({self.key}, deps={sorted(self.deps)})"
 
 
 class CheckCache:
@@ -101,7 +73,6 @@ class CheckCache:
     def __init__(self) -> None:
         self._entries: Dict[Key, CacheEntry] = {}
         self._deps = DepGraph()
-        self._stamp = _TableStamp(0)
         self._lock = threading.RLock()
 
     def __contains__(self, key: Key) -> bool:
@@ -115,13 +86,12 @@ class CheckCache:
 
     def store(self, key: Key, deps: Iterable[Key],
               field_deps: Iterable[Key] = (),
-              hier_deps: Iterable[str] = (),
-              table_version: int = 0) -> CacheEntry:
+              hier_deps: Iterable[str] = ()) -> CacheEntry:
         with self._lock:
-            entry = CacheEntry(key, deps, field_deps, hier_deps,
-                               table_version, stamp=self._stamp)
+            entry = CacheEntry(key, deps, field_deps, hier_deps)
             self._entries[key] = entry
-            resources = [sig_resource(*dep) for dep in entry.deps]
+            resources = [sig_resource(*key)]
+            resources += [sig_resource(*dep) for dep in entry.deps]
             resources += [field_resource(*fdep) for fdep in entry.field_deps]
             resources += [lin_resource(cls) for cls in entry.hier_deps]
             self._deps.record(key, resources)
@@ -133,49 +103,19 @@ class CheckCache:
                 self._deps.forget(key)
 
     def dependents(self, key: Key) -> Set[Key]:
-        """Cached methods whose derivations consulted ``key``'s signature."""
+        """Cached methods other than ``key`` whose derivations consulted
+        ``key``'s signature."""
         with self._lock:
-            return self._deps.dependents(sig_resource(*key))
+            return self._deps.dependents(sig_resource(*key)) - {key}
 
-    def invalidate(self, key: Key) -> Set[Key]:
-        """Definition 1: drop ``key`` and every entry that used it."""
+    def invalidate(self, resources: Iterable[Resource]) -> Set[Key]:
+        """Drop every entry that read any of ``resources``; an entry's
+        own ``("sig", owner, name)`` slot counts (Definition 1)."""
         with self._lock:
-            removed = self._deps.invalidate(sig_resource(*key))
-            if key in self._entries:
-                removed.add(key)
-            for k in removed:
-                self.remove(k)
+            removed = self._deps.invalidate_many(resources)
+            for key in removed:
+                del self._entries[key]
             return removed
-
-    def invalidate_field(self, owner: str, field_name: str) -> Set[Key]:
-        """Drop entries whose derivations read the given field type."""
-        with self._lock:
-            removed = self._deps.invalidate(field_resource(owner,
-                                                           field_name))
-            for k in removed:
-                self.remove(k)
-            return removed
-
-    def invalidate_hier(self, class_name: str) -> Set[Key]:
-        """Drop entries whose derivations consulted ``class_name``'s
-        linearization (the hierarchy-edge flush rule)."""
-        with self._lock:
-            removed = self._deps.invalidate(lin_resource(class_name))
-            for k in removed:
-                self.remove(k)
-            return removed
-
-    def upgrade(self, table_version: int) -> None:
-        """Definition 2: restamp surviving derivations with the new table.
-
-        Valid only after invalidation removed every entry mentioning the
-        changed signature, which :meth:`invalidate` guarantees.  O(1): the
-        shared stamp is advanced; entries report the newer of their
-        store-time version and the stamp.
-        """
-        with self._lock:
-            if table_version > self._stamp.version:
-                self._stamp.version = table_version
 
     def clear(self) -> None:
         with self._lock:

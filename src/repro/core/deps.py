@@ -18,8 +18,10 @@ Resource taxonomy (plain tuples, so they hash fast and print readably):
     a method-signature slot.  Recorded for every slot a resolution walk
     *consulted* — including negative lookups, so a signature appearing on
     a closer ancestor correctly invalidates plans that previously
-    resolved past it.  Check-cache entries record the kind-less form
-    (the checker's (TApp) dependency keys).
+    resolved past it.  The kind-less form is a check-cache slot: each
+    check-cache entry records its own slot and the (TApp) dependency
+    keys its derivation consulted, and each call plan records the slot
+    of the entry it replays.
 
 ``("lin", class_name)``
     the ancestor linearization of ``class_name``.  Recorded by anything
@@ -30,9 +32,13 @@ Resource taxonomy (plain tuples, so they hash fast and print readably):
 ``("field", owner, field_name)``
     an instance/class field type read by a checked derivation.
 
-Users: the engine's :class:`~repro.core.plans.CallPlanCache` (per-plan
-resolution dependencies) and the :class:`~repro.core.cache.CheckCache`
-(per-derivation signature/field/hierarchy edges).
+Users: the :class:`~repro.core.cache.CheckCache` (per-derivation
+signature/field/hierarchy edges) and the engine's
+:class:`~repro.core.plans.CallPlanCache` (per-plan resolution edges).
+Each mutation is one engine wave (``Engine._wave``): one
+``invalidate`` pass over the check cache's graph, then one over the
+plan cache's, given the changed resources plus the slots of the check
+entries the first pass removed.
 
 Locking contract: a :class:`DepGraph` is **not** internally
 synchronized — ``record``/``forget``/``invalidate`` are multi-step

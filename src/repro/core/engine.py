@@ -87,15 +87,13 @@ from ..rtypes import (
 from .builtins_sigs import install as install_builtins
 from .cache import CheckCache
 from .checker import Checker
-from .deps import (
-    Resource, lin_resource, sig_resource,
-)
+from .deps import Resource, field_resource, lin_resource, sig_resource
 from .elide import Elider, elide_disabled_by_env
 from .errors import (
     ArgumentTypeError, CastError, NoMethodBodyError, StaticTypeError,
     TypeSignatureError,
 )
-from .plans import CallPlan, CallPlanCache
+from .plans import CallPlan, CallPlanCache, PlanKey
 from .specialize import Specializer, specialize_disabled_by_env
 from .stats import Stats
 
@@ -589,23 +587,28 @@ class Engine:
             else:
                 hot.dynamic_arg_checks_skipped += 1
         if plannable:
-            plan = CallPlan(
-                sig_owner, sig, checked,
-                sig is not None and _profile_eligible(sig))
-            spec = self._specializer
-            # Per-site adaptive threshold: a site the specializer saw
-            # deoptimize re-promotes at a fraction of the global
-            # threshold, cutting deopt-churn latency under reload.
-            plan.promote_at = (
-                spec.promote_threshold((def_owner, owner, name, kind))
-                if spec is not None else self._spec_threshold)
-            plans.store((def_owner, owner, name, kind), plan, trace,
-                        epoch=epoch)
+            plan_key = (def_owner, owner, name, kind)
+            plans.store(plan_key, self._new_plan(plan_key, sig_owner, sig,
+                                                 checked),
+                        trace, epoch=epoch)
         stack.append(checked)
         try:
             return fn(recv, *args, **kwargs)
         finally:
             stack.pop()
+
+    def _new_plan(self, key: PlanKey, sig_owner: Optional[str],
+                  sig: Optional[MethodSig], checked: bool) -> CallPlan:
+        """A fresh plan for ``key``, stamped with its promotion
+        threshold: the global one, or the specializer's reduced
+        re-promotion threshold for a site it saw deoptimize (cutting
+        deopt-churn latency under reload)."""
+        plan = CallPlan(sig_owner, sig, checked,
+                        sig is not None and _profile_eligible(sig))
+        spec = self._specializer
+        plan.promote_at = (spec.promote_threshold(key) if spec is not None
+                           else self._spec_threshold)
+        return plan
 
     def jit_check(self, key: Key, sig: MethodSig, def_owner: str,
                   kind: str = INSTANCE,
@@ -692,9 +695,8 @@ class Engine:
                             if anc == sig_owner:
                                 break
                             deps.add((anc, key[1]))
-                deps.discard(key)  # no self-loops; invalidate(key) covers it
-                self.cache.store(key, deps, outcome.field_deps, hier_reads,
-                                 self.types.version)
+                deps.discard(key)  # the entry records its own slot
+                self.cache.store(key, deps, outcome.field_deps, hier_reads)
 
     def check_method_now(self, owner, name: str,
                          kind: str = INSTANCE) -> None:
@@ -764,28 +766,22 @@ class Engine:
     # -- invalidation ----------------------------------------------------------------------
 
     def invalidate(self, owner: str, name: str) -> Set[Key]:
-        """Definition 1 + Definition 2 for ``owner#name``.
+        """Definition 1 for ``owner#name``: the signature wave.
 
         Per-key throughout: the check cache drops the keyed entry plus
-        the entries whose derivations consulted it; call plans are
-        flushed only if they resolved through ``owner``'s signature slot
-        or their memoized derivation was just removed.  Plans for other
-        methods — and for the same method name on unrelated classes —
-        stay warm.
+        the entries whose derivations consulted it; call plans fall only
+        if they resolved through ``owner``'s signature slot or replay a
+        derivation the wave just removed.  Plans for other methods — and
+        for the same method name on unrelated classes — stay warm.
+        Definition 2 needs no step: every surviving entry is valid under
+        the new table.
         """
+        key = (owner, name)
         with self.write_lock:
-            key = (owner, name)
-            removed = self.cache.invalidate(key)
-            if removed:
-                self.stats.invalidations += len(removed)
-                self.stats.retype_edge_invalidations += len(removed - {key})
-            if self._plans is not None:
-                flushed = self._plans.invalidate_resources(
-                    (sig_resource(owner, name, INSTANCE),
-                     sig_resource(owner, name, CLASS)))
-                flushed += self._plans.invalidate_cache_keys(removed | {key})
-                self.stats.plan_invalidations += flushed
-            self.cache.upgrade(self.types.version)
+            removed = self._wave([sig_resource(owner, name),
+                                  sig_resource(owner, name, INSTANCE),
+                                  sig_resource(owner, name, CLASS)])
+            self.stats.retype_edge_invalidations += len(removed - {key})
             return removed
 
     def _on_type_change(self, owner: str, name: str, kind: str) -> None:
@@ -793,26 +789,11 @@ class Engine:
         # (acquiring it again here is a no-op re-entry, but keeps the
         # invariant visible if a future registry drops the sharing).
         with self.write_lock:
-            if kind == "field":
-                removed = self.cache.invalidate_field(owner, name)
-                if removed:
-                    self.stats.invalidations += len(removed)
-                    self.stats.retype_edge_invalidations += len(removed)
-                    if self._plans is not None:
-                        # Plans never read field types directly; flushing
-                        # the ones whose derivation just fell keeps the
-                        # counterable invariant "removed entry => no plan
-                        # replays it".
-                        self.stats.plan_invalidations += \
-                            self._plans.invalidate_cache_keys(removed)
-                if self._plans is not None:
-                    # Bump the epoch even when nothing was dropped, so
-                    # in-flight plan builds discard rather than memoize
-                    # against the pre-mutation world.
-                    self._plans.bump_epoch()
-                self.cache.upgrade(self.types.version)
+            if kind != "field":
+                self.invalidate(owner, name)
                 return
-            self.invalidate(owner, name)
+            removed = self._wave([field_resource(owner, name)])
+            self.stats.retype_edge_invalidations += len(removed)
 
     def _on_hier_change(self, affected: FrozenSet[str]) -> None:
         """A structural hierarchy mutation changed exactly ``affected``
@@ -821,18 +802,22 @@ class Engine:
         them.  A new leaf class affects only itself, so warm caches for
         everything else survive (the dev-mode reload win)."""
         with self.write_lock:
-            removed: Set[Key] = set()
-            for cls in affected:
-                removed |= self.cache.invalidate_hier(cls)
-            if removed:
-                self.stats.invalidations += len(removed)
-                self.stats.hier_edge_invalidations += len(removed)
-            if self._plans is not None:
-                flushed = self._plans.invalidate_resources(
-                    [lin_resource(cls) for cls in affected])
-                if removed:
-                    flushed += self._plans.invalidate_cache_keys(removed)
-                self.stats.plan_invalidations += flushed
+            removed = self._wave([lin_resource(cls) for cls in affected])
+            self.stats.hier_edge_invalidations += len(removed)
+
+    def _wave(self, resources: List[Resource]) -> Set[Key]:
+        """One mutation's invalidation: drop the check entries that read
+        any of ``resources``, then the plans that read them or replay a
+        dropped entry.  Called under the writer lock; returns the
+        dropped check-cache keys.  The plan wave bumps the epoch even
+        when nothing drops, so in-flight plan builds discard rather than
+        memoize against the pre-mutation world."""
+        removed = self.cache.invalidate(resources)
+        self.stats.invalidations += len(removed)
+        if self._plans is not None:
+            self.stats.plan_invalidations += self._plans.invalidate(
+                resources + [sig_resource(*key) for key in removed])
+        return removed
 
     # -- wrapping ---------------------------------------------------------------------------
 

@@ -16,15 +16,17 @@ Soundness / invalidation (the dependency-tracked scheme):
 * while a plan is built, the slow path records every resource the
   resolution consulted — the ``("sig", C, name, kind)`` slot of each
   ancestor it probed (negative probes included) and the ``("lin", C)``
-  linearization it walked.  The cache keeps those edges in a
-  :class:`~repro.core.deps.DepGraph`; mutating one resource pops exactly
-  its dependent plans (:meth:`CallPlanCache.invalidate_resources`),
-  instead of the old scheme's global version counters that made *every*
-  plan unusable after *any* table or hierarchy change;
-* plans whose memoized check-cache entry is removed (body redefinitions,
-  field retypes, Definition 1 removal sets) are flushed per *(receiver,
-  method)* key (:meth:`CallPlanCache.invalidate_cache_keys`), not per
-  method name — redefining ``A#m`` leaves ``B#m`` plans warm;
+  linearization it walked — and :meth:`CallPlanCache.store` adds the
+  plan's check-cache slot, the kind-less ``("sig", receiver, name)``.
+  The cache keeps those edges in a :class:`~repro.core.deps.DepGraph`;
+  one :meth:`CallPlanCache.invalidate` per mutation pops exactly the
+  dependent plans, instead of the old scheme's global version counters
+  that made *every* plan unusable after *any* table or hierarchy change;
+* the engine passes that wave the slots of the check-cache entries it
+  just removed (body redefinitions, field retypes, Definition 1 removal
+  sets), so a plan replaying a removed derivation falls per *(receiver,
+  method)* key, not per method name — redefining ``A#m`` leaves ``B#m``
+  plans warm;
 * checked plans additionally guard on their derivation still being in the
   check cache, so even a direct ``cache.clear()`` that bypasses
   ``Engine.invalidate`` cannot leave a stale fast path;
@@ -65,13 +67,12 @@ from __future__ import annotations
 
 import threading
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
 )
 
-from .deps import DepGraph, Resource
+from .deps import DepGraph, Resource, sig_resource
 
 PlanKey = Tuple[str, str, str, str]  # (def_owner, recv class, method, kind)
-CacheKey = Tuple[str, str]           # (recv class, method) — check-cache key
 
 #: Cap on remembered passing argument-class profiles per plan; beyond it
 #: the dynamic check still runs, it just stops learning new profiles.
@@ -152,13 +153,13 @@ class CallPlanCache:
     dependency edges that invalidate them.
 
     Thread discipline: :meth:`get` (the warm path) is a bare dict read —
-    no lock.  Every mutation (store, the invalidation waves, clear)
-    holds the internal lock, and each invalidation wave bumps
-    :attr:`epoch`.  A slow-path plan build snapshots the epoch *before*
-    resolving and passes it to :meth:`store`; if any wave ran in
-    between, the store is discarded — otherwise a plan resolved against
-    the pre-mutation world could be memoized *after* the wave that
-    should have flushed it (the lost-invalidation race).
+    no lock.  Every mutation (store, the invalidation wave, clear)
+    holds the internal lock, and each wave bumps :attr:`epoch` once,
+    whether or not it drops a plan.  A slow-path plan build snapshots
+    the epoch *before* resolving and passes it to :meth:`store`; if any
+    wave ran in between, the store is discarded — otherwise a plan
+    resolved against the pre-mutation world could be memoized *after*
+    the wave that should have flushed it (the lost-invalidation race).
 
     :attr:`on_drop` (set by the engine) is called with the plan keys an
     invalidation wave explicitly dropped, *after* the internal lock is
@@ -174,9 +175,6 @@ class CallPlanCache:
         #: bumped (under the lock) by every invalidation wave; stale
         #: epoch => a concurrent mutation => the plan must not be stored.
         self.epoch = 0
-        #: (receiver, method) -> plan keys; Definition-1 removal sets are
-        #: check-cache keys, so this index makes their flush O(set size).
-        self._by_cache_key: Dict[CacheKey, Set[PlanKey]] = {}
         #: deopt listener: called (outside the lock) with each wave's
         #: dropped plan keys, and with a replaced key on store overwrite.
         self.on_drop: Optional[Callable[[Tuple[PlanKey, ...]], None]] = None
@@ -211,52 +209,22 @@ class CallPlanCache:
             replaced = (key in self._plans
                         and self._plans[key] is not plan)
             self._plans[key] = plan
-            self._deps.record(key, resources)
-            self._by_cache_key.setdefault((key[1], key[2]), set()).add(key)
+            self._deps.record(key, [*resources,
+                                    sig_resource(key[1], key[2])])
         if replaced and self.on_drop is not None:
             self.on_drop((key,))
         return True
 
-    def bump_epoch(self) -> None:
-        """Mark a mutation wave that flushed nothing: in-flight plan
-        builds must still discard (they may have read mid-mutation)."""
+    def invalidate(self, resources: Iterable[Resource]) -> int:
+        """Drop every plan depending on any of ``resources``; a plan's
+        check-cache slot ``("sig", receiver, name)`` counts.  Bumps the
+        epoch even when nothing drops: in-flight plan builds may have
+        read mid-mutation and must discard."""
         with self._lock:
             self.epoch += 1
-
-    def _drop(self, key: PlanKey) -> bool:
-        if self._plans.pop(key, None) is None:
-            return False
-        self._deps.forget(key)
-        bucket = self._by_cache_key.get((key[1], key[2]))
-        if bucket is not None:
-            bucket.discard(key)
-            if not bucket:
-                del self._by_cache_key[(key[1], key[2])]
-        return True
-
-    def invalidate_resources(self, resources: Iterable[Resource]) -> int:
-        """Drop every plan depending on any of ``resources`` (per key)."""
-        with self._lock:
-            self.epoch += 1
-            dropped = []
-            for key in self._deps.invalidate_many(resources):
-                if self._drop(key):
-                    dropped.append(key)
-        self._notify_drop(dropped)
-        return len(dropped)
-
-    def invalidate_cache_keys(self, cache_keys: Iterable[CacheKey]) -> int:
-        """Drop plans whose *(receiver, method)* check-cache key is in
-        ``cache_keys`` — Definition 1's removal set, per key not per name."""
-        with self._lock:
-            self.epoch += 1
-            stale: Set[PlanKey] = set()
-            for ckey in cache_keys:
-                stale |= self._by_cache_key.get(ckey, set())
-            dropped = []
-            for key in stale:
-                if self._drop(key):
-                    dropped.append(key)
+            dropped = self._deps.invalidate_many(resources)
+            for key in dropped:
+                del self._plans[key]
         self._notify_drop(dropped)
         return len(dropped)
 
@@ -266,7 +234,6 @@ class CallPlanCache:
             dropped = list(self._plans)
             self._plans.clear()
             self._deps.clear()
-            self._by_cache_key.clear()
         self._notify_drop(dropped)
         return len(dropped)
 

@@ -73,10 +73,9 @@ the future, never about the call it accepts.
 
 **Deoptimization.**  Soundness rides the PR 2 dependency machinery: a
 specialized wrapper lives exactly as long as the plan it was compiled
-from.  Every invalidation wave that drops a plan
-(:meth:`CallPlanCache.invalidate_resources`,
-:meth:`~repro.core.plans.CallPlanCache.invalidate_cache_keys`,
-:meth:`~repro.core.plans.CallPlanCache.clear`, and store-overwrites)
+from.  Everything that drops a plan (the engine's one invalidation
+wave per mutation, :meth:`~repro.core.plans.CallPlanCache.invalidate`;
+:meth:`~repro.core.plans.CallPlanCache.clear`; and store-overwrites)
 reports the dropped keys through ``CallPlanCache.on_drop``, and the
 engine restores the displaced generic wrapper *before the wave
 returns*.  So by the time a mutation's caller regains control, no specialized code

@@ -54,8 +54,8 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.engine import Engine, _profile_eligible
-from ..core.plans import CallPlan, PlanKey
+from ..core.engine import Engine
+from ..core.plans import PlanKey
 
 SNAPSHOT_FORMAT = "hummingbird-warm-state"
 #: version 5: no ``elisions`` section — a re-promoted site recomputes
@@ -274,7 +274,6 @@ def _read_document(source) -> Tuple[Optional[dict], str]:
 def _restore_checks(engine: Engine, doc: dict,
                     report: SnapshotLoad) -> set:
     restored = set()
-    table_version = engine.types.version
     for rec in doc.get("checks", []):
         key = tuple(rec["key"])
         body_owner, body_fp = _body_fingerprint(engine, *key)
@@ -285,8 +284,7 @@ def _restore_checks(engine: Engine, doc: dict,
             key,
             deps={tuple(dep) for dep in rec["deps"]},
             field_deps={tuple(dep) for dep in rec["field_deps"]},
-            hier_deps=set(rec["hier_deps"]),
-            table_version=table_version)
+            hier_deps=set(rec["hier_deps"]))
         restored.add(key)
         report.checks_restored += 1
     return restored
@@ -321,11 +319,7 @@ def _restore_plan(engine: Engine, rec: dict, epoch: int,
         report.plans_skipped += 1
         return  # resolution shape drifted from the saved world
 
-    plan = CallPlan(
-        sig_owner, sig, checked,
-        sig is not None and _profile_eligible(sig))
-    plan.promote_at = (spec.promote_threshold(key) if spec is not None
-                       else engine._spec_threshold)
+    plan = engine._new_plan(key, sig_owner, sig, checked)
     plan.hits = int(rec["hits"])
     if plan.profile_eligible:
         decoded = []

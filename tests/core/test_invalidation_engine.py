@@ -126,20 +126,25 @@ class TestRedefinition:
 class TestCacheUnit:
     def test_dependents_tracking(self):
         from repro.core.cache import CheckCache
+        from repro.core.deps import sig_resource
         cache = CheckCache()
         cache.store(("B", "m"), deps={("A", "m")})
         cache.store(("C", "m"), deps={("B", "m")})
         assert cache.dependents(("A", "m")) == {("B", "m")}
-        removed = cache.invalidate(("A", "m"))
+        # An entry's edge to its own slot does not make it a dependent.
+        assert cache.dependents(("B", "m")) == {("C", "m")}
+        removed = cache.invalidate([sig_resource("A", "m")])
         # One level: B falls, C survives (Definition 1).
         assert removed == {("B", "m")}
         assert ("C", "m") in cache
 
     def test_invalidate_key_itself(self):
         from repro.core.cache import CheckCache
+        from repro.core.deps import sig_resource
         cache = CheckCache()
         cache.store(("A", "m"), deps=set())
-        assert cache.invalidate(("A", "m")) == {("A", "m")}
+        assert cache.dependents(("A", "m")) == set()
+        assert cache.invalidate([sig_resource("A", "m")]) == {("A", "m")}
         assert len(cache) == 0
 
     def test_store_replaces_previous_entry(self):
@@ -150,12 +155,70 @@ class TestCacheUnit:
         assert cache.dependents(("A", "m")) == set()
         assert cache.dependents(("Z", "m")) == {("B", "m")}
 
-    def test_upgrade_restamps(self):
-        from repro.core.cache import CheckCache
-        cache = CheckCache()
-        cache.store(("A", "m"), deps=set(), table_version=1)
-        cache.upgrade(7)
-        assert cache.get(("A", "m")).table_version == 7
+
+class TestWaveEpoch:
+    """Every mutation is one wave, and every wave bumps the plan epoch
+    once, so a plan build that read the epoch before it is refused —
+    even when the wave drops nothing."""
+
+    def build(self, engine, hb):
+        class Box:
+            def __init__(self):
+                self.value = 1
+
+            @hb.typed("() -> Integer")
+            def base(self):
+                return 1
+
+            @hb.typed("() -> Integer")
+            def double(self):
+                return self.base() * 2
+
+        hb.field_type(Box, "value", "Integer")
+        engine.hier.add_module("Sealed")
+        box = Box()
+        for _ in range(3):
+            box.double()
+        return Box
+
+    def retype(self, engine, Box):
+        engine.types.replace("Box", "base", "() -> Integer or String")
+
+    def field_retype(self, engine, Box):
+        invalidations = engine.stats.invalidations
+        engine.field_type(Box, "value", "String")
+        assert engine.stats.invalidations == invalidations
+
+    def new_leaf_class(self, engine, Box):
+        class Crate(Box):
+            pass
+
+        engine.register_class(Crate)
+
+    def include_module(self, engine, Box):
+        engine.hier.include_module("Box", "Sealed")
+
+    def invalidate_uncached(self, engine, Box):
+        assert engine.invalidate("Box", "never_cached") == set()
+
+    @pytest.mark.requires_caches
+    @pytest.mark.parametrize("wave", [
+        "retype", "field_retype", "new_leaf_class", "include_module",
+        "invalidate_uncached"])
+    def test_build_straddling_the_wave_is_refused(self, wave):
+        engine, hb = fresh()
+        Box = self.build(engine, hb)
+        plans = engine._plans
+        key = ("Box", "Box", "probe", "instance")
+        before = plans.epoch
+        getattr(self, wave)(engine, Box)
+        assert plans.epoch == before + 1
+        stale = engine._new_plan(key, None, None, False)
+        assert not plans.store(key, stale, (), epoch=before)
+        assert plans.get(key) is None
+        fresh_plan = engine._new_plan(key, None, None, False)
+        assert plans.store(key, fresh_plan, (), epoch=plans.epoch)
+        assert plans.get(key) is fresh_plan
 
 
 class TestContracts:
