@@ -14,14 +14,15 @@ per name, and never "everything".
 
 Resource taxonomy (plain tuples, so they hash fast and print readably):
 
-``("sig", owner, name[, kind])``
+``("sig", owner, name)``
     a method-signature slot.  Recorded for every slot a resolution walk
     *consulted* — including negative lookups, so a signature appearing on
     a closer ancestor correctly invalidates plans that previously
-    resolved past it.  The kind-less form is a check-cache slot: each
-    check-cache entry records its own slot and the (TApp) dependency
-    keys its derivation consulted, and each call plan records the slot
-    of the entry it replays.
+    resolved past it.  Each check-cache entry also records its own slot
+    and the (TApp) dependency keys its derivation consulted, and each
+    call plan records the slot of the entry it replays.  The slot has no
+    method kind: the check cache keys entries by ``(owner, name)``, and
+    every signature wave drops both kinds of the name.
 
 ``("lin", class_name)``
     the ancestor linearization of ``class_name``.  Recorded by anything
@@ -56,11 +57,9 @@ Resource = Tuple
 Token = Hashable
 
 
-def sig_resource(owner: str, name: str, kind: str = None) -> Resource:
-    """The resource key for a signature slot (kind-less when ``None``)."""
-    if kind is None:
-        return ("sig", owner, name)
-    return ("sig", owner, name, kind)
+def sig_resource(owner: str, name: str) -> Resource:
+    """The resource key for a signature slot."""
+    return ("sig", owner, name)
 
 
 def lin_resource(class_name: str) -> Resource:

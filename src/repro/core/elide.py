@@ -2,7 +2,7 @@
 
 Tier 2 compiles a warm call plan into a straight-line wrapper that still
 *performs* every per-call safety operation — the check-cache membership
-probe, the argument-profile guard, the checked-frame push/pop.  Two of
+probe, the argument-profile guard, the checked-frame slot.  Two of
 them are redundant for reasons the plan's signature alone settles, so
 the :class:`Elider` decides them at promotion, in tier 2, and the
 wrapper *omits* them.  Each verdict is an :class:`Elision` with two
@@ -28,7 +28,7 @@ independent switches:
 
 Neither fact reads anything beyond the plan, whose own dependency edges
 already deopt the site when the signature changes, so a verdict adds no
-edge of its own.  The checked-frame push/pop always stays: the paper's
+edge of its own.  The checked-frame slot always stays: the paper's
 per-call work is the memoized check lookup plus the dynamic argument
 check, with no body dataflow.  The ``REPRO_DISABLE_ELIDE=1`` escape
 hatch (and ``EngineConfig.elide``) turns the stage off, leaving every

@@ -14,8 +14,8 @@ The protocol (paper sections 1, 3, 4):
      and its dependency set are memoized.
 
 3. Dynamic argument checks run only when the immediate caller is not
-   itself statically checked (the section 4 optimization), tracked with a
-   per-engine call stack.
+   itself statically checked (the section 4 optimization), tracked with
+   one per-thread slot: the checkedness of the active intercepted frame.
 4. Defining a method (EDef) or changing a signature (EType) invalidates the
    cache entry and its dependents (Definitions 1 and 2).
 
@@ -52,7 +52,7 @@ Concurrency discipline (lock-free read, locked write):
   the builder snapshots an epoch before resolving, and the store is
   discarded if any invalidation wave ran in between — a judgment
   resolved against a half-mutated world is never memoized;
-* per-call mutable state (the checked-frame stack, hierarchy read
+* per-call mutable state (the checked-frame slot, hierarchy read
   traces, hot stats counters) is **thread-local**.
 
 Tiered execution: once a call plan has served ``specialize_threshold``
@@ -72,7 +72,6 @@ import inspect
 import os
 import threading
 import warnings
-import weakref
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -98,23 +97,6 @@ from .specialize import Specializer, specialize_disabled_by_env
 from .stats import Stats
 
 Key = Tuple[str, str]
-
-
-class _PerThreadState(threading.local):
-    """Each thread's engine-call state: the thread's hot-counter shard,
-    which also carries the stack of "is the active frame statically
-    checked?" flags (the section 4 boundary-check bookkeeping).  One
-    engine serves many request threads, and a caller's checkedness must
-    never leak into another thread's frames.  Keeping both on the shard
-    holds every intercepted call to a single thread-local fetch.
-
-    ``threading.local`` re-runs ``__init__`` (with these constructor
-    arguments) in every thread that touches the object — that is what
-    makes ``stats.local()`` register exactly one shard per thread.
-    """
-
-    def __init__(self, stats: Stats) -> None:
-        self.counters = stats.local()
 
 
 def caches_disabled_by_env() -> bool:
@@ -194,7 +176,9 @@ class Engine:
         self.cache = CheckCache()
         self.stats = Stats()
         self.checker = Checker(self)
-        self._tls = _PerThreadState(self.stats)  # frames + counter shard
+        #: the per-thread counter shard (``_tls.counters``), which also
+        #: carries the checked-frame slot.
+        self._tls = self.stats.tls
         self._app_classes: Dict[str, type] = {}
         #: names mid-registration (guarded by write_lock); membership in
         #: _app_classes is deferred until registration completes.
@@ -437,18 +421,19 @@ class Engine:
         the owner's linearization and each probed signature slot —
         *including negative probes*, so a signature later appearing on a
         closer ancestor invalidates plans that resolved past its slot.
+        A slot is kind-less: every signature wave drops both kinds.
         """
         if not self.hier.is_known(owner):
             if trace is not None:
                 trace.append(lin_resource(owner))
-                trace.append(sig_resource(owner, name, kind))
+                trace.append(sig_resource(owner, name))
             sig = self.types.lookup(owner, name, kind)
             return (owner, sig) if sig is not None else None
         if trace is not None:
             trace.append(lin_resource(owner))
         for ancestor in self.hier.ancestors(owner):
             if trace is not None:
-                trace.append(sig_resource(ancestor, name, kind))
+                trace.append(sig_resource(ancestor, name))
             sig = self.types.lookup(ancestor, name, kind)
             if sig is not None:
                 return ancestor, sig
@@ -465,10 +450,12 @@ class Engine:
         several classes are checked separately per class (section 4).
 
         Warm call sites take the *fast path*: a
-        :class:`~repro.core.plans.CallPlan` built by a previous slow call
-        replays the resolved dispatch decision, so the steady state is a
-        dict hit plus (at most) an argument-profile check instead of
-        signature resolution + jit_check + mode dispatch.  Hot plans are
+        :class:`~repro.core.plans.CallPlan` built by a previous cold call
+        (:meth:`_plan_call`) replays the resolved dispatch decision, so
+        the steady state is a dict hit plus (at most) an argument-profile
+        check instead of signature resolution + jit_check.  Warm and
+        cold calls then share one tail: the section 4 boundary test, the
+        checked frame, the real call.  Hot plans are
         further promoted to tier 2 — a specialized per-site wrapper that
         bypasses this method entirely until deoptimized (specialized
         wrappers re-enter here only on guard failure, so this path also
@@ -479,123 +466,97 @@ class Engine:
         the check cache) protects against direct ``cache.clear()`` calls
         that bypass ``Engine.invalidate``.
         """
-        stats = self._tls.counters
-        stats.calls_intercepted += 1
+        c = self._tls.counters
+        c.calls_intercepted += 1
         if kind == CLASS:
             owner = recv.__name__ if isinstance(recv, type) else \
                 class_name_of(recv)
         else:
             owner = class_name_of(recv)
+        key = (def_owner, owner, name, kind)
+        spec = self._specializer
         plans = self._plans
-        if plans is not None:
-            plan = plans.get((def_owner, owner, name, kind))
-            if (plan is not None
-                    # checked plans require their memoized derivation to
-                    # still be present, so even a direct cache flush
-                    # (bypassing Engine.invalidate) cannot leave a stale
-                    # fast path.
-                    and (not plan.checked or (owner, name) in self.cache)):
-                stats.fast_path_hits += 1
-                spec = self._specializer
-                if spec is not None and not plan.promoted:
-                    # Tiering: count warm hits; at the plan's threshold
-                    # (the global default, or the specializer's reduced
-                    # re-promotion threshold stamped at plan build), try
-                    # to compile this plan into a per-site wrapper.  The
-                    # racy increment only ever delays the threshold.
-                    plan.hits = hits = plan.hits + 1
-                    if hits >= plan.promote_at:
-                        spec.maybe_promote((def_owner, owner, name, kind),
-                                           plan, fn, recv)
-                checked = plan.checked
-                sig = plan.sig
-                stack = stats.stack
-                if sig is not None:
-                    if checked:
-                        stats.cache_hits += 1
-                    # Section 4: only a call from unchecked code
-                    # checks its arguments.
-                    if not (stack and stack[-1]):
-                        # Keyword calls skip the profile set: the full
-                        # check binds them onto the declared parameters.
-                        if plan.profile_eligible and not kwargs:
-                            profile = tuple(map(type, args))
-                            if profile not in plan.profiles:
-                                self._dynamic_arg_check(
-                                    sig, fn, recv, args, kwargs, owner,
-                                    name, kind)
-                                plan.learn_profile(profile)
-                            elif spec is not None and not plan.promoted:
-                                # Feed the dominant-profile pick; only
-                                # while a promotion can still consume
-                                # it, so pinned-tier-1 engines (and
-                                # promoted sites) pay nothing.
-                                plan.note_profile_hit(profile)
-                        else:
-                            self._dynamic_arg_check(sig, fn, recv, args,
-                                                    kwargs, owner, name,
-                                                    kind)
-                        stats.dynamic_arg_checks += 1
-                    else:
-                        stats.dynamic_arg_checks_skipped += 1
-                stack.append(checked)
-                try:
-                    return fn(recv, *args, **kwargs)
-                finally:
-                    stack.pop()
-        return self._invoke_slow(def_owner, owner, name, kind, fn, recv,
-                                 args, kwargs)
-
-    def _invoke_slow(self, def_owner: str, owner: str, name: str, kind: str,
-                     fn, recv, args: tuple, kwargs: dict):
-        """Cold call path: full resolution, then memoize a CallPlan along
-        with the dependency edges the resolution consulted.
-
-        Runs without the writer lock (only ``jit_check`` inside takes
-        it), so the plan store is epoch-guarded: if any invalidation wave
-        runs between the epoch snapshot below and the store, the plan is
-        discarded — it may have resolved through a half-mutated world."""
-        plans = self._plans
-        plannable = plans is not None
-        epoch = plans.epoch if plannable else 0
-        trace: Optional[List[Resource]] = [] if plannable else None
-        resolved = self.resolve_sig(owner, name, kind, trace=trace)
-        if resolved is None:
-            resolved = self.resolve_sig(def_owner, name, kind, trace=trace)
-        checked = False
-        sig_owner: Optional[str] = None
-        sig: Optional[MethodSig] = None
-        hot = self._tls.counters
-        stack = hot.stack
-        if resolved is not None:
-            sig_owner, sig = resolved
-            key = (owner, name)
-            if sig.check:
-                self.jit_check(key, sig, def_owner, kind,
-                               sig_owner=sig_owner)
-                checked = True
-                if not self.config.caching:
-                    # No$ mode re-checks on every call by design; a plan
-                    # would wrongly skip the re-check.
-                    plannable = False
-            # Section 4: skip when the immediate caller was statically
-            # checked.
-            if not (stack and stack[-1]):
-                self._dynamic_arg_check(sig, fn, recv, args, kwargs, owner,
-                                        name, kind)
-                hot.dynamic_arg_checks += 1
+        plan = plans.get(key) if plans is not None else None
+        if (plan is not None
+                # checked plans require their memoized derivation to
+                # still be present, so even a direct cache flush
+                # (bypassing Engine.invalidate) cannot leave a stale
+                # fast path.
+                and (not plan.checked or (owner, name) in self.cache)):
+            c.fast_path_hits += 1
+            if plan.checked:
+                c.cache_hits += 1
+            if spec is not None and not plan.promoted:
+                # Tiering: count warm hits; at the plan's threshold (the
+                # global default, or the specializer's reduced
+                # re-promotion threshold stamped at plan build), try to
+                # compile this plan into a per-site wrapper.  The racy
+                # increment only ever delays the threshold.
+                plan.hits = hits = plan.hits + 1
+                if hits >= plan.promote_at:
+                    spec.maybe_promote(key, plan, fn, recv)
+        else:
+            plan = self._plan_call(key, owner)
+        sig = plan.sig
+        prev = c.top
+        if sig is not None:
+            # Section 4: only a call from unchecked code checks its
+            # arguments.
+            if prev:
+                c.dynamic_arg_checks_skipped += 1
             else:
-                hot.dynamic_arg_checks_skipped += 1
-        if plannable:
-            plan_key = (def_owner, owner, name, kind)
-            plans.store(plan_key, self._new_plan(plan_key, sig_owner, sig,
-                                                 checked),
-                        trace, epoch=epoch)
-        stack.append(checked)
+                # Keyword calls skip the profile set: the full check
+                # binds them onto the declared parameters.
+                if plan.profile_eligible and not kwargs:
+                    profile = tuple(map(type, args))
+                    if profile not in plan.profiles:
+                        self._dynamic_arg_check(sig, fn, recv, args, kwargs,
+                                                owner, name, kind)
+                        plan.learn_profile(profile)
+                    elif spec is not None and not plan.promoted:
+                        # Feed the dominant-profile pick; only while a
+                        # promotion can still consume it, so
+                        # pinned-tier-1 engines (and promoted sites) pay
+                        # nothing.
+                        plan.note_profile_hit(profile)
+                else:
+                    self._dynamic_arg_check(sig, fn, recv, args, kwargs,
+                                            owner, name, kind)
+                c.dynamic_arg_checks += 1
+        c.top = plan.checked
         try:
             return fn(recv, *args, **kwargs)
         finally:
-            stack.pop()
+            c.top = prev
+
+    def _plan_call(self, key: PlanKey, owner: str) -> CallPlan:
+        """Cold call: resolve the signature, JIT-check the body, and build
+        the call's plan along with the dependency edges the resolution
+        consulted.
+
+        The plan is stored unless plans are off or No$ mode re-checks
+        every call (a stored plan would skip the re-check); then it
+        serves this one call only.  Runs without the writer lock (only
+        ``jit_check`` inside takes it), so the store is epoch-guarded:
+        if any invalidation wave runs between the epoch snapshot below
+        and the store, the plan is discarded — it may have resolved
+        through a half-mutated world."""
+        def_owner, _, name, kind = key
+        plans = self._plans
+        epoch = plans.epoch if plans is not None else 0
+        trace: List[Resource] = []
+        resolved = self.resolve_sig(owner, name, kind, trace=trace)
+        if resolved is None:
+            resolved = self.resolve_sig(def_owner, name, kind, trace=trace)
+        sig_owner, sig = resolved if resolved is not None else (None, None)
+        checked = sig is not None and sig.check
+        if checked:
+            self.jit_check((owner, name), sig, def_owner, kind,
+                           sig_owner=sig_owner)
+        plan = self._new_plan(key, sig_owner, sig, checked)
+        if plans is not None and (self.config.caching or not checked):
+            plans.store(key, plan, trace, epoch=epoch)
+        return plan
 
     def _new_plan(self, key: PlanKey, sig_owner: Optional[str],
                   sig: Optional[MethodSig], checked: bool) -> CallPlan:
@@ -778,9 +739,7 @@ class Engine:
         """
         key = (owner, name)
         with self.write_lock:
-            removed = self._wave([sig_resource(owner, name),
-                                  sig_resource(owner, name, INSTANCE),
-                                  sig_resource(owner, name, CLASS)])
+            removed = self._wave([sig_resource(owner, name)])
             self.stats.retype_edge_invalidations += len(removed - {key})
             return removed
 
@@ -916,35 +875,14 @@ def _find_callable(pycls: type, name: str, kind: str):
     return None
 
 
-#: fn -> inspect.Signature.  Building a Signature object is far more
-#: expensive than binding one; kwargs-carrying calls reuse it per function.
-#: Weak keys: superseded functions (dev-mode redefinitions) must not be
-#: pinned for process lifetime by their memo entry.  Reads are plain dict
-#: gets (GIL-atomic); writes take a lock because WeakKeyDictionary
-#: insertion is a multi-step pure-Python operation.
-_SIGNATURE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SIGNATURE_MEMO_LOCK = threading.Lock()
-
-
 def _positional_view(fn, recv, args: tuple, kwargs: dict) -> list:
     """Flatten a call's arguments into declared positional order so each
     value lines up with the signature's parameter list."""
     if not kwargs:
         return list(args)
-    sig = _SIGNATURE_MEMO.get(fn)
-    if sig is None:
-        try:
-            sig = inspect.signature(fn)
-        except (TypeError, ValueError):
-            return list(args) + list(kwargs.values())
-        try:
-            with _SIGNATURE_MEMO_LOCK:
-                _SIGNATURE_MEMO[fn] = sig
-        except TypeError:
-            pass  # non-weakref-able callable; just don't memoize it
     try:
-        bound = sig.bind(recv, *args, **kwargs)
-    except TypeError:
+        bound = inspect.signature(fn).bind(recv, *args, **kwargs)
+    except (TypeError, ValueError):
         return list(args) + list(kwargs.values())
     # Fill *gaps* only — defaulted parameters the call skipped before a
     # later named one (f(x, y=2, z=3) called as f(1, z=5)): without the

@@ -13,11 +13,11 @@ versioning (Chevalier-Boisvert & Feeley).
 
 Soundness / invalidation (the dependency-tracked scheme):
 
-* while a plan is built, the slow path records every resource the
-  resolution consulted — the ``("sig", C, name, kind)`` slot of each
+* while a plan is built, the cold path records every resource the
+  resolution consulted — the ``("sig", C, name)`` slot of each
   ancestor it probed (negative probes included) and the ``("lin", C)``
   linearization it walked — and :meth:`CallPlanCache.store` adds the
-  plan's check-cache slot, the kind-less ``("sig", receiver, name)``.
+  plan's check-cache slot, ``("sig", receiver, name)``.
   The cache keeps those edges in a :class:`~repro.core.deps.DepGraph`;
   one :meth:`CallPlanCache.invalidate` per mutation pops exactly the
   dependent plans, instead of the old scheme's global version counters
@@ -93,7 +93,7 @@ class CallPlan:
         #: the resolved MethodSig, or None for wrapped-but-unannotated.
         self.sig = sig
         #: the JIT static check is satisfied and memoized in the check
-        #: cache; also what the checked-frame stack records for callees.
+        #: cache; also what the checked-frame slot holds for callees.
         self.checked = checked
         self.profile_eligible = profile_eligible
         #: copy-on-write: always reassigned (never mutated in place) so
@@ -155,7 +155,7 @@ class CallPlanCache:
     Thread discipline: :meth:`get` (the warm path) is a bare dict read —
     no lock.  Every mutation (store, the invalidation wave, clear)
     holds the internal lock, and each wave bumps :attr:`epoch` once,
-    whether or not it drops a plan.  A slow-path plan build snapshots
+    whether or not it drops a plan.  A cold plan build snapshots
     the epoch *before* resolving and passes it to :meth:`store`; if any
     wave ran in between, the store is discarded — otherwise a plan
     resolved against the pre-mutation world could be memoized *after*

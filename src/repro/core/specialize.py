@@ -4,7 +4,7 @@ Tier 1 (:mod:`repro.core.plans`) made the steady state "a guard plus a
 cache hit", but the guard itself is still ~30 lines of interpreted Python
 per call inside ``Engine.invoke``: build the plan key tuple, run
 ``class_name_of``, fetch thread-locals, decide the boundary argument
-check, push/pop the checked frame.  Lazy basic block versioning
+check, save/set/restore the checked-frame slot.  Lazy basic block versioning
 (Chevalier-Boisvert & Feeley) and "Transient Typechecks are (Almost)
 Free" (Roberts et al.) both make the same observation: type guards only
 become near-free when they are *compiled into the call site* as
@@ -16,14 +16,14 @@ or the reduced re-promotion threshold for sites that deopted before),
 the :class:`Specializer` generates a wrapper function specialized to
 exactly that plan: the receiver-class identity guard, the
 dominant argument-profile test (the *hottest* profile by pre-promotion
-hit counts) and the checked-frame push/pop are emitted as straight-line
-local-variable operations, ``exec``-ed into a fresh namespace per site
-(the code is compiled once per distinct text, process wide), closing
-over the original function, the plan (whose COW profile sets it
-re-reads each call), and the engine's per-thread state.  ``rdl.wrap``'s
-generic wrapper is then atomically displaced: one ``setattr`` rebinds
-the class attribute, so promotion needs no cooperation from in-flight
-calls.
+hit counts) and the checked-frame save/restore are emitted as
+straight-line local-variable operations, ``exec``-ed into a fresh
+namespace per site (the code is compiled once per distinct text,
+process wide), closing over the original function, the plan (whose
+COW profile sets it re-reads each call), and the engine's per-thread
+state.  ``rdl.wrap``'s generic wrapper is then atomically displaced:
+one ``setattr`` rebinds the class attribute, so promotion needs no
+cooperation from in-flight calls.
 
 **One shape per site.**  A promoted slot compiles exactly one shape: one
 receiver class and positional calls of one arity when the site fixes
@@ -48,7 +48,7 @@ wrapper reports what the generic tier would have, plus
 check ops they make redundant instead of partially evaluating them: the
 check-cache membership probe of a checked plan, and the argument-profile
 test where some arm's parameter types are all vacuous (only the arity
-is guarded).  The checked-frame push/pop is always emitted.  Both facts
+is guarded).  The checked-frame save/restore is always emitted.  Both facts
 read only the plan, so the plan's own dependency edges deopt an elided
 site exactly like any other.
 
@@ -513,7 +513,7 @@ def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
         # that bypass Engine.invalidate: no entry, no fast path.
         lines += ["if _ckey0 not in _entries:", f"    {bail}"]
         ns["_ckey0"] = (key[1], key[2])
-    lines += ["c = _tls.counters", "stack = c.stack"]
+    lines += ["c = _tls.counters", "prev = c.top"]
     if sig is None:
         lines.append(f"c.{shape_slot(checked, 'nosig', elided)} += 1")
     else:
@@ -522,14 +522,14 @@ def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
         profile_test = [] if el is not None and el.arg_check else \
             _profile_test_lines(plan, dominant, bail, ns)
         lines += [
-            "if stack and stack[-1]:",
+            "if prev:",
             f"    c.{shape_slot(checked, 'skip', elided)} += 1",
             "else:",
             *["    " + ln for ln in profile_test],
             f"    c.{shape_slot(checked, 'args', elided)} += 1",
         ]
-    lines += [f"stack.append({checked})", "try:", f"    return {call}",
-              "finally:", "    stack.pop()"]
+    lines += [f"c.top = {checked}", "try:", f"    return {call}",
+              "finally:", "    c.top = prev"]
     return lines, ns
 
 

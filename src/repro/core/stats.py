@@ -149,16 +149,36 @@ _SHARD_INTS = HOT_COUNTER_FIELDS + SHAPE_SLOTS
 class HotCounters:
     """One thread's shard of the hot-path counters (plain ints, no lock:
     only the owning thread ever writes them), plus that thread's
-    checked-frame stack, so the intercepted-call path reaches both with
+    checked-frame slot, so the intercepted-call path reaches both with
     one thread-local fetch."""
 
-    __slots__ = _SHARD_INTS + ("stack",)
+    __slots__ = _SHARD_INTS + ("top",)
 
     def __init__(self) -> None:
         for field in _SHARD_INTS:
             setattr(self, field, 0)
-        #: "is the active frame statically checked?" flags (section 4).
-        self.stack: List[bool] = []
+        #: is the active intercepted frame statically checked?  Section
+        #: 4 reads only the immediate caller's flag, so each call saves
+        #: it, sets its own and restores the saved one on the way out.
+        self.top = False
+
+
+class _ShardLocal(threading.local):
+    """One engine's thread-local state: ``counters`` is the calling
+    thread's :class:`HotCounters` shard.  ``threading.local`` re-runs
+    ``__init__`` in every thread that touches the object, so each thread
+    creates and registers exactly one shard, on first use."""
+
+    def __init__(self, stats: "Stats") -> None:
+        shard = HotCounters()
+        ref = weakref.ref(threading.current_thread())
+        with stats._shard_lock:
+            # Shard creation doubles as the pruning point: dead threads'
+            # shards are folded into the base counters then dropped,
+            # bounding the shard list by the live threads.
+            stats._fold_dead_locked()
+            stats._shards.append((ref, shard))
+        self.counters = shard
 
 
 class PhaseTracker:
@@ -205,7 +225,9 @@ class Stats:
         self._shards: List[tuple] = []
         self._folded = HotCounters()
         self._shard_lock = threading.Lock()
-        self._shard_tl = threading.local()
+        #: the per-thread state; ``tls.counters`` is the calling
+        #: thread's shard (the engine's codegen reads it directly).
+        self.tls = _ShardLocal(self)
         self.phase = PhaseTracker()
         for name, kind, _, _ in COUNTERS:
             if kind == LOCKED:
@@ -221,21 +243,8 @@ class Stats:
     # -- per-thread hot counters ----------------------------------------------
 
     def local(self) -> HotCounters:
-        """The calling thread's hot-counter shard (created on first use).
-
-        Shard creation doubles as the pruning point: dead threads'
-        shards are folded into the base counters then dropped, bounding
-        the shard list by the number of *concurrently live* threads.
-        """
-        shard = getattr(self._shard_tl, "shard", None)
-        if shard is None:
-            shard = HotCounters()
-            ref = weakref.ref(threading.current_thread())
-            with self._shard_lock:
-                self._fold_dead_locked()
-                self._shards.append((ref, shard))
-            self._shard_tl.shard = shard
-        return shard
+        """The calling thread's hot-counter shard (created on first use)."""
+        return self.tls.counters
 
     def _fold_dead_locked(self) -> None:
         alive = []

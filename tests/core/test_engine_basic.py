@@ -17,6 +17,29 @@ def make_engine(**kwargs):
     return Engine(EngineConfig(**kwargs)) if kwargs else Engine()
 
 
+#: the two tiers that run the section 4 checked-frame bookkeeping.
+_TIERS = [pytest.param("generic", id="generic"),
+          pytest.param("promoted", id="promoted",
+                       marks=pytest.mark.requires_specialization)]
+
+
+def _tier_engine(tier):
+    if tier == "generic":
+        return make_engine(specialize=False)
+    return make_engine(specialize_threshold=3)
+
+
+def _warm(tier, cls, call, names):
+    """Warm ``call`` past the promotion threshold; then every method of
+    ``cls`` in ``names`` runs in a tier-2 wrapper on the promoted tier
+    and in the generic one otherwise."""
+    for i in range(10):
+        call(i)
+    promoted = [getattr(cls.__dict__[name], "__hb_specialized__", False)
+                for name in names]
+    assert promoted == [tier == "promoted"] * len(names)
+
+
 class TestHappyPath:
     @pytest.mark.requires_caches
     def test_first_call_checks_then_caches(self):
@@ -303,6 +326,57 @@ class TestDynamicChecks:
         assert stats.specialized_hits - hits == 2
         assert stats.dynamic_arg_checks - checks == 1
         assert stats.dynamic_arg_checks_skipped - skipped == 1
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_checked_caller_skips_every_nested_arg_check(self, tier):
+        engine = _tier_engine(tier)
+        hb = engine.api()
+
+        class Api:
+            @hb.typed("(Integer) -> Integer")
+            def inner(self, n):
+                return n
+
+            @hb.typed("(Integer) -> Integer")
+            def outer(self, n):
+                return self.inner(n) + self.inner(n)
+
+        api = Api()
+        _warm(tier, Api, lambda i: api.outer(i), ("inner", "outer"))
+        stats = engine.stats
+        checks = stats.dynamic_arg_checks
+        skipped = stats.dynamic_arg_checks_skipped
+        assert api.outer(1) == 2
+        # The first nested call must hand the checked frame back to
+        # outer, so the second one skips its argument check too.
+        assert stats.dynamic_arg_checks - checks == 1
+        assert stats.dynamic_arg_checks_skipped - skipped == 2
+        assert stats.local().top is False
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_checked_frame_unwinds_when_the_callee_raises(self, tier):
+        engine = _tier_engine(tier)
+        hb = engine.api()
+
+        class Api:
+            @hb.typed("(Integer) -> Integer")
+            def ratio(self, n):
+                return 12 % n
+
+            @hb.typed("(Integer) -> Integer")
+            def entry(self, n):
+                return n
+
+        api = Api()
+        _warm(tier, Api, lambda i: api.ratio(i + 1) + api.entry(i),
+              ("ratio", "entry"))
+        with pytest.raises(ZeroDivisionError):
+            api.ratio(0)
+        # The raise left ratio's checked frame: the next call from
+        # unchecked code checks its arguments again.
+        assert engine.stats.local().top is False
+        with pytest.raises(ArgumentTypeError):
+            api.entry("not an int")
 
     def test_cast_runtime_failure(self):
         engine = make_engine()

@@ -834,7 +834,7 @@ def test_elide_disabled_by_env_keeps_tier2(monkeypatch):
     assert engine.stats.promotions == 1       # tier 2 still promotes
     assert engine.stats.elide_promotions == 0
     source = _wrapper_source(cls, "bump")
-    assert "_ckey0" in source and "stack.append" in source
+    assert "_ckey0" in source and "c.top = True" in source
 
 
 @pytest.mark.requires_elision
@@ -1337,7 +1337,7 @@ def test_identical_reannotation_restores_the_annotated_kind():
 
 _PAIR = "def pair(self, a, b):\n    return a + b\n"
 
-#: checked callers: the callee sees a checked frame on top of the stack.
+#: checked callers: the callee runs under a checked frame.
 _PAIR_CALLERS = {
     "via1": "def via1(self, o, n):\n    return o.pair(n)\n",
     "via3": "def via3(self, o, n):\n    return o.pair(n, n, n)\n",

@@ -36,14 +36,14 @@ def test_every_row_is_a_snapshot_key():
 
 def test_shards_hold_exactly_the_sharded_rows():
     # A shard holds the sharded rows, one slot per tier-2 call shape and
-    # the thread's checked-frame stack — nothing else.
+    # the thread's checked-frame slot — nothing else.
     sharded = tuple(name for name, kind, _, _ in COUNTERS if kind == SHARDED)
     shapes = tuple(shape_slot(checked, branch, elided)
                    for checked in (False, True) for branch in ARG_BRANCHES
                    for elided in range(3))
     assert HOT_COUNTER_FIELDS == sharded
     assert SHAPE_SLOTS == shapes
-    assert HotCounters.__slots__ == sharded + shapes + ("stack",)
+    assert HotCounters.__slots__ == sharded + shapes + ("top",)
 
 
 def test_shape_vectors_name_only_sharded_rows():

@@ -26,7 +26,7 @@ import threading
 
 import pytest
 
-from repro import Engine, EngineConfig
+from repro import ArgumentTypeError, Engine, EngineConfig
 from repro.concurrency import ConcurrentDriver
 from repro.serving import (
     Scenario, build_serving_world, read_thunks, retype_churn, run_scenario,
@@ -127,6 +127,52 @@ def test_fast_path_hits_exact_under_threads():
     hits0 = engine.stats.fast_path_hits
     _run_threads(THREADS, caller)
     assert engine.stats.fast_path_hits - hits0 == THREADS * per_thread
+
+
+class ParkGate:
+    """An unintercepted blocking call: parks its caller inside whatever
+    checked frame made the call, until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def wait(self):
+        self.entered.set()
+        self.release.wait(JOIN_S)
+
+
+@pytest.mark.requires_threads
+def test_checked_frame_is_per_thread():
+    """Section 4's checked-frame slot belongs to one thread: while a
+    worker is parked inside a checked method, a call this thread makes
+    from unchecked code still checks (and rejects) its arguments."""
+    engine = Engine()
+    hb = engine.api()
+    hb.annotate(ParkGate, "wait", "() -> nil", wrap=False)
+
+    class Parked:
+        @hb.typed("(ParkGate) -> nil")
+        def park(self, gate):
+            return gate.wait()
+
+        @hb.typed("(Integer) -> Integer")
+        def bump(self, n):
+            return n + 1
+
+    obj = Parked()
+    assert obj.bump(1) == 2
+    gate = ParkGate()
+    worker = threading.Thread(target=obj.park, args=(gate,), daemon=True)
+    worker.start()
+    try:
+        assert gate.entered.wait(JOIN_S)
+        with pytest.raises(ArgumentTypeError):
+            obj.bump("not an int")
+    finally:
+        gate.release.set()
+        worker.join(JOIN_S)
+    assert not worker.is_alive()
 
 
 # -- outcome soundness -------------------------------------------------------
