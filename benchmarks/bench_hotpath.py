@@ -3,7 +3,7 @@
 The end-to-end record of checking overhead is ``perfbench`` (see
 ``BENCHMARK.json``): Hum ÷ Orig per workload, with per-tier request
 times.  This file is the one microbenchmark under it.  It times a
-trivial ``(Integer) -> Integer`` method in tight loops and makes four
+trivial ``(Integer) -> Integer`` method in tight loops and makes three
 timing assertions:
 
 * **speedup** — the default (tiered) engine against the legacy call
@@ -11,8 +11,6 @@ timing assertions:
   in ``Engine.invoke``: >= 3x;
 * **tier 2** — specialized wrappers against a plans-only
   (``specialize=False``) engine: >= 1.5x;
-* **tier 3** — signature-fact elision against an ``elide=False``
-  engine, so the ratio isolates the omitted check-cache probe: > 1.0;
 * **overhead** — the interception tax (wrapper ns minus the unwrapped
   method's ns) of the specialized wrapper is at most 0.65 of the
   generic wrapper's.
@@ -23,8 +21,8 @@ Run it with::
 
 ``-s`` prints each measurement, ``specialized_overhead_ns`` included.
 Shared CI runners are noisy, so each floor can be relaxed through its
-environment variable: ``HOTPATH_MIN_SPEEDUP``, ``HOTPATH_MIN_TIER2``,
-``HOTPATH_MIN_TIER3`` and ``OVERHEAD_MAX_FRACTION``.
+environment variable: ``HOTPATH_MIN_SPEEDUP``, ``HOTPATH_MIN_TIER2``
+and ``OVERHEAD_MAX_FRACTION``.
 """
 
 import os
@@ -45,11 +43,6 @@ def fast_engine() -> Engine:
 def tier1_engine() -> Engine:
     """Call plans only — the generic wrapper into ``Engine.invoke``."""
     return Engine(EngineConfig(specialize=False))
-
-
-def tier2_engine() -> Engine:
-    """Specialized wrappers with elision off: every check op emitted."""
-    return Engine(EngineConfig(elide=False))
 
 
 def legacy_engine() -> Engine:
@@ -112,32 +105,6 @@ def measure(calls: int = CALLS) -> dict:
     }
 
 
-def measure_tier3(calls: int = CALLS) -> dict:
-    """The same hot leaf, default engine versus an ``elide=False`` twin.
-
-    Both sides promote to a tier-2 wrapper; the only difference is the
-    elided check-cache probe, one dict probe per call, so each side
-    reports its best of three runs.  The runs alternate sides, so a
-    burst of load on the machine hits both alike, and each run gets a
-    fresh engine (a re-built hot class on a warm engine shares the
-    first build's site and would sample a fallback path instead of the
-    elided wrapper)."""
-    fast = fast_engine()
-    fast_runs, tier2_runs = [], []
-    for i in range(3):
-        fast_runs.append(
-            steady_state_seconds(fast_engine() if i else fast, calls))
-        tier2_runs.append(steady_state_seconds(tier2_engine(), calls))
-    fast_s, tier2_s = min(fast_runs), min(tier2_runs)
-    stats = fast.stats
-    return {
-        "calls": calls,
-        "speedup_vs_tier2": round(tier2_s / fast_s, 2),
-        "checks_elided": stats.checks_elided,
-        "elide_promotions": stats.elide_promotions,
-    }
-
-
 def _ns_per_call(obj, calls: int) -> float:
     _warm(obj)
     # Bind *after* warming: tier-2 promotion rebinds the class
@@ -197,17 +164,6 @@ def test_tier2_beats_tier1():
     assert result["promotions"] >= 1, result
     assert result["specialized_hit_ratio"] > 0.99, result
     assert result["tier2_speedup_vs_tier1"] >= floor, result
-
-
-def test_tier3_elision_beats_tier2():
-    """Promotion carries an elision, checks elide at run time, and the
-    stripped wrapper is strictly faster than an elide-off engine's."""
-    floor = float(os.environ.get("HOTPATH_MIN_TIER3", "1.0"))
-    tier3 = measure_tier3()
-    print("\ntier3:", tier3)
-    assert tier3["elide_promotions"] >= 1, tier3
-    assert tier3["checks_elided"] > 0, tier3
-    assert tier3["speedup_vs_tier2"] > floor, tier3
 
 
 def test_specialized_wrapper_cuts_interception_overhead():

@@ -9,7 +9,7 @@ from .annotations import Api, TypedMethod
 from .cache import CacheEntry, CheckCache
 from .checker import CheckOutcome, Checker
 from .deps import DepGraph
-from .elide import Elider, Elision, elide_disabled_by_env
+from .elide import Elider, elide_disabled_by_env
 from .engine import Engine, EngineConfig, caches_disabled_by_env
 from .errors import (
     ArgumentTypeError, CastError, HummingbirdError, NoMethodBodyError,
@@ -20,7 +20,7 @@ from .stats import PhaseTracker, Stats
 
 __all__ = [
     "Api", "ArgumentTypeError", "CacheEntry", "CastError", "CheckCache",
-    "CheckOutcome", "Checker", "DepGraph", "Elider", "Elision", "Engine",
+    "CheckOutcome", "Checker", "DepGraph", "Elider", "Engine",
     "EngineConfig", "HummingbirdError", "NoMethodBodyError", "PhaseTracker",
     "Specializer", "StaticTypeError", "Stats", "TypedMethod",
     "TypeSignatureError", "caches_disabled_by_env", "elide_disabled_by_env",

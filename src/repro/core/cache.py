@@ -27,11 +27,14 @@ walked (``hier_deps``).  The edges live in a shared
 Definition 2 (upgrading the surviving entries to the new table) needs no
 work: invalidation removed every entry that mentioned the changed slot,
 and an entry carries nothing else that depends on the table.
+
+The engine makes every removal (``Engine._wave``, ``Engine.recheck``)
+and drops, in the same step, the call plans that replay the removed
+entries, so a warm call never asks whether its derivation is cached.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .deps import (
@@ -61,72 +64,72 @@ class CacheEntry:
 class CheckCache:
     """Memoized type-check derivations with dependency-based invalidation.
 
-    Thread discipline: membership and entry reads (the warm path) are
-    bare dict operations — no lock.  Mutations hold the internal lock so
-    the DepGraph's multi-step record/invalidate sequences are atomic.
-    Stores only ever happen under the engine's writer lock (inside
-    ``jit_check``), which also serializes them against the invalidation
-    waves; the internal lock additionally covers direct users such as
-    the dev-mode reloader's :meth:`remove` calls.
+    Thread discipline: reads are bare dict operations — no lock.  Every
+    mutation (a store inside ``jit_check``, a wave, a discard, the
+    warm-state restore and its rollback) runs under the engine's writer
+    lock, which makes the DepGraph's multi-step record/invalidate
+    sequences atomic.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Key, CacheEntry] = {}
+        self._derivations: Dict[Key, CacheEntry] = {}
         self._deps = DepGraph()
-        self._lock = threading.RLock()
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._entries
+        return key in self._derivations
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._derivations)
 
     def get(self, key: Key) -> Optional[CacheEntry]:
-        return self._entries.get(key)
+        return self._derivations.get(key)
 
     def store(self, key: Key, deps: Iterable[Key],
               field_deps: Iterable[Key] = (),
               hier_deps: Iterable[str] = ()) -> CacheEntry:
-        with self._lock:
-            entry = CacheEntry(key, deps, field_deps, hier_deps)
-            self._entries[key] = entry
-            resources = [sig_resource(*key)]
-            resources += [sig_resource(*dep) for dep in entry.deps]
-            resources += [field_resource(*fdep) for fdep in entry.field_deps]
-            resources += [lin_resource(cls) for cls in entry.hier_deps]
-            self._deps.record(key, resources)
-            return entry
+        entry = CacheEntry(key, deps, field_deps, hier_deps)
+        self._derivations[key] = entry
+        resources = [sig_resource(*key)]
+        resources += [sig_resource(*dep) for dep in entry.deps]
+        resources += [field_resource(*fdep) for fdep in entry.field_deps]
+        resources += [lin_resource(cls) for cls in entry.hier_deps]
+        self._deps.record(key, resources)
+        return entry
 
-    def remove(self, key: Key) -> None:
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
-                self._deps.forget(key)
+    def discard(self, key: Key) -> None:
+        """Drop ``key``'s entry alone; the entries that consulted its
+        signature stay (``Engine.recheck``)."""
+        self._derivations.pop(key, None)
+        self._deps.forget(key)
 
     def dependents(self, key: Key) -> Set[Key]:
         """Cached methods other than ``key`` whose derivations consulted
         ``key``'s signature."""
-        with self._lock:
-            return self._deps.dependents(sig_resource(*key)) - {key}
+        return {dep for dep in self._deps.dependents(sig_resource(*key))
+                if dep != key and dep in self._derivations}
+
+    def reads_any(self, resources: Iterable[Resource]) -> bool:
+        """Whether any entry read any of ``resources``."""
+        return self._deps.reads_any(resources)
 
     def invalidate(self, resources: Iterable[Resource]) -> Set[Key]:
         """Drop every entry that read any of ``resources``; an entry's
         own ``("sig", owner, name)`` slot counts (Definition 1)."""
-        with self._lock:
-            removed = self._deps.invalidate_many(resources)
-            for key in removed:
-                del self._entries[key]
-            return removed
+        removed = self._deps.invalidate_many(resources)
+        for key in removed:
+            # A key :meth:`clear` flushed has edges but no entry.
+            self._derivations.pop(key, None)
+        return removed
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._deps.clear()
+        """A memo flush: every entry goes, but its dependency edges stay,
+        so a later wave still drops the plans that replay it."""
+        self._derivations.clear()
 
     def keys(self) -> Set[Key]:
-        return set(self._entries)
+        return set(self._derivations)
 
     def entries(self) -> List[CacheEntry]:
-        """A consistent point-in-time view of every memoized derivation
-        (the warm-state snapshot walks this to serialize verdicts)."""
-        with self._lock:
-            return list(self._entries.values())
+        """Every memoized derivation (the warm-state snapshot walks this,
+        under the writer lock, to serialize verdicts)."""
+        return list(self._derivations.values())

@@ -43,10 +43,10 @@ entries the first pass removed.
 
 Locking contract: a :class:`DepGraph` is **not** internally
 synchronized — ``record``/``forget``/``invalidate`` are multi-step
-mutations of two dicts.  Every owner wraps its graph in its own lock
-(the plan cache's and check cache's internal locks); keeping the graph
-lock-free avoids double-locking on the owners' already-serialized
-mutation paths.
+mutations of two dicts, so each owner serializes them.  The check
+cache is mutated only under the engine's writer lock; the plan cache
+holds its own lock as well, because a cold plan build stores outside
+the writer lock.
 """
 
 from __future__ import annotations
@@ -123,6 +123,10 @@ class DepGraph:
     def dependents(self, resource: Resource) -> Set[Token]:
         """The tokens currently depending on ``resource`` (a copy)."""
         return set(self._rev.get(resource, ()))
+
+    def reads_any(self, resources: Iterable[Resource]) -> bool:
+        """Whether any token depends on any of ``resources``."""
+        return not self._rev.keys().isdisjoint(resources)
 
     def invalidate(self, resource: Resource) -> Set[Token]:
         """Pop ``resource``'s dependents, severing all their edges."""

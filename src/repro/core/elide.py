@@ -1,24 +1,11 @@
-"""Signature-fact elision: which compiled-in checks a promoted site drops.
+"""Signature-fact elision: which compiled-in check a promoted site drops.
 
 Tier 2 compiles a warm call plan into a straight-line wrapper that still
-*performs* every per-call safety operation — the check-cache membership
-probe, the argument-profile guard, the checked-frame slot.  Two of
-them are redundant for reasons the plan's signature alone settles, so
-the :class:`Elider` decides them at promotion, in tier 2, and the
-wrapper *omits* them.  Each verdict is an :class:`Elision` with two
-independent switches:
-
-``cache_guard``
-    Holds whenever ``plan.checked``.  The wrapper's ``key in cache``
-    membership probe re-validates the memoized static check on every
-    call.  Every *engine-mediated* removal of that derivation
-    (redefinition, retype, hierarchy change) also drops the call plan —
-    ``Engine.invalidate`` and the change hooks flush plans by cache
-    key — so the wrapper's plan-liveness guard already covers it and
-    the probe is redundant.  (A direct ``CheckCache.clear()`` bypassing
-    the engine is a memo flush, not a world mutation: replaying the
-    still-valid derivation is sound, it just re-checks lazily instead
-    of eagerly.)
+*performs* every per-call safety operation — the argument-profile
+guard, the checked-frame slot.  The argument test is redundant when the
+plan's signature alone settles it, so the :class:`Elider` decides it at
+promotion, in tier 2, and the wrapper *omits* it.  The verdict is the
+arity the wrapper guards in its place, or ``None``:
 
 ``arg_check``
     Holds when some signature arm accepts the site's arity with
@@ -26,7 +13,7 @@ independent switches:
     variables, ``self``): the dynamic argument check passes for every
     value, so only the arity needs guarding.
 
-Neither fact reads anything beyond the plan, whose own dependency edges
+The fact reads nothing beyond the plan, whose own dependency edges
 already deopt the site when the signature changes, so a verdict adds no
 edge of its own.  The checked-frame slot always stays: the paper's
 per-call work is the memoized check lookup plus the dynamic argument
@@ -54,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Engine
 
 #: the per-call check operations a verdict rules on, in report order.
-CHECK_KINDS = ("cache_guard", "arg_check")
+CHECK_KINDS = ("arg_check",)
 
 #: audit statuses.
 PROVED = "proved"              # elidable
@@ -85,26 +72,6 @@ def is_vacuous(t: Type) -> bool:
     if isinstance(t, IntersectionType):
         return all(is_vacuous(a) for a in t.arms)
     return False
-
-
-class Elision:
-    """What one compiled entry may omit."""
-
-    __slots__ = ("cache_guard", "arg_check", "arity", "count")
-
-    def __init__(self, *, cache_guard: bool, arg_check: bool,
-                 arity: Optional[int]) -> None:
-        self.cache_guard = cache_guard
-        self.arg_check = arg_check
-        #: arity to guard when ``arg_check`` is elided.
-        self.arity = arity
-        #: per-call check operations the wrapper omits — what the
-        #: ``checks_elided`` counter advances by on every elided call.
-        self.count = int(cache_guard) + int(arg_check)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Elision(cache_guard={self.cache_guard}, "
-                f"arg_check={self.arg_check}, arity={self.arity})")
 
 
 class SiteAudit:
@@ -162,15 +129,18 @@ def _contract_blocks(engine: "Engine", name: str) -> bool:
 class Elider:
     """Per-engine elision stage, invoked by the specializer at promotion.
 
-    A verdict reads only the plan (its ``checked`` bit, signature arms
-    and learned profiles), so deciding it is a few attribute reads
-    under the promotion's writer lock.
+    A verdict reads only the plan (its signature arms and learned
+    profiles), so deciding it is a few attribute reads under the
+    promotion's writer lock.
     """
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
 
-    def analyze(self, key: PlanKey, plan: CallPlan) -> Optional[Elision]:
+    def analyze(self, key: PlanKey, plan: CallPlan) -> Optional[int]:
+        """The arity the promoted wrapper guards in place of its
+        argument test, or None when the test stays.  Each elided call
+        advances ``checks_elided`` by one."""
         return self._decide(key, plan)[0]
 
     def audit_site(self, key: PlanKey, plan: CallPlan) -> SiteAudit:
@@ -179,7 +149,7 @@ class Elider:
         return self._decide(key, plan)[1]
 
     def _decide(self, key: PlanKey,
-                plan: CallPlan) -> Tuple[Optional[Elision], SiteAudit]:
+                plan: CallPlan) -> Tuple[Optional[int], SiteAudit]:
         audit = SiteAudit(key)
         sig = plan.sig
         arms = list(sig.intersection()) if sig is not None else []
@@ -196,12 +166,6 @@ class Elider:
         # specializer refuses promotion), so no check op is discharged.
         contract = _contract_blocks(self.engine, key[2])
 
-        if not plan.checked:
-            audit.skipped("cache_guard")
-        elif contract:
-            audit.blocked("cache_guard", BLOCK_CONTRACT)
-        else:
-            audit.proved("cache_guard")
         if not arg_relevant:
             audit.skipped("arg_check")
         elif contract:
@@ -211,7 +175,6 @@ class Elider:
         else:
             audit.blocked("arg_check", BLOCK_NON_VACUOUS)
 
-        if contract or not (plan.checked or arg_ok):
+        if contract or not arg_ok:
             return None, audit
-        return Elision(cache_guard=plan.checked, arg_check=arg_ok,
-                       arity=arity if arg_ok else None), audit
+        return arity, audit

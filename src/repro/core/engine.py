@@ -38,15 +38,17 @@ identical outcomes.
 
 Concurrency discipline (lock-free read, locked write):
 
-* the **warm path** — plan lookup, check-cache membership, signature and
-  hierarchy reads, argument profiles — takes *no lock*: it is single
-  dict/set operations, each atomic under the GIL;
+* the **warm path** — plan lookup, signature and hierarchy reads,
+  argument profiles — takes *no lock*: it is single dict/set
+  operations, each atomic under the GIL;
 * every **mutation** (define/redefine/retype/subclass/include/field
   retype) runs under one per-engine writer :attr:`~Engine.write_lock`
   (re-entrant; shared with the type registry and the hierarchy), so a
   mutation's DepGraph invalidation wave is atomic with respect to every
   other mutation *and* every in-flight ``jit_check`` (which takes the
-  same lock);
+  same lock).  Every removal of a check-cache entry or a plan is such a
+  wave, or :meth:`~Engine.recheck`, so the check cache and the
+  specializer keep no lock of their own;
 * cold-path **memo stores** that run outside the writer lock (call
   plans, hierarchy memos) are *epoch-guarded*:
   the builder snapshots an epoch before resolving, and the store is
@@ -112,7 +114,8 @@ class EngineConfig:
     Each field has a caller outside the tests: ``intercept`` and
     ``caching`` give Table 1's Orig and No$ columns (evalharness,
     perfbench); ``call_plans``, ``specialize`` and ``elide`` select the
-    tier ablations (perfbench, ``benchmarks/bench_hotpath.py``);
+    tier ablations (perfbench; ``benchmarks/bench_hotpath.py`` sets the
+    first two);
     ``specialize_threshold`` is set by the serving harness and the
     elision audit.  The paper's semantics (section 4's boundary-only
     argument checks, no return checks, ``nil <= A``) are constants.
@@ -132,11 +135,10 @@ class EngineConfig:
     specialize: bool = True
     #: warm hits a call plan must serve before promotion to tier 2.
     specialize_threshold: int = 50
-    #: omit the per-call checks the plan's signature makes redundant
-    #: (the cache probe of a checked plan, the argument test of vacuous
-    #: parameter types) from promoted wrappers (:mod:`repro.core.elide`).
-    #: False (or ``REPRO_DISABLE_ELIDE=1``) keeps tier-2 wrappers
-    #: performing every check — the ``tier1-noelide`` differential mode.
+    #: omit the argument test of a promoted wrapper whose signature arm
+    #: has vacuous parameter types (:mod:`repro.core.elide`).  False (or
+    #: ``REPRO_DISABLE_ELIDE=1``) keeps tier-2 wrappers performing every
+    #: check — the ``tier1-noelide`` differential mode.
     elide: bool = True
 
 
@@ -460,11 +462,10 @@ class Engine:
         bypasses this method entirely until deoptimized (specialized
         wrappers re-enter here only on guard failure, so this path also
         serves as their fallback).  There are no
-        version guards: the dependency graph flushed the plan *eagerly*
-        if anything it resolved through changed; the one remaining guard
-        (checked plans require their memoized derivation to still be in
-        the check cache) protects against direct ``cache.clear()`` calls
-        that bypass ``Engine.invalidate``.
+        version guards and no check-cache probe: the dependency graph
+        flushed the plan *eagerly* if anything it resolved through
+        changed, and every removal of a check entry (a wave, or
+        :meth:`recheck`) drops the plans replaying it in the same step.
         """
         c = self._tls.counters
         c.calls_intercepted += 1
@@ -477,12 +478,7 @@ class Engine:
         spec = self._specializer
         plans = self._plans
         plan = plans.get(key) if plans is not None else None
-        if (plan is not None
-                # checked plans require their memoized derivation to
-                # still be present, so even a direct cache flush
-                # (bypassing Engine.invalidate) cannot leave a stale
-                # fast path.
-                and (not plan.checked or (owner, name) in self.cache)):
+        if plan is not None:
             c.fast_path_hits += 1
             if plan.checked:
                 c.cache_hits += 1
@@ -743,6 +739,18 @@ class Engine:
             self.stats.retype_edge_invalidations += len(removed - {key})
             return removed
 
+    def recheck(self, owner: str, name: str) -> None:
+        """The Rails helper quirk (Table 2): re-check ``owner#name`` at
+        its next call but keep its dependents' entries.  Drops the one
+        entry and runs only the plan half of a wave, on its
+        ``("sig", owner, name)`` slot, so the plans and wrappers
+        replaying it fall in the same step."""
+        with self.write_lock:
+            self.cache.discard((owner, name))
+            if self._plans is not None:
+                self.stats.plan_invalidations += self._plans.invalidate(
+                    [sig_resource(owner, name)])
+
     def _on_type_change(self, owner: str, name: str, kind: str) -> None:
         # Fired by the registry while it holds the shared writer lock
         # (acquiring it again here is a no-op re-entry, but keeps the
@@ -770,12 +778,17 @@ class Engine:
         dropped entry.  Called under the writer lock; returns the
         dropped check-cache keys.  The plan wave bumps the epoch even
         when nothing drops, so in-flight plan builds discard rather than
-        memoize against the pre-mutation world."""
-        removed = self.cache.invalidate(resources)
-        self.stats.invalidations += len(removed)
+        memoize against the pre-mutation world.  A wave whose resources
+        nothing read (an annotation of a method not checked or planned
+        yet, most waves of a bring-up) skips both graph passes."""
+        removed: Set[Key] = set()
+        if self.cache.reads_any(resources):
+            removed = self.cache.invalidate(resources)
+            self.stats.invalidations += len(removed)
+            resources = resources + [sig_resource(*key) for key in removed]
         if self._plans is not None:
             self.stats.plan_invalidations += self._plans.invalidate(
-                resources + [sig_resource(*key) for key in removed])
+                resources)
         return removed
 
     # -- wrapping ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ Soundness / invalidation (the dependency-tracked scheme):
   just removed (body redefinitions, field retypes, Definition 1 removal
   sets), so a plan replaying a removed derivation falls per *(receiver,
   method)* key, not per method name — redefining ``A#m`` leaves ``B#m``
-  plans warm;
-* checked plans additionally guard on their derivation still being in the
-  check cache, so even a direct ``cache.clear()`` that bypasses
-  ``Engine.invalidate`` cannot leave a stale fast path;
+  plans warm.  The one removal outside a wave, ``Engine.recheck`` (the
+  Rails helper quirk), runs the plan pass on the removed entry's slot,
+  so a live checked plan always has its derivation in the check cache
+  and a warm call never probes for it;
 * ``No$`` mode (``caching=False``) never builds plans for statically
   checked methods — re-checking on every call is that mode's point.
 
@@ -154,7 +154,8 @@ class CallPlanCache:
 
     Thread discipline: :meth:`get` (the warm path) is a bare dict read —
     no lock.  Every mutation (store, the invalidation wave, clear)
-    holds the internal lock, and each wave bumps :attr:`epoch` once,
+    holds the internal lock, because a cold plan build stores outside
+    the engine's writer lock, and each wave bumps :attr:`epoch` once,
     whether or not it drops a plan.  A cold plan build snapshots
     the epoch *before* resolving and passes it to :meth:`store`; if any
     wave ran in between, the store is discarded — otherwise a plan
@@ -176,7 +177,7 @@ class CallPlanCache:
         #: epoch => a concurrent mutation => the plan must not be stored.
         self.epoch = 0
         #: deopt listener: called (outside the lock) with each wave's
-        #: dropped plan keys, and with a replaced key on store overwrite.
+        #: dropped plan keys.
         self.on_drop: Optional[Callable[[Tuple[PlanKey, ...]], None]] = None
 
     def __len__(self) -> int:
@@ -195,24 +196,20 @@ class CallPlanCache:
               resources: Iterable[Resource] = (),
               epoch: Optional[int] = None) -> bool:
         """Memoize ``plan`` unless an invalidation wave ran since the
-        caller snapshotted ``epoch``.  Returns whether it was stored.
+        caller snapshotted ``epoch``, or ``key`` already has a live plan.
+        Returns whether it was stored.
 
-        Overwriting a live plan (a checked plan whose derivation was
-        removed behind the cache's back gets rebuilt here) reports the
-        key through :attr:`on_drop`: a specialized wrapper compiled from
-        the displaced plan must not keep serving the site while the
-        generic path consults the replacement.
+        A plan is built only on a miss, so a live plan at ``key`` was
+        stored by a racing twin build; it stays, with whatever
+        promotion it earned, and ``plan`` serves its one call.
         """
         with self._lock:
-            if epoch is not None and epoch != self.epoch:
+            if ((epoch is not None and epoch != self.epoch)
+                    or key in self._plans):
                 return False
-            replaced = (key in self._plans
-                        and self._plans[key] is not plan)
             self._plans[key] = plan
             self._deps.record(key, [*resources,
                                     sig_resource(key[1], key[2])])
-        if replaced and self.on_drop is not None:
-            self.on_drop((key,))
         return True
 
     def invalidate(self, resources: Iterable[Resource]) -> int:
@@ -222,6 +219,8 @@ class CallPlanCache:
         read mid-mutation and must discard."""
         with self._lock:
             self.epoch += 1
+            if not self._deps.reads_any(resources):
+                return 0
             dropped = self._deps.invalidate_many(resources)
             for key in dropped:
                 del self._plans[key]
@@ -238,8 +237,8 @@ class CallPlanCache:
         return len(dropped)
 
     def _notify_drop(self, keys) -> None:
-        """Fire the deopt listener outside the internal lock (the
-        listener rebinds class attributes; keeping it lock-free here
-        rules out lock-order cycles with the specializer's own lock)."""
+        """Fire the deopt listener outside the internal lock, which
+        guards only the plan map and its graph (the listener rebinds
+        class attributes)."""
         if keys and self.on_drop is not None:
             self.on_drop(tuple(keys))

@@ -37,20 +37,19 @@ compiled versions for those shapes would be guards no call runs.
 
 **Counters by derivation.**  Each call bumps one slot of its thread's
 counter shard, named by its shape (plan checked or not, argument
-branch, check ops omitted).  ``Stats`` derives the totals from the
-slots' contribution vectors (:data:`~repro.core.stats.SHAPES`), so a
+branch, argument test omitted or not).  ``Stats`` derives the totals
+from the slots' contribution vectors (:data:`~repro.core.stats.SHAPES`), so a
 wrapper reports what the generic tier would have, plus
 ``checks_elided``.
 
 **Signature-fact elision.**  At promotion time the
-:class:`~repro.core.elide.Elider` reads two facts off the plan
-(:class:`~repro.core.elide.Elision`), and the codegen here **omits** the
-check ops they make redundant instead of partially evaluating them: the
-check-cache membership probe of a checked plan, and the argument-profile
-test where some arm's parameter types are all vacuous (only the arity
-is guarded).  The checked-frame save/restore is always emitted.  Both facts
-read only the plan, so the plan's own dependency edges deopt an elided
-site exactly like any other.
+:class:`~repro.core.elide.Elider` reads one fact off the plan, and the
+codegen here **omits** the argument-profile test when some arm's parameter types are all vacuous
+(only the arity is guarded).  The checked-frame save/restore is always
+emitted.  The fact reads only the plan, so the plan's own dependency
+edges deopt an elided site exactly like any other.  No wrapper probes
+the check cache: every removal of a check entry drops the plans
+replaying it, and with them their wrappers.
 
 **Adaptive re-promotion.**  Deoptimizing a site records its plan key in
 a bounded re-warm registry; when the plan is rebuilt, the engine stamps
@@ -63,10 +62,10 @@ one ``exec`` of already-compiled code, not a ``compile()``.
 
 **Guard failure falls back, never raises.**  Any situation the
 straight-line code does not cover — another receiver class, a keyword
-call, another arity, an unseen argument-class tuple, a missing
-check-cache entry — bails into ``Engine.invoke`` *before touching any
-counter*, so the generic tier observes exactly the call it
-would have seen without specialization (including raising the right
+call, another arity, an unseen argument-class tuple, a dropped plan —
+bails into ``Engine.invoke`` *before touching any counter*, so the
+generic tier observes exactly the call it would have seen without
+specialization (including raising the right
 ``ArgumentTypeError`` and learning new profiles).  A specialized
 wrapper is therefore a pure fast-path overlay: it can be wrong about
 the future, never about the call it accepts.
@@ -74,32 +73,23 @@ the future, never about the call it accepts.
 **Deoptimization.**  Soundness rides the PR 2 dependency machinery: a
 specialized wrapper lives exactly as long as the plan it was compiled
 from.  Everything that drops a plan (the engine's one invalidation
-wave per mutation, :meth:`~repro.core.plans.CallPlanCache.invalidate`;
-:meth:`~repro.core.plans.CallPlanCache.clear`; and store-overwrites)
-reports the dropped keys through ``CallPlanCache.on_drop``, and the
-engine restores the displaced generic wrapper *before the wave
-returns*.  So by the time a mutation's caller regains control, no specialized code
-embodying the pre-mutation world is reachable from the class.  Epoch
+wave per mutation and ``Engine.recheck``, both
+:meth:`~repro.core.plans.CallPlanCache.invalidate`; and
+:meth:`~repro.core.plans.CallPlanCache.clear`) reports the dropped keys
+through ``CallPlanCache.on_drop``, and the engine restores the
+displaced generic wrapper *before the wave returns*.  So by the time a
+mutation's caller regains control, no specialized code embodying the
+pre-mutation world is reachable from the class.  Epoch
 bumps that drop nothing (e.g. a field-type wave whose removal set is
 empty) deoptimize nothing: a surviving plan's dependencies were, by
 construction of the wave, untouched, so its compiled form is still
-valid.  Three further guards close the remaining corners:
-
-* every wrapper carries a per-call **liveness guard** — a
-  constant-key identity probe that its plan is still the one in the
-  plan cache.  Rebinding the class attribute cannot reach bound methods
-  Python callers hoisted before the swap; the liveness guard makes
-  those references self-invalidating, so deopt-by-rebinding is purely a
-  performance recovery, never load-bearing for soundness;
-* checked sites additionally test their ``(receiver, method)``
-  membership in the check cache per call, so even a direct
-  ``CheckCache.clear()`` that bypasses ``Engine.invalidate`` degrades
-  the site to the generic path instead of replaying a removed
-  derivation — mirroring the tier-1 plan guard;
-* promotion re-verifies (after publishing the wrapper) that its plan
-  is still live, self-deoptimizing if a wave raced the
-  install through a direct cache call that did not hold the engine's
-  writer lock.
+valid.  One further guard closes the remaining corner: every wrapper
+carries a per-call **liveness guard** — a constant-key identity probe
+that its plan is still the one in the plan cache.  Rebinding the class
+attribute cannot reach bound methods Python callers hoisted before the
+swap; the liveness guard makes those references self-invalidating, so
+deopt-by-rebinding is purely a performance recovery, never
+load-bearing for soundness.
 
 Contracts (``rdl.wrap`` pre/post hooks) always run in the generic
 wrapper; registering a contract deoptimizes every site, and promotion
@@ -128,7 +118,6 @@ from .plans import CallPlan, PlanKey
 from .stats import shape_slot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .elide import Elision
     from .engine import Engine
 
 #: divisor applied to ``specialize_threshold`` for the re-promotion
@@ -153,13 +142,13 @@ class _Site:
     __slots__ = ("key", "name", "elision", "def_cls", "generic",
                  "specialized", "was_classmethod")
 
-    def __init__(self, key: PlanKey, elision: Optional["Elision"],
+    def __init__(self, key: PlanKey, elision: Optional[int],
                  def_cls: type, generic, specialized,
                  was_classmethod: bool) -> None:
         self.key = key
         self.name = key[2]
-        #: the elision verdict: which per-call check operations the
-        #: compiled code omits, or None (every check op emitted).
+        #: the elision verdict: the arity the compiled code guards in
+        #: place of its argument test, or None (the test is emitted).
         self.elision = elision
         self.def_cls = def_cls
         self.generic = generic
@@ -185,25 +174,23 @@ Slot = Tuple[type, str]
 class Specializer:
     """The tier-2 compiler + deopt registry for one engine.
 
-    Locking: :meth:`maybe_promote` runs under the engine's writer lock
-    (promotion is a mutation of the class, and serializing with
-    invalidation waves makes the is-my-plan-still-live check race-free);
-    the internal lock additionally serializes the site registry against
-    deopt callbacks arriving from direct ``CallPlanCache`` calls that
-    bypass the writer lock.  The specializer never acquires any other
-    lock while holding its own.
+    Locking: the site registry is touched only under the engine's
+    writer lock, so it keeps no lock of its own.  :meth:`maybe_promote`
+    takes it; deopts arrive from plan drops, which happen only in waves,
+    ``Engine.recheck`` and the warm-state rollback, all under it; and
+    ``wrap_method``/``unwrap_method`` hold it around
+    :meth:`discard_slot`.
     """
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self._lock = threading.Lock()
         #: (defining class, method name) -> the live promoted site.
         self._sites: Dict[Slot, _Site] = {}
         #: plan key -> the slot its site was compiled into.
         self._by_key: Dict[PlanKey, Slot] = {}
         #: plan keys whose sites were deoptimized at least once — these
         #: re-promote at the reduced threshold.  Bounded; read lock-free
-        #: on the cold plan-build path, mutated under the internal lock.
+        #: on the cold plan-build path, mutated under the writer lock.
         self._rewarm: Dict[PlanKey, bool] = {}
         # The engine's clamped threshold is the single source of truth;
         # re-deriving the clamp here would let the two drift.
@@ -243,8 +230,6 @@ class Specializer:
         """
         plan.promoted = True
         engine = self.engine
-        if _contract_blocks(engine, key[2]):
-            return False  # contracts only run in the generic wrapper
         def_owner, recv_owner, name, kind = key
         if guard_cls is None:
             if kind == CLASS:
@@ -256,55 +241,42 @@ class Specializer:
         def_cls = engine.host_class(def_owner)
         if def_cls is None:
             return False
-        raw = def_cls.__dict__.get(name)
-        was_classmethod = isinstance(raw, classmethod)
-        inner = raw.__func__ if was_classmethod else raw
-        # Only displace the current-generation generic wrapper for this
-        # very function: a stale fn, a foreign wrapper or a slot that is
-        # already specialized refuses.
-        if (inner is None or getattr(inner, "__hb_specialized__", False)
-                or getattr(inner, "__hb_original__", None) is not fn):
-            return False
+        # Contract registration, waves and slot rebinds serialize on the
+        # writer lock, so what is checked here holds through the install.
         with engine.write_lock:
             if _contract_blocks(engine, name):
-                # Re-validated under the lock: a contract registered
-                # between the lock-free probe above and here must win —
-                # contract registration serializes on the same lock.
-                return False
+                return False  # contracts only run in the generic wrapper
             plans = engine._plans
             if plans is None or plans.get(key) is not plan:
                 return False  # a wave dropped the plan while we raced here
-            if def_cls.__dict__.get(name) is not raw:
-                return False  # the slot changed under us; stay generic
+            raw = def_cls.__dict__.get(name)
+            was_classmethod = isinstance(raw, classmethod)
+            inner = raw.__func__ if was_classmethod else raw
+            # Only displace the current-generation generic wrapper for
+            # this very function: a stale fn, a foreign wrapper or a slot
+            # that is already specialized refuses.
+            if (inner is None or getattr(inner, "__hb_specialized__", False)
+                    or getattr(inner, "__hb_original__", None) is not fn):
+                return False
             elider = engine._elider
             elision = (elider.analyze(key, plan)
                        if elider is not None else None)
             slot = (def_cls, name)
-            with self._lock:
-                if key in self._by_key or slot in self._sites:
-                    return False
-                wrapper = _compile_wrapper(engine, key, guard_cls, plan, fn,
-                                           elision)
-                site = _Site(key, elision, def_cls, inner, wrapper,
-                             was_classmethod)
-                site.install(wrapper)
-                self._sites[slot] = site
-                self._by_key[key] = slot
-                rewarmed = key in self._rewarm
+            if key in self._by_key or slot in self._sites:
+                return False
+            wrapper = _compile_wrapper(engine, key, guard_cls, plan, fn,
+                                       elision)
+            site = _Site(key, elision, def_cls, inner, wrapper,
+                         was_classmethod)
+            site.install(wrapper)
+            self._sites[slot] = site
+            self._by_key[key] = slot
             stats = engine.stats
             stats.promotions += 1
-            if rewarmed:
+            if key in self._rewarm:
                 stats.repromotions += 1
             if elision is not None:
                 stats.elide_promotions += 1
-            stale = plans.get(key) is not plan
-        if stale:
-            # A direct cache call (no writer lock) dropped the plan
-            # between the liveness check and the install racing its
-            # on_drop callback; undo — the callback may have run before
-            # the site existed.
-            self.deoptimize_keys((key,))
-            return False
         return True
 
     # -- deoptimization -----------------------------------------------------
@@ -320,36 +292,33 @@ class Specializer:
         engine = self.engine
         displaced = 0
         elided = 0
-        with self._lock:
-            for key in keys:
-                slot = self._by_key.pop(key, None)
-                if slot is None:
-                    continue
-                site = self._sites.pop(slot, None)
-                if site is None:
-                    continue
-                self._note_rewarm(key)
-                if not site.is_live():
-                    # The slot was rebound behind our back (a direct
-                    # setattr bypassing wrap/unwrap): the compiled code
-                    # is already unreachable from the class.  Forget the
-                    # site, restore nothing, count nothing.
-                    continue
-                displaced += 1
-                if site.elision is not None:
-                    elided += 1
-                site.install(site.generic)
-            if displaced:
-                engine.stats.deopts += displaced
-            if elided:
-                engine.stats.elide_deopts += elided
+        for key in keys:
+            slot = self._by_key.pop(key, None)
+            if slot is None:
+                continue
+            site = self._sites.pop(slot, None)
+            if site is None:
+                continue
+            self._note_rewarm(key)
+            if not site.is_live():
+                # The slot was rebound behind our back (a direct setattr
+                # bypassing wrap/unwrap): the compiled code is already
+                # unreachable from the class.  Forget the site, restore
+                # nothing, count nothing.
+                continue
+            displaced += 1
+            if site.elision is not None:
+                elided += 1
+            site.install(site.generic)
+        if displaced:
+            engine.stats.deopts += displaced
+        if elided:
+            engine.stats.elide_deopts += elided
         return displaced
 
     def deoptimize_all(self) -> int:
         """Deoptimize every promoted site (contract registration, tests)."""
-        with self._lock:
-            keys = tuple(self._by_key)
-        return self.deoptimize_keys(keys)
+        return self.deoptimize_keys(tuple(self._by_key))
 
     def discard_slot(self, def_cls: type, name: str) -> None:
         """Forget (without restoring) the site watching ``def_cls.name``.
@@ -360,23 +329,22 @@ class Specializer:
         function.  The rebind displaces the compiled wrapper, so it
         counts as a deopt and its key enters the re-warm registry.
         """
-        with self._lock:
-            site = self._sites.pop((def_cls, name), None)
-            if site is None:
-                return
-            self._by_key.pop(site.key, None)
-            self._note_rewarm(site.key)
-            stats = self.engine.stats
-            stats.deopts += 1
-            if site.elision is not None:
-                stats.elide_deopts += 1
+        site = self._sites.pop((def_cls, name), None)
+        if site is None:
+            return
+        self._by_key.pop(site.key, None)
+        self._note_rewarm(site.key)
+        stats = self.engine.stats
+        stats.deopts += 1
+        if site.elision is not None:
+            stats.elide_deopts += 1
 
     def _note_rewarm(self, key: PlanKey) -> None:
         """Grant ``key`` the reduced re-promotion threshold, evicting
         the least-recently-deopted entry at the bound — never the whole
         registry, which would forget every discount at once and trigger
         a synchronized full-threshold re-promotion wave.  Caller holds
-        the internal lock."""
+        the writer lock."""
         rewarm = self._rewarm
         if key in rewarm:
             del rewarm[key]  # re-insert below: dict order is recency
@@ -387,14 +355,12 @@ class Specializer:
     def is_promoted(self, key: PlanKey) -> bool:
         return key in self._by_key
 
-    def promoted_entries(self):
-        """Point-in-time view of every promoted site as
-        ``(key, elision-or-None)`` pairs — the warm-state snapshot uses
-        this to record which sites were promoted, so a warm-started
-        worker can re-promote eagerly."""
-        with self._lock:
-            return [(site.key, site.elision)
-                    for site in self._sites.values()]
+    def promoted_sites(self):
+        """Every promoted site as ``(key, elision-or-None)`` pairs — the
+        warm-state snapshot reads this under the writer lock to record
+        which sites were promoted, so a warm-started worker can
+        re-promote eagerly."""
+        return [(site.key, site.elision) for site in self._sites.values()]
 
 
 #: synthetic filename stem for compiled wrappers (visible in tracebacks).
@@ -402,11 +368,11 @@ _CODEGEN_FILE = "<hb-specialized {owner}#{name}>"
 
 #: wrapper source text -> its compiled module code, process wide.  The
 #: text depends only on the site's shape (checked or not, argument
-#: branch, arity, elided check count, dominant profile length), so a
-#: handful of texts serve every promotion in the process and a promotion
-#: pays for an ``exec`` instead of a ``compile``.  The site's name is
-#: stamped on each wrapper's own code object afterwards.  FIFO-bounded;
-#: reads are plain gets, stores take the leaf lock.
+#: branch, arity, argument test elided or not, dominant profile
+#: length), so a handful of texts serve every promotion in the process
+#: and a promotion pays for an ``exec`` instead of a ``compile``.  The
+#: site's name is stamped on each wrapper's own code object afterwards.
+#: FIFO-bounded; reads are plain gets, stores take the leaf lock.
 _CODE_MEMO: Dict[str, CodeType] = {}
 _CODE_MEMO_MAX = 256
 _CODE_MEMO_LOCK = threading.Lock()
@@ -425,7 +391,7 @@ def _wrapper_code(source: str) -> CodeType:
 
 
 def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
-                     plan: CallPlan, fn, elision: Optional["Elision"]):
+                     plan: CallPlan, fn, elision: Optional[int]):
     """``exec``-compile the straight-line wrapper for one promoted site.
 
     The emitted code is the tier-1 warm path partially evaluated against
@@ -452,7 +418,6 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
         "_def_owner": def_owner,
         "_name": name,
         "_kind": kind,
-        "_entries": engine.cache._entries,
         "_live": engine._plans._plans,
         "_cls0": guard_cls,
     })
@@ -474,17 +439,16 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     return wrapper
 
 
-def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
+def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional[int],
                 bail: str) -> Tuple[list, dict]:
     """The guarded body (unindented), all paths returning.
 
-    When the site carries an :class:`Elision`, the corresponding check
-    operations are *not emitted*; the shape slot a call bumps still
-    names the argument branch it took, plus how many check operations
-    the wrapper omits."""
+    When the site carries an elision verdict, the argument test is *not
+    emitted*; the shape slot a call bumps still names the argument
+    branch it took, plus whether the wrapper omits the test."""
     sig = plan.sig
     checked = plan.checked
-    elided = el.count if el is not None else 0
+    elided = int(el is not None)
     dominant = (plan.dominant_profile()
                 if sig is not None and plan.profile_eligible else None)
     arity = _site_arity(fn, el, dominant)
@@ -507,19 +471,15 @@ def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
         # profile a retype just outlawed).  One constant-key dict get.
         "if _live.get(_key0) is not _plan0:",
         f"    {bail}",
+        "c = _tls.counters",
+        "prev = c.top",
     ]
-    if checked and not (el is not None and el.cache_guard):
-        # Mirrors the tier-1 guard against direct CheckCache flushes
-        # that bypass Engine.invalidate: no entry, no fast path.
-        lines += ["if _ckey0 not in _entries:", f"    {bail}"]
-        ns["_ckey0"] = (key[1], key[2])
-    lines += ["c = _tls.counters", "prev = c.top"]
     if sig is None:
         lines.append(f"c.{shape_slot(checked, 'nosig', elided)} += 1")
     else:
         # Every matching parameter type vacuous: only the arity, guarded
         # above, needed checking.
-        profile_test = [] if el is not None and el.arg_check else \
+        profile_test = [] if el is not None else \
             _profile_test_lines(plan, dominant, bail, ns)
         lines += [
             "if prev:",
@@ -533,13 +493,13 @@ def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional["Elision"],
     return lines, ns
 
 
-def _site_arity(fn, el: Optional["Elision"],
+def _site_arity(fn, el: Optional[int],
                 dominant: Optional[tuple]) -> Optional[int]:
     """The one positional arity the wrapper serves: the elided arity,
     else the dominant profile's, else ``fn``'s own when it has no
     defaults, ``*args`` or keyword-only parameters; else ``None``."""
-    if el is not None and el.arity is not None:
-        return el.arity
+    if el is not None:
+        return el
     if dominant is not None:
         return len(dominant)
     code = getattr(fn, "__code__", None)

@@ -38,7 +38,7 @@ Key = Tuple[str, str]
 
 #: counter kinds: bumped lock-free on the intercepted-call path into the
 #: calling thread's shard, or bumped only while the engine's writer lock
-#: (or the specializer's lock) is held.
+#: is held.
 SHARDED, LOCKED = "sharded", "locked"
 
 #: Every engine counter, declared once: name, kind, whether a serving run
@@ -136,10 +136,10 @@ def _shape_vector(checked: bool, branch: str,
 
 
 #: every tier-2 call shape as (slot, contribution vector); an elision
-#: omits at most the cache probe and the argument test.
+#: omits at most the argument test.
 SHAPES = tuple((shape_slot(c, b, e), _shape_vector(c, b, e))
                for c in (False, True) for b in ARG_BRANCHES
-               for e in range(3))
+               for e in range(2))
 SHAPE_SLOTS = tuple(slot for slot, _ in SHAPES)
 
 #: every int a shard holds: the sharded counters, then the shape slots.

@@ -126,7 +126,7 @@ class Reloader:
                 # new name, so its methods look brand new to the cache —
                 # the method itself is re-checked, but nothing about it
                 # changed, so dependents are untouched.
-                engine.cache.remove(key)
+                engine.recheck(*key)
                 report.helper_keys.add(key)
                 continue
             fn = self._compile(mv)
@@ -153,7 +153,7 @@ class Reloader:
             if mv.helper:
                 key = (mv.cls_name, mv.name)
                 if key not in report.changed:
-                    engine.cache.remove(key)
+                    engine.recheck(*key)
                 report.helper_keys.add(key)
         return report
 

@@ -83,6 +83,8 @@ def wrap_method(engine, pycls: type, name: str, *, kind: str = INSTANCE,
     path that reaches here (annotation, contract registration, pending
     re-wraps) instead of silently recording signatures or contracts
     that would never be enforced.
+
+    Callers hold the engine's writer lock, as every engine path does.
     """
     def_cls = _defining_class(pycls, name)
     if def_cls is None:
@@ -129,10 +131,10 @@ def unwrap_method(pycls: type, name: str) -> None:
     fn = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
     original = getattr(fn, "__hb_original__", None)
     if original is not None:
-        engine = getattr(fn, "__hb_engine__", None)
-        if engine is not None:
+        engine = fn.__hb_engine__
+        with engine.write_lock:  # guards the specializer's registry
             _discard_specialization(engine, def_cls, name)
-        setattr(def_cls, name, original)
+            setattr(def_cls, name, original)
 
 
 def _discard_specialization(engine, def_cls: type, name: str) -> None:

@@ -1,12 +1,11 @@
-"""Provability audit: explain, per warm site, which per-call checks
-the promoted wrapper omits — and why the others stay.
+"""Provability audit: explain, per warm site, whether the promoted
+wrapper omits its argument test — and why it stays where it does.
 
-Elision keeps two facts, both read off the site's call plan
-(:mod:`repro.core.elide`): ``cache_guard`` (a checked plan needs no
-check-cache membership probe) and ``arg_check`` (an arm whose parameter
-types are all vacuous needs only an arity guard).  This tool reports
-how often they hold on *our* workloads and names the blocker for every
-check that stays (``non_vacuous_params``, ``contract``).
+Elision keeps one fact, read off the site's call plan
+(:mod:`repro.core.elide`): ``arg_check`` (an arm whose parameter types
+are all vacuous needs only an arity guard).  This tool reports how
+often it holds on *our* workloads and names the blocker for every test
+that stays (``non_vacuous_params``, ``contract``).
 
 Programmatic use (the elision tests import these)::
 
@@ -24,9 +23,9 @@ The audit re-derives every verdict through
 :meth:`repro.core.elide.Elider.audit_site` on the live world under the
 engine's writer lock — it never mutates the engine and never installs
 wrappers.  The headline ``elision_rate`` is proved check ops over
-*applicable* check ops: a check that never runs at a site (an unchecked
-plan's cache guard, the argument check of an unannotated method) counts
-in neither numerator nor denominator.
+*applicable* check ops: a check that never runs at a site (the argument
+check of an unannotated method) counts in neither numerator nor
+denominator.
 
 This module is deliberately not exported from ``repro.ril``'s package
 init: it imports ``repro.core`` eagerly, and ``repro.core`` imports

@@ -196,7 +196,7 @@ def _capture_plans(engine: Engine) -> List[dict]:
     if plans is None:
         return []
     spec = engine._specializer
-    promoted = (set(key for key, _ in spec.promoted_entries())
+    promoted = (set(key for key, _ in spec.promoted_sites())
                 if spec is not None else set())
     records = []
     for key, plan in plans.items():
@@ -387,6 +387,9 @@ def load_snapshot(engine: Engine, source) -> SnapshotLoad:
             _restore_checks(engine, doc, report)
             plans = engine._plans
             if plans is not None:
+                # The saved plans replace the ones the world's seeding
+                # built: a store keeps a live plan.
+                plans.clear()
                 epoch = plans.epoch
                 for rec in doc.get("plans", []):
                     _restore_plan(engine, rec, epoch, report)

@@ -78,8 +78,8 @@ def pytest_configure(config):
         "the generic path")
     config.addinivalue_line(
         "markers",
-        "requires_elision: asserts that promoted wrappers omit the cache "
-        "probe or argument test the plan's signature makes redundant; "
+        "requires_elision: asserts that promoted wrappers omit the "
+        "argument test the plan's signature makes redundant; "
         "skipped when REPRO_DISABLE_ELIDE=1 (the tier1-noelide job) or "
         "any switch that already disables tier-2 specialization")
     config.addinivalue_line(

@@ -10,6 +10,7 @@ counter bookkeeping.
 import pytest
 
 from repro import ArgumentTypeError, Engine, EngineConfig, StaticTypeError
+from repro.core.plans import CallPlan, CallPlanCache
 
 
 def make_engine(**kwargs):
@@ -217,16 +218,16 @@ class TestPlanInvalidation:
             loose.answer()
 
     @pytest.mark.requires_caches
-    def test_direct_cache_flush_cannot_leave_stale_fast_path(self):
-        """Even clearing the check cache behind the engine's back (the
-        full-flush ablation does this) must force rechecks: checked plans
-        guard on their derivation still being cached."""
+    def test_recheck_cannot_leave_stale_fast_path(self):
+        """``Engine.recheck`` drops one check entry (the Rails helper
+        quirk) and, in the same step, the plan replaying it: the next
+        call re-checks, and the call after it is fast again."""
         engine = make_engine()
         c = build_counter(engine)()
         for i in range(5):
             c.bump(i)
         misses = engine.stats.cache_misses
-        engine.cache.clear()
+        engine.recheck("Counter", "bump")
         c.bump(1)
         assert engine.stats.cache_misses == misses + 1  # rechecked
         hits = engine.stats.fast_path_hits
@@ -294,3 +295,19 @@ class TestPlanInvalidation:
         rate = (stats.fast_path_hits - hits) / (
             stats.calls_intercepted - calls)
         assert rate > 0.9, rate
+
+
+def test_store_over_a_live_plan_keeps_the_live_plan():
+    """A plan is built only on a miss, so a store over a live plan is a
+    racing twin build: the live plan (and any wrapper compiled from it)
+    stays, and no deopt fires."""
+    plans = CallPlanCache()
+    dropped = []
+    plans.on_drop = dropped.append
+    key = ("A", "A", "m", "instance")
+    live = CallPlan(None, None, False, False)
+    assert plans.store(key, live, epoch=plans.epoch)
+    twin = CallPlan(None, None, False, False)
+    assert not plans.store(key, twin, epoch=plans.epoch)
+    assert plans.get(key) is live
+    assert dropped == []

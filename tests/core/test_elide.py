@@ -1,9 +1,9 @@
-"""Signature-fact elision: the two verdicts and their audit.
+"""Signature-fact elision: the verdict and its audit.
 
-Elision keeps two facts, both read off a site's call plan at promotion
-(see ``repro.core.elide``): ``cache_guard`` holds for a checked plan,
-and ``arg_check`` holds when some arm accepts the arity with vacuous
-parameter types.  ``repro.ril.audit`` reports them per warm site.
+Elision keeps one fact, read off a site's call plan at promotion (see
+``repro.core.elide``): ``arg_check`` holds when some arm accepts the
+arity with vacuous parameter types.  ``repro.ril.audit`` reports it per
+warm site.
 """
 
 import pytest
@@ -46,8 +46,8 @@ def _deltas(engine, before) -> dict:
 def test_vacuous_params_guard_only_the_arity():
     """A ``%any`` parameter passes the dynamic check for every value, so
     the promoted wrapper guards the arity alone: argument classes it
-    never saw stay on the wrapper, another arity leaves it, and both
-    facts count in ``checks_elided``."""
+    never saw stay on the wrapper, another arity leaves it, and the
+    omitted test counts in ``checks_elided``."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     cls = type("ElideAny", (object,), {})
     body = "def relay(self, x):\n    return x\n"
@@ -64,7 +64,7 @@ def test_vacuous_params_guard_only_the_arity():
         assert obj.relay(value) == value
     n = len(unseen)
     assert _deltas(engine, before) == {
-        "specialized_hits": n, "checks_elided": 2 * n,
+        "specialized_hits": n, "checks_elided": n,
         "dynamic_arg_checks": n, "cache_hits": n}
     before = engine.stats_snapshot()
     with pytest.raises(ArgumentTypeError):
@@ -73,24 +73,22 @@ def test_vacuous_params_guard_only_the_arity():
 
 
 @pytest.mark.requires_elision
-def test_classmethod_site_elides_the_cache_probe():
-    """Both facts read only the plan, so a checked class-method site
-    drops its check-cache probe exactly like an instance-method site:
-    the wrapper holds no ``_entries`` probe and keeps serving across a
-    direct check-cache flush."""
+def test_classmethod_site_elides_the_arg_test():
+    """The fact reads only the plan, so a checked class-method site with
+    a vacuous parameter drops its argument test exactly like an
+    instance-method site: the wrapper holds no profile test."""
     engine = Engine(EngineConfig(specialize_threshold=THRESHOLD))
     cls = type("ElideClassKind", (object,), {})
     body = "def tally(cls, n):\n    return n + 2\n"
     namespace = {}
     exec(body, namespace)  # noqa: S102 - fixed test template
     engine.define_method(cls, "tally", namespace["tally"],
-                         sig="(Integer) -> Integer", kind=CLASS,
+                         sig="(%any) -> Integer", kind=CLASS,
                          check=True, source=body)
     for i in range(THRESHOLD + 5):
         assert cls.tally(i) == i + 2
     assert engine.stats.elide_promotions == 1
-    assert "_entries" not in _wrapper_source(cls, "tally")
-    engine.cache.clear()
+    assert "profiles" not in _wrapper_source(cls, "tally")
     before = engine.stats_snapshot()
     for i in range(7):
         assert cls.tally(i) == i + 2
@@ -100,20 +98,18 @@ def test_classmethod_site_elides_the_cache_probe():
 
 
 @pytest.mark.requires_caches
-def test_audit_reports_only_the_two_signature_facts():
-    """The audit over warm boxroom reads: every one of the 14 checked
-    sites drops its cache probe, and 12 of 14 argument checks are
-    vacuous — the other 2 stay, blocked on non-vacuous parameters."""
+def test_audit_reports_only_the_signature_fact():
+    """The audit over warm boxroom reads: 12 of the 14 argument checks
+    are vacuous — the other 2 stay, blocked on non-vacuous
+    parameters."""
     report = audit_engine(warm_serving_engine("boxroom", "read"))
     summary = report["summary"]
-    assert CHECK_KINDS == ("cache_guard", "arg_check")
+    assert CHECK_KINDS == ("arg_check",)
     assert set(summary["per_kind"]) == set(CHECK_KINDS)
-    assert summary["per_kind"]["cache_guard"] == {
-        "proved": 14, "not_applicable": 0, "blocked": 0}
     assert summary["per_kind"]["arg_check"] == {
         "proved": 12, "not_applicable": 0, "blocked": 2}
     assert summary["blockers"] == {"non_vacuous_params": 2}
-    assert (summary["proved"], summary["applicable"]) == (26, 28)
+    assert (summary["proved"], summary["applicable"]) == (12, 14)
     for site in report["sites"]:
         assert set(site) == {"key", "checks"}
         assert set(site["checks"]) == set(CHECK_KINDS)
@@ -125,8 +121,8 @@ def test_audit_reports_only_the_two_signature_facts():
     ("countries", "read", 0.55), ("countries", "mixed", 0.55),
     ("rolify", "read", 0.4), ("rolify", "mixed", 0.4)])
 def test_audit_elision_rate_floors(app, mix, floor):
-    """Across the warm serving apps the two facts discharge most of the
-    check ops that run.  The audit is deterministic (no timing), so a
+    """Across the warm serving apps the fact discharges most of the
+    argument checks that run.  The audit is deterministic (no timing), so a
     rate below its floor is a real loss of provable checks."""
     summary = audit_engine(warm_serving_engine(app, mix))["summary"]
     assert summary["applicable"] > 0, summary

@@ -7,7 +7,7 @@ The contract under test (see ``docs/performance.md`` "Tiered execution"):
   outcomes — return values, raised errors, stats invariants — are
   indistinguishable from the generic tier's;
 * every guard failure (wrong receiver class, kwargs, unseen argument
-  classes, missing check-cache entry) **falls back** into the generic
+  classes, a dropped plan) **falls back** into the generic
   ``Engine.invoke``, never raises through the fast path, and never
   skips a failing dynamic check;
 * every invalidation wave that drops the underlying plan — retype,
@@ -57,10 +57,14 @@ def _define(engine, cls, name, body, sig, check=True):
                          source=body)
 
 
-def _hot_world(engine):
+def _hot_world(engine, sig="(Integer) -> Integer"):
     cls = type("SpecHot", (object,), {})
-    _define(engine, cls, "bump", _BUMP, "(Integer) -> Integer")
+    _define(engine, cls, "bump", _BUMP, sig)
     return cls
+
+
+#: a vacuous parameter: the promoted wrapper elides its argument test.
+_ANY_SIG = "(%any) -> Integer"
 
 
 def _warm(obj, name="bump", calls=THRESHOLD + 5):
@@ -292,26 +296,6 @@ def test_plan_cache_clear_deoptimizes_everything():
     engine._plans.clear()
     assert not _slot_is_specialized(cls, "bump")
     assert obj.bump(4) == 5
-
-
-@pytest.mark.requires_specialization
-def test_direct_check_cache_clear_degrades_not_stales():
-    """Even a CheckCache.clear() that bypasses Engine.invalidate (so no
-    deopt fires) must not replay the removed derivation: the per-call
-    membership guard bails to the generic tier, which re-checks.
-
-    Pinned to ``elide=False``: elision drops the membership probe of a
-    checked plan, because engine-mediated waves drop the plan too — the
-    elided behavior has its own contract (the companion test below)."""
-    engine = spec_engine(elide=False)
-    cls = _hot_world(engine)
-    obj = cls()
-    _warm(obj)
-    assert _slot_is_specialized(cls, "bump")
-    checks_before = engine.stats.static_checks
-    engine.cache.clear()
-    assert obj.bump(5) == 6
-    assert engine.stats.static_checks == checks_before + 1  # re-derived
 
 
 @pytest.mark.requires_specialization
@@ -780,21 +764,22 @@ def _wrapper_source(cls, name) -> str:
 
 @pytest.mark.requires_elision
 def test_elision_fires_on_hot_checked_leaf():
-    """A checked method promotes with the check-cache probe elided: the
-    emitted wrapper holds no ``_entries`` probe, ``checks_elided``
-    advances by the omitted-operation count on every call, and the
-    checked frame is still pushed — a checked caller's callee skips its
+    """A checked method with a vacuous parameter promotes with its
+    argument test elided: the emitted wrapper holds no profile test,
+    ``checks_elided`` advances by one on every call, and the checked
+    frame is still pushed — a checked caller's callee skips its
     argument check."""
     engine = spec_engine()
     cls = type("SpecChain", (object,), {})
-    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
-    _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
+    _define(engine, cls, "base", _BASE, _ANY_SIG)
+    _define(engine, cls, "double", _DOUBLE, _ANY_SIG)
     obj = cls()
     _warm(obj, "double")
     stats = engine.stats
     assert stats.promotions == stats.elide_promotions == 2  # both methods
-    assert "_entries" not in _wrapper_source(cls, "double")
-    assert "_entries" not in _wrapper_source(cls, "base")
+    for name in ("double", "base"):
+        source = _wrapper_source(cls, name)
+        assert "_d0_" not in source and "profiles" not in source
     calls = 9
     before = engine.stats_snapshot()
     _warm(obj, "double", calls)
@@ -802,7 +787,7 @@ def test_elision_fires_on_hot_checked_leaf():
     delta = {k: after[k] - before[k] for k in after}
     assert delta["calls_intercepted"] == 2 * calls    # double + base
     assert delta["specialized_hits"] == 2 * calls     # both on wrappers
-    assert delta["checks_elided"] == 2 * calls        # one probe per call
+    assert delta["checks_elided"] == 2 * calls        # one test per call
     assert delta["dynamic_arg_checks"] == calls       # double's boundary
     assert delta["dynamic_arg_checks_skipped"] == calls  # base, in a frame
     # counter parity: the generic-tier invariant still holds
@@ -812,15 +797,15 @@ def test_elision_fires_on_hot_checked_leaf():
 
 @pytest.mark.requires_elision
 def test_elided_site_still_rejects_bad_arguments():
-    """An elided cache probe leaves the argument test in place: a
-    non-conforming argument class bails to the generic tier, which
-    raises exactly as before."""
+    """An elided argument test leaves the arity guard in place: a call
+    of another arity bails to the generic tier, which raises exactly as
+    before."""
     engine = spec_engine()
-    obj = _hot_world(engine)()
+    obj = _hot_world(engine, _ANY_SIG)()
     _warm(obj)
     assert engine.stats.elide_promotions == 1
     with pytest.raises(ArgumentTypeError):
-        obj.bump("not an integer")
+        obj.bump(1, 2)
     assert obj.bump(7) == 8  # site still healthy afterwards
 
 
@@ -828,44 +813,56 @@ def test_elided_site_still_rejects_bad_arguments():
 def test_elide_disabled_by_env_keeps_tier2(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_ELIDE", "1")
     engine = spec_engine()
-    cls = _hot_world(engine)
+    cls = _hot_world(engine, _ANY_SIG)
     obj = cls()
     _warm(obj)
     assert engine.stats.promotions == 1       # tier 2 still promotes
     assert engine.stats.elide_promotions == 0
     source = _wrapper_source(cls, "bump")
-    assert "_ckey0" in source and "c.top = True" in source
+    assert "_d0_0" in source and "c.top = True" in source
 
 
-@pytest.mark.requires_elision
-def test_direct_cache_clear_on_elided_site_is_a_memo_flush():
-    """The contract for the elided membership probe: a *direct*
-    ``CheckCache.clear()`` (bypassing ``Engine.invalidate``) is a memo
-    flush, not a world mutation — the derivation it removed is still
-    valid, so the elided wrapper replaying it is sound (it just skips
-    the lazy re-check the generic tier would have run).  Every
-    engine-mediated mutation still deopts the site and re-derives."""
-    engine = spec_engine()
-    cls = _hot_world(engine)
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"specialize": False}, id="generic",
+                 marks=pytest.mark.requires_caches),
+    pytest.param({}, id="promoted",
+                 marks=pytest.mark.requires_specialization),
+    pytest.param({"elide": False}, id="noelide",
+                 marks=pytest.mark.requires_specialization),
+])
+def test_direct_cache_clear_is_a_memo_flush(overrides):
+    """A *direct* ``CheckCache.clear()`` (bypassing the engine) is a
+    memo flush on every tier, not a world mutation: the derivations it
+    removed are still valid, so the plans (and wrappers) replaying them
+    keep serving and nothing re-derives them.  The flush keeps the
+    derivations' dependency edges, so a later wave still reaches them:
+    retyping the callee so that the caller's body no longer checks
+    drops the caller's plan and site, and its next call raises."""
+    engine = spec_engine(**overrides)
+    cls = type("SpecChain", (object,), {})
+    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
+    _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
     obj = cls()
-    _warm(obj)
-    assert engine.stats.elide_promotions == 1
+    _warm(obj, "double")
+    promoted = overrides.get("specialize", True)
+    assert _slot_is_specialized(cls, "double") == promoted
     checks_before = engine.stats.static_checks
     engine.cache.clear()
-    assert obj.bump(5) == 6                      # still correct
-    assert engine.stats.static_checks == checks_before  # lazy: no re-derive
-    # An engine-mediated wave still tears the site down and re-checks.
-    engine.types.replace("SpecHot", "bump", "(Integer) -> Integer",
+    assert obj.double(5) == 10                   # still correct
+    assert engine.stats.static_checks == checks_before  # no re-derive
+    assert _slot_is_specialized(cls, "double") == promoted
+    # base still checks against Object; double's ``+`` on it does not.
+    engine.types.replace("SpecChain", "base", "(Integer) -> Object",
                          check=True)
-    assert not _slot_is_specialized(cls, "bump")
-    assert obj.bump(5) == 6
-    assert engine.stats.static_checks > checks_before
+    assert not _slot_is_specialized(cls, "double")
+    with pytest.raises(StaticTypeError):
+        obj.double(5)
 
 
 @pytest.mark.requires_elision
 def test_retype_deopts_elided_site():
     engine = spec_engine()
-    cls = _hot_world(engine)
+    cls = _hot_world(engine, _ANY_SIG)
     obj = cls()
     _warm(obj)
     assert engine.stats.elide_promotions == 1
@@ -884,27 +881,26 @@ def test_callee_churn_deopts_elided_caller():
     redefined callee body is what the caller's very next call runs."""
     engine = spec_engine()
     cls = type("SpecChain", (object,), {})
-    _define(engine, cls, "base", _BASE, "(Integer) -> Integer")
-    _define(engine, cls, "double", _DOUBLE, "(Integer) -> Integer")
+    _define(engine, cls, "base", _BASE, _ANY_SIG)
+    _define(engine, cls, "double", _DOUBLE, _ANY_SIG)
     obj = cls()
     for i in range(THRESHOLD + 5):
         assert obj.double(i) == 2 * i
-    assert engine.stats.elide_promotions >= 1  # cache probe elided at least
+    assert engine.stats.elide_promotions == 2  # both argument tests
     # (a) retype the callee: the caller's derivation is now ill-typed
-    engine.types.replace("SpecChain", "base", "(Integer) -> String",
+    engine.types.replace("SpecChain", "base", "(%any) -> String",
                          check=True)
     assert not _slot_is_specialized(cls, "double")
     assert engine.stats.elide_deopts >= 1
     with pytest.raises(StaticTypeError):
         obj.double(3)
     # (b) restore + re-warm, then *redefine* the callee mid-run
-    engine.types.replace("SpecChain", "base", "(Integer) -> Integer",
-                         check=True)
+    engine.types.replace("SpecChain", "base", _ANY_SIG, check=True)
     for i in range(THRESHOLD + 5):
         assert obj.double(i) == 2 * i
     assert _slot_is_specialized(cls, "double")
     _define(engine, cls, "base", "def base(self, n):\n    return n + 100\n",
-            "(Integer) -> Integer")
+            _ANY_SIG)
     assert not _slot_is_specialized(cls, "double")
     assert obj.double(1) == 102  # the *new* callee body, immediately
 
@@ -984,7 +980,7 @@ def test_gap_kwargs_call_checks_the_right_slots():
 # -- promote/deopt/re-promote stress (hypothesis) ----------------------------
 
 _STRESS_SIGS = ("(Integer) -> Integer", "(Integer) -> String",
-                "(Integer) -> Numeric")
+                "(Integer) -> Numeric", _ANY_SIG)
 _STRESS_METHODS = ("m0", "m1", "m2")
 _STRESS_BODIES = {
     "inc": "def {name}(self, n):\n    return n + 1\n",
@@ -1136,7 +1132,8 @@ def test_stress_scenarios_actually_build_and_break_deep_chains():
     depth-2 call chain (m2 -> unchecked m1 -> m0), the depth-2 callee
     is redefined under traffic, and a mid-flight subclass serves
     traffic — all oracle-identical."""
-    script = [("redefine", "m1", "chain"),      # m1 -> m0 (still unchecked)
+    script = [("retype", "m2", _ANY_SIG),       # m2's argument test elides
+              ("redefine", "m1", "chain"),      # m1 -> m0 (still unchecked)
               ("burst", "m2", "base", 12),      # m2 -> m1 -> m0 goes hot
               ("redefine", "m0", "ident"),      # depth-2 callee redefined
               ("burst", "m2", "base", 6),
@@ -1153,11 +1150,13 @@ def test_stress_scenarios_actually_build_and_break_deep_chains():
 @pytest.mark.requires_elision
 def test_stress_scenarios_actually_elide_and_survive_callee_churn():
     """The stress harness exercises elision: hot leaves promote with
-    checks elided, a chain caller's *callee* is retyped mid-run, and
-    the elided sites are torn down — the hypothesis property above
+    argument tests elided, a chain caller's *callee* is retyped mid-run,
+    and the elided sites are torn down — the hypothesis property above
     already replays such scripts differentially against the oracle."""
-    script = [("burst", "m0", "base", 12),
+    script = [("retype", "m0", _ANY_SIG),     # vacuous: tests elide
+              ("burst", "m0", "base", 12),
               ("redefine", "m1", "chain"),   # m1 now calls m0
+              ("retype", "m1", _ANY_SIG),
               ("burst", "m1", "base", 12),
               ("retype", "m0", _STRESS_SIGS[1]),  # retype m1's callee
               ("burst", "m1", "base", 6)]
@@ -1408,12 +1407,12 @@ def _moved_slots(shard, before: dict) -> dict:
 
 
 def _expected_shape(engine, name: str, branch: str) -> str:
-    for key, elision in engine._specializer.promoted_entries():
+    for key, elision in engine._specializer.promoted_sites():
         if key[2] == name:
             plan = engine._plans.get(key)
             return shape_slot(plan.checked,
                               "nosig" if plan.sig is None else branch,
-                              elision.count if elision is not None else 0)
+                              int(elision is not None))
     raise AssertionError(f"{name} is not promoted")
 
 
@@ -1463,7 +1462,7 @@ def test_each_shape_moves_the_snapshot_by_its_vector():
                     n * vectors[slot].get(field, 0)
                     for slot, n in expected.items()), (name, branch, field)
             seen |= set(expected)
-    # Every branch and every elided count this engine can emit was hit.
+    # Every branch and both elision states this engine can emit were hit.
     assert {slot.split("_")[2] for slot in seen} == set(ARG_BRANCHES)
     if engine._elider is not None:
-        assert {slot.split("_")[3] for slot in seen} == {"0", "1", "2"}
+        assert {slot.split("_")[3] for slot in seen} == {"0", "1"}

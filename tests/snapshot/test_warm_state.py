@@ -100,7 +100,7 @@ def test_roundtrip_restores_promotions_eagerly():
     with the elision verdict recomputed from the restored plan equal to
     the one the warm engine compiled."""
     engine, _, _ = _warm_world()
-    promoted = [key for key, _ in engine._specializer.promoted_entries()]
+    promoted = [key for key, _ in engine._specializer.promoted_sites()]
     assert promoted, "warmup never promoted; threshold regression?"
 
     doc = save_snapshot(engine)
@@ -111,9 +111,7 @@ def test_roundtrip_restores_promotions_eagerly():
         assert engine2._specializer.is_promoted(key), key
 
     def verdicts(eng):
-        return {key: (el.cache_guard, el.arg_check, el.arity)
-                if el is not None else None
-                for key, el in eng._specializer.promoted_entries()}
+        return dict(eng._specializer.promoted_sites())
 
     warm = verdicts(engine)
     restored = verdicts(engine2)

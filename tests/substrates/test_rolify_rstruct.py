@@ -186,6 +186,47 @@ class TestReloader:
         assert c.volatile() == "two"    # redefined + re-checked
         assert app.engine.stats.static_checks == checks + 1
 
+    @pytest.mark.requires_specialization
+    def test_helper_reload_rechecks_a_promoted_helper(self):
+        """The Rails helper quirk on a promoted site: a reload that only
+        re-applies the unchanged helper file deopts the helper's
+        wrapper, re-checks the helper at its next call, and keeps the
+        entries of the methods whose checks consulted it."""
+        from repro import EngineConfig
+        from repro.rails import AppVersion, RailsApp, Reloader
+
+        engine = Engine(EngineConfig(specialize_threshold=5))
+        app = RailsApp(engine, view_cost=5)
+
+        class C(app.Controller):
+            pass
+
+        def version(label):
+            return (AppVersion(label)
+                    .add("C", "fmt", "() -> String",
+                         "def fmt(self):\n    return 'h'\n", helper=True)
+                    .add("C", "page", "() -> String",
+                         "def page(self):\n    return self.fmt()\n"))
+
+        reloader = Reloader(app)
+        reloader.register_class(C)
+        reloader.apply(version("v1"))
+        c = C({})
+        for _ in range(10):
+            assert c.page() == "h"
+        key = ("C", "fmt")
+        assert getattr(C.__dict__["fmt"], "__hb_specialized__", False)
+        dependents = engine.cache.dependents(key)
+        assert ("C", "page") in dependents
+
+        report = reloader.apply(version("v2"))
+        assert report.helper_keys == {key} and not report.changed
+        assert not getattr(C.__dict__["fmt"], "__hb_specialized__", False)
+        checks = engine.stats.static_checks
+        assert c.fmt() == "h"
+        assert engine.stats.static_checks == checks + 1
+        assert engine.cache.dependents(key) == dependents
+
     @pytest.mark.requires_caches
     def test_removed_method_invalidates_dependents(self):
         from repro.rails import AppVersion, RailsApp, Reloader
