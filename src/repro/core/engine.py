@@ -377,9 +377,9 @@ class Engine:
         """The formalism's ``def A.m``: (re)define a method at run time.
 
         Installs ``fn`` on the class, registers its IR if it will be
-        statically checked, wraps it if it has a signature, and invalidates
-        the cache when an existing body actually changed (the IR diff used
-        by dev-mode reloading).
+        statically checked, and wraps it if it has a signature; a changed
+        lowering invalidates the cache (:meth:`_install_wrapper`, the IR
+        diff used by dev-mode reloading).
         """
         with self.write_lock:
             self.register_class(owner)
@@ -395,15 +395,12 @@ class Engine:
                 existing = self.types.lookup(owner_name, name, kind)
                 if existing is not None:
                     self._install_wrapper(owner, name, kind, fn)
-            new = self.cfgs.lookup(owner_name, name)
-            if (new is not None and new is old
+            if (old is not None and self.cfgs.lookup(owner_name, name) is old
                     and not self.cfgs.is_current(owner_name, name, fn)):
                 # An unchecked slot keeps whatever IR was lowered from
                 # the body this definition just replaced; a later
                 # check must never read it.
                 self.cfgs.forget(owner_name, name)
-                new = None
-            if old is not None and (new is None or bodies_differ(old, new)):
                 self.invalidate(owner_name, name)
 
     def method_removed(self, owner_name: str, name: str) -> None:
@@ -795,16 +792,30 @@ class Engine:
 
     def _install_wrapper(self, pycls: type, name: str, kind: str,
                          fn) -> None:
+        """Lower ``fn`` for a checked signature and wrap it.  A lowering
+        that differs from the registered one (body, parameters or
+        closure-capture types), or fails, runs the signature wave, so no
+        cached verdict outlives the body it judged."""
         from ..rdl.wrap import wrap_method
-        sig = self.types.lookup(pycls.__name__, name, kind)
+        owner = pycls.__name__
+        sig = self.types.lookup(owner, name, kind)
+        changed = False
         if sig is not None and sig.check:
+            old = self.cfgs.lookup(owner, name)
             try:
-                self.cfgs.register_function(pycls.__name__, name, fn)
+                new = self.cfgs.register_function(owner, name, fn)
             except RegistrationError:
-                pass  # surfaces as NoMethodBodyError at first call
+                # Surfaces as NoMethodBodyError at first call; the old
+                # body's IR must not stand in for it.
+                self.cfgs.forget(owner, name)
+                new = None
+            changed = old is not None and (new is None
+                                           or bodies_differ(old, new))
         if self.config.intercept:
             wrap_method(self, pycls, name, kind=kind, fn=fn)
-        self._pending_wraps.discard((pycls.__name__, name, kind))
+        self._pending_wraps.discard((owner, name, kind))
+        if changed:
+            self.invalidate(owner, name)
 
     def _wrapper_current(self, pycls: type, name: str, kind: str, fn,
                          checked: bool) -> bool:

@@ -57,10 +57,13 @@ heuristic warm-call counter (racy increments only delay promotion),
 (reduced for sites the specializer saw deoptimize), ``profile_hits``,
 the pre-promotion per-profile counts the dominant-profile guard is
 compiled from, and ``promoted``, set once the specializer has attempted
-to compile the site (:mod:`repro.core.specialize`).  The cache's
-``on_drop`` callback reports every explicitly dropped plan key so the
-engine can deoptimize the specialized dispatch entries riding those
-plans before the wave returns.
+to compile the site (:mod:`repro.core.specialize`).  A promoted site
+*is* its plan: the promotion writes the plan's key, the class whose
+slot it took, the slot values it displaced and installed, and its
+elision verdict onto the plan, and a deopt reads them back.  The
+cache's ``on_drop`` callback reports every explicitly dropped plan so
+the specializer can restore the slots those plans hold before the wave
+returns.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class CallPlan:
 
     __slots__ = ("sig_owner", "sig", "checked", "profile_eligible",
                  "profiles", "profile_hits", "hits", "promote_at",
-                 "promoted")
+                 "promoted", "key", "slot_cls", "displaced", "installed",
+                 "elision")
 
     def __init__(self, sig_owner: Optional[str], sig, checked: bool,
                  profile_eligible: bool) -> None:
@@ -117,6 +121,17 @@ class CallPlan:
         #: one attempt per plan generation — a dropped-and-rebuilt plan
         #: starts fresh.
         self.promoted = False
+        #: the site, written by a promotion: the plan key, the class
+        #: whose slot holds the compiled wrapper, and the slot values
+        #: (classmethod objects included) it displaced and installed.
+        #: ``installed`` is None while the plan has no site.
+        self.key: Optional[PlanKey] = None
+        self.slot_cls: Optional[type] = None
+        self.displaced = None
+        self.installed = None
+        #: the elision verdict: the arity the compiled code guards in
+        #: place of its argument test, or None (the test is emitted).
+        self.elision: Optional[int] = None
 
     def learn_profile(self, profile: tuple) -> None:
         """COW-publish a passing argument-class tuple (capped)."""
@@ -162,7 +177,7 @@ class CallPlanCache:
     resolved against the pre-mutation world could be memoized *after*
     the wave that should have flushed it (the lost-invalidation race).
 
-    :attr:`on_drop` (set by the engine) is called with the plan keys an
+    :attr:`on_drop` (set by the engine) is called with the plans an
     invalidation wave explicitly dropped, *after* the internal lock is
     released but before the wave returns — the tier-2 deopt hook: any
     specialized wrapper compiled from a dropped plan is swapped back to
@@ -177,8 +192,8 @@ class CallPlanCache:
         #: epoch => a concurrent mutation => the plan must not be stored.
         self.epoch = 0
         #: deopt listener: called (outside the lock) with each wave's
-        #: dropped plan keys.
-        self.on_drop: Optional[Callable[[Tuple[PlanKey, ...]], None]] = None
+        #: dropped plans.
+        self.on_drop: Optional[Callable[[Tuple[CallPlan, ...]], None]] = None
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -221,24 +236,23 @@ class CallPlanCache:
             self.epoch += 1
             if not self._deps.reads_any(resources):
                 return 0
-            dropped = self._deps.invalidate_many(resources)
-            for key in dropped:
-                del self._plans[key]
+            dropped = [self._plans.pop(key)
+                       for key in self._deps.invalidate_many(resources)]
         self._notify_drop(dropped)
         return len(dropped)
 
     def clear(self) -> int:
         with self._lock:
             self.epoch += 1
-            dropped = list(self._plans)
+            dropped = list(self._plans.values())
             self._plans.clear()
             self._deps.clear()
         self._notify_drop(dropped)
         return len(dropped)
 
-    def _notify_drop(self, keys) -> None:
+    def _notify_drop(self, plans: List[CallPlan]) -> None:
         """Fire the deopt listener outside the internal lock, which
         guards only the plan map and its graph (the listener rebinds
         class attributes)."""
-        if keys and self.on_drop is not None:
-            self.on_drop(tuple(keys))
+        if plans and self.on_drop is not None:
+            self.on_drop(tuple(plans))

@@ -70,14 +70,18 @@ specialization (including raising the right
 wrapper is therefore a pure fast-path overlay: it can be wrong about
 the future, never about the call it accepts.
 
-**Deoptimization.**  Soundness rides the PR 2 dependency machinery: a
+**Deoptimization.**  Soundness rides the dependency machinery: a
 specialized wrapper lives exactly as long as the plan it was compiled
-from.  Everything that drops a plan (the engine's one invalidation
-wave per mutation and ``Engine.recheck``, both
+from, and the site is recorded on that plan — its key, the class whose
+slot it took, the slot values it displaced and installed, and its
+elision verdict.  Everything that drops a plan (the engine's one
+invalidation wave per mutation and ``Engine.recheck``, both
 :meth:`~repro.core.plans.CallPlanCache.invalidate`; and
-:meth:`~repro.core.plans.CallPlanCache.clear`) reports the dropped keys
-through ``CallPlanCache.on_drop``, and the engine restores the
-displaced generic wrapper *before the wave returns*.  So by the time a
+:meth:`~repro.core.plans.CallPlanCache.clear`) reports the dropped
+plans through ``CallPlanCache.on_drop``, and the specializer puts each
+promoted plan's displaced slot value back — one ``setattr``, guarded by
+one identity test that the slot still holds the installed value —
+*before the wave returns*.  So by the time a
 mutation's caller regains control, no specialized code embodying the
 pre-mutation world is reachable from the class.  Epoch
 bumps that drop nothing (e.g. a field-type wave whose removal set is
@@ -135,44 +139,12 @@ def specialize_disabled_by_env() -> bool:
         "", "0", "false", "no")
 
 
-class _Site:
-    """One promoted slot: the plan key it was compiled from, what it
-    displaced, and what displaced it."""
-
-    __slots__ = ("key", "name", "elision", "def_cls", "generic",
-                 "specialized", "was_classmethod")
-
-    def __init__(self, key: PlanKey, elision: Optional[int],
-                 def_cls: type, generic, specialized,
-                 was_classmethod: bool) -> None:
-        self.key = key
-        self.name = key[2]
-        #: the elision verdict: the arity the compiled code guards in
-        #: place of its argument test, or None (the test is emitted).
-        self.elision = elision
-        self.def_cls = def_cls
-        self.generic = generic
-        self.specialized = specialized
-        self.was_classmethod = was_classmethod
-
-    def install(self, fn) -> None:
-        """Bind ``fn`` into the slot, re-wrapping classmethods."""
-        setattr(self.def_cls, self.name,
-                classmethod(fn) if self.was_classmethod else fn)
-
-    def is_live(self) -> bool:
-        """Whether the slot still holds this site's compiled wrapper (a
-        direct ``setattr`` bypassing wrap/unwrap may have rebound it)."""
-        raw = self.def_cls.__dict__.get(self.name)
-        inner = raw.__func__ if isinstance(raw, classmethod) else raw
-        return inner is self.specialized
-
-
-Slot = Tuple[type, str]
-
-
 class Specializer:
     """The tier-2 compiler + deopt registry for one engine.
+
+    A promoted site is its plan (:class:`~repro.core.plans.CallPlan`
+    records the slot it took); the registry maps each promoted
+    ``(class, name)`` slot to that plan, so a slot compiles one shape.
 
     Locking: the site registry is touched only under the engine's
     writer lock, so it keeps no lock of its own.  :meth:`maybe_promote`
@@ -184,10 +156,8 @@ class Specializer:
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        #: (defining class, method name) -> the live promoted site.
-        self._sites: Dict[Slot, _Site] = {}
-        #: plan key -> the slot its site was compiled into.
-        self._by_key: Dict[PlanKey, Slot] = {}
+        #: (class, method name) -> the plan whose wrapper holds the slot.
+        self._sites: Dict[Tuple[type, str], CallPlan] = {}
         #: plan keys whose sites were deoptimized at least once — these
         #: re-promote at the reduced threshold.  Bounded; read lock-free
         #: on the cold plan-build path, mutated under the writer lock.
@@ -200,7 +170,7 @@ class Specializer:
 
     def __len__(self) -> int:
         """Live promoted sites."""
-        return len(self._by_key)
+        return len(self._sites)
 
     def promote_threshold(self, key: PlanKey) -> int:
         """The per-site promotion threshold the engine stamps onto a
@@ -250,27 +220,25 @@ class Specializer:
             if plans is None or plans.get(key) is not plan:
                 return False  # a wave dropped the plan while we raced here
             raw = def_cls.__dict__.get(name)
-            was_classmethod = isinstance(raw, classmethod)
-            inner = raw.__func__ if was_classmethod else raw
+            inner = raw.__func__ if isinstance(raw, classmethod) else raw
             # Only displace the current-generation generic wrapper for
             # this very function: a stale fn, a foreign wrapper or a slot
             # that is already specialized refuses.
             if (inner is None or getattr(inner, "__hb_specialized__", False)
-                    or getattr(inner, "__hb_original__", None) is not fn):
+                    or getattr(inner, "__hb_original__", None) is not fn
+                    or (def_cls, name) in self._sites):
                 return False
             elider = engine._elider
             elision = (elider.analyze(key, plan)
                        if elider is not None else None)
-            slot = (def_cls, name)
-            if key in self._by_key or slot in self._sites:
-                return False
             wrapper = _compile_wrapper(engine, key, guard_cls, plan, fn,
                                        elision)
-            site = _Site(key, elision, def_cls, inner, wrapper,
-                         was_classmethod)
-            site.install(wrapper)
-            self._sites[slot] = site
-            self._by_key[key] = slot
+            plan.key, plan.slot_cls, plan.elision = key, def_cls, elision
+            plan.displaced = raw
+            plan.installed = (classmethod(wrapper)
+                              if isinstance(raw, classmethod) else wrapper)
+            setattr(def_cls, name, plan.installed)
+            self._sites[(def_cls, name)] = plan
             stats = engine.stats
             stats.promotions += 1
             if key in self._rewarm:
@@ -281,44 +249,39 @@ class Specializer:
 
     # -- deoptimization -----------------------------------------------------
 
-    def deoptimize_keys(self, keys: Iterable[PlanKey]) -> int:
-        """Restore the displaced generic wrapper at each promoted ``key``.
+    def deoptimize_keys(self, plans: Iterable[CallPlan]) -> int:
+        """Restore the slot value each promoted plan in ``plans``
+        displaced (``CallPlanCache.on_drop`` reports dropped plans).
 
-        Only sites whose compiled code was actually displaced from the
-        live slot are counted (and reported through ``Stats.deopts``): a
-        slot rebound by a re-wrap or unwrap in the meantime must neither
-        be clobbered with a resurrected wrapper nor counted as a deopt.
+        Only sites whose compiled code still held the slot are restored
+        and counted (through ``Stats.deopts``): a slot rebound behind
+        the specializer's back must neither be clobbered with a
+        resurrected wrapper nor counted as a deopt.
         """
-        engine = self.engine
-        displaced = 0
-        elided = 0
-        for key in keys:
-            slot = self._by_key.pop(key, None)
-            if slot is None:
+        displaced = elided = 0
+        for plan in plans:
+            installed = self._unseat(plan)
+            if installed is None:
                 continue
-            site = self._sites.pop(slot, None)
-            if site is None:
-                continue
-            self._note_rewarm(key)
-            if not site.is_live():
-                # The slot was rebound behind our back (a direct setattr
-                # bypassing wrap/unwrap): the compiled code is already
-                # unreachable from the class.  Forget the site, restore
-                # nothing, count nothing.
+            name = plan.key[2]
+            if plan.slot_cls.__dict__.get(name) is not installed:
+                # A direct setattr bypassing wrap/unwrap rebound the
+                # slot: the compiled code is already unreachable from
+                # the class.  Restore nothing, count nothing.
                 continue
             displaced += 1
-            if site.elision is not None:
+            if plan.elision is not None:
                 elided += 1
-            site.install(site.generic)
+            setattr(plan.slot_cls, name, plan.displaced)
         if displaced:
-            engine.stats.deopts += displaced
+            self.engine.stats.deopts += displaced
         if elided:
-            engine.stats.elide_deopts += elided
+            self.engine.stats.elide_deopts += elided
         return displaced
 
     def deoptimize_all(self) -> int:
         """Deoptimize every promoted site (contract registration, tests)."""
-        return self.deoptimize_keys(tuple(self._by_key))
+        return self.deoptimize_keys(tuple(self._sites.values()))
 
     def discard_slot(self, def_cls: type, name: str) -> None:
         """Forget (without restoring) the site watching ``def_cls.name``.
@@ -329,15 +292,26 @@ class Specializer:
         function.  The rebind displaces the compiled wrapper, so it
         counts as a deopt and its key enters the re-warm registry.
         """
-        site = self._sites.pop((def_cls, name), None)
-        if site is None:
+        plan = self._sites.get((def_cls, name))
+        if plan is None:
             return
-        self._by_key.pop(site.key, None)
-        self._note_rewarm(site.key)
+        self._unseat(plan)
         stats = self.engine.stats
         stats.deopts += 1
-        if site.elision is not None:
+        if plan.elision is not None:
             stats.elide_deopts += 1
+
+    def _unseat(self, plan: CallPlan):
+        """Take ``plan``'s site out of the registry, grant its key the
+        re-warm threshold and return the slot value the promotion
+        installed; None when the plan has no site."""
+        installed = plan.installed
+        if installed is None:
+            return None
+        plan.installed = None
+        del self._sites[(plan.slot_cls, plan.key[2])]
+        self._note_rewarm(plan.key)
+        return installed
 
     def _note_rewarm(self, key: PlanKey) -> None:
         """Grant ``key`` the reduced re-promotion threshold, evicting
@@ -352,15 +326,10 @@ class Specializer:
             del rewarm[next(iter(rewarm))]
         rewarm[key] = True
 
-    def is_promoted(self, key: PlanKey) -> bool:
-        return key in self._by_key
-
     def promoted_sites(self):
-        """Every promoted site as ``(key, elision-or-None)`` pairs — the
-        warm-state snapshot reads this under the writer lock to record
-        which sites were promoted, so a warm-started worker can
-        re-promote eagerly."""
-        return [(site.key, site.elision) for site in self._sites.values()]
+        """Every promoted site's plan — the warm-state tests read this
+        to see which sites a warm start re-promoted."""
+        return list(self._sites.values())
 
 
 #: synthetic filename stem for compiled wrappers (visible in tracebacks).
@@ -435,7 +404,6 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     wrapper.__hb_kind__ = kind
     wrapper.__hb_specialized__ = True
     wrapper.__hb_source__ = source  # introspection for tests/debugging
-    wrapper.__hb_entry_keys__ = (key,)
     return wrapper
 
 

@@ -136,12 +136,9 @@ class Reloader:
                 report.changed.add(key)
             elif is_new and old_keys:
                 report.added.add(key)
+            # A changed lowering or signature runs its own wave.
             engine.define_method(cls, mv.name, fn, sig=mv.sig, check=True,
                                  source=mv.source)
-            if body_changed:
-                # define_method invalidated on body diff; make sure the
-                # signature path did too (re-annotation).
-                engine.invalidate(mv.cls_name, mv.name)
             if mv.helper:
                 report.helper_keys.add(key)
             self._current[key] = mv

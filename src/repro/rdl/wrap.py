@@ -93,7 +93,7 @@ def wrap_method(engine, pycls: type, name: str, *, kind: str = INSTANCE,
     if isinstance(raw, staticmethod):
         raise staticmethod_refusal(def_cls.__name__, name)
     _discard_specialization(engine, def_cls, name)
-    was_classmethod = isinstance(raw, classmethod)
+    as_classmethod = kind == CLASS or isinstance(raw, classmethod)
     if fn is None:
         fn = raw.__func__ if isinstance(raw, classmethod) else raw
     original = getattr(fn, "__hb_original__", fn)
@@ -117,8 +117,7 @@ def wrap_method(engine, pycls: type, name: str, *, kind: str = INSTANCE,
     wrapper.__hb_original__ = original
     wrapper.__hb_engine__ = engine
     wrapper.__hb_kind__ = kind
-    installed = classmethod(wrapper) if (kind == CLASS or was_classmethod) \
-        else wrapper
+    installed = classmethod(wrapper) if as_classmethod else wrapper
     setattr(def_cls, name, installed)
 
 

@@ -17,11 +17,13 @@ Key = Tuple[str, str]
 
 
 def bodies_differ(old: MethodIR, new: MethodIR) -> bool:
-    """True when the two bodies differ structurally (positions ignored).
+    """True when the two lowerings differ: structurally (positions
+    ignored), in their parameters, or in the types of their closure
+    captures, which the static check reads as the free variables' types.
 
     Two registrations of one code object share its lowered body, so the
     common redefinition needs no fingerprint at all."""
-    if old.params != new.params:
+    if old.params != new.params or old.captures != new.captures:
         return True
     return old.body is not new.body and old.fingerprint != new.fingerprint
 

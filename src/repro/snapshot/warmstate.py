@@ -195,9 +195,6 @@ def _capture_plans(engine: Engine) -> List[dict]:
     plans = engine._plans
     if plans is None:
         return []
-    spec = engine._specializer
-    promoted = (set(key for key, _ in spec.promoted_sites())
-                if spec is not None else set())
     records = []
     for key, plan in plans.items():
         profiles = []
@@ -216,7 +213,7 @@ def _capture_plans(engine: Engine) -> List[dict]:
             "checked": bool(plan.checked),
             "profiles": sorted(profiles),
             "profile_hits": sorted(profile_hits),
-            "promoted": key in promoted,
+            "promoted": plan.installed is not None,
         })
     return records
 

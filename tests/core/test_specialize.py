@@ -251,6 +251,67 @@ def test_redefinition_deoptimizes_and_new_body_runs():
     assert engine.stats.deopts >= 1
 
 
+def _adder(x):
+    """A closure whose lowering is shared by every call, so only the
+    type of the captured ``x`` tells two of them apart."""
+    def add(self, n):
+        return x + n
+    return add
+
+
+def _bad(self, n):
+    return n + "s"
+
+
+def _sourceless_bad():
+    namespace = {}
+    exec("def m(self, n):\n    return n + 's'\n", namespace)  # noqa: S102
+    return namespace["m"]
+
+
+def _relower(engine, case, warm):
+    """Warm a checked ``(Integer) -> Integer`` method, give it an
+    ill-typed lowering under the same signature by ``case``, then call
+    it."""
+    sig = "(Integer) -> Integer"
+    cls = type("Relowered", (object,), {})
+    engine.define_method(cls, "m", _adder(1), sig=sig, check=True)
+    obj = cls()
+    for i in range(warm):
+        obj.m(i)
+    if case == "assign_then_annotate":
+        cls.m = _bad
+        engine.api().annotate(cls, "m", sig, check=True)
+    elif case == "annotate_fn":
+        engine.annotate(cls, "m", sig, check=True, fn=_bad)
+    elif case == "annotate_unlowerable":
+        engine.annotate(cls, "m", sig, check=True, fn=_sourceless_bad())
+    else:  # same code object, a String capture where an Integer was
+        engine.define_method(cls, "m", _adder("s"), sig=sig, check=True)
+    return _stress_outcome(lambda: obj.m(1))
+
+
+@pytest.mark.parametrize("warm", [1, 200])
+@pytest.mark.parametrize("case, error", [
+    ("assign_then_annotate", "StaticTypeError"),
+    ("annotate_fn", "StaticTypeError"),
+    ("define_closure", "StaticTypeError"),
+    ("annotate_unlowerable", "NoMethodBodyError"),
+])
+def test_changed_lowering_under_the_same_signature_rechecks(case, error,
+                                                            warm):
+    """A new lowering of a checked method (a new body, the same code
+    capturing a value of another type, or a body with no source to
+    lower) drops the cached verdict and the old IR on every tier, so
+    the next call re-checks and raises what the cache-free oracle
+    raises, instead of running the new body unchecked."""
+    oracle = _relower(Engine(disable_caches=True), case, warm)
+    assert oracle[:2] == ("err", error)
+    for engine in (spec_engine(), Engine(EngineConfig(specialize=False)),
+                   Engine(EngineConfig(call_plans=False))):
+        assert _relower(engine, case, warm) == oracle
+
+
 @pytest.mark.requires_specialization
 def test_hierarchy_mutation_deoptimizes_dependent_sites():
     """A structural mutation of the receiver's linearization drops the
@@ -408,7 +469,7 @@ def test_rewarm_registry_evicts_the_least_recently_deopted(monkeypatch):
             _define(engine, cls, "bump", _BUMP, "(Integer) -> Integer")
         _warm(classes[name]())
         (key,) = [k for k in engine._plans._plans if k[0] == name]
-        assert spec.is_promoted(key)
+        assert engine._plans.get(key).installed is not None
         _reload(engine, name)
         assert len(spec._rewarm) <= bound
         return key
@@ -499,10 +560,10 @@ def _poly_world(engine):
     return base, sub_a(), sub_b()
 
 
-def _entry_keys(cls, name):
-    raw = cls.__dict__.get(name)
-    fn = raw.__func__ if isinstance(raw, classmethod) else raw
-    return getattr(fn, "__hb_entry_keys__", ())
+def _site_key(engine, cls, name):
+    """The plan key of the site promoted into ``cls.name``, or None."""
+    plan = engine._specializer._sites.get((cls, name))
+    return plan.key if plan is not None else None
 
 
 @pytest.mark.requires_specialization
@@ -516,8 +577,8 @@ def test_second_receiver_and_keyword_calls_take_the_generic_tier():
     _warm(a)
     _warm(b, calls=THRESHOLD * 3)
     assert engine.stats.promotions == 1
-    assert _entry_keys(base, "bump") == (
-        ("PolyBase", "PolyA", "bump", "instance"),)
+    assert _site_key(engine, base, "bump") == (
+        "PolyBase", "PolyA", "bump", "instance")
 
     _, oracle_a, oracle_b = _poly_world(Engine(disable_caches=True))
     spec0 = engine.stats.specialized_hits
@@ -540,7 +601,7 @@ def test_poly_entries_still_reject_bad_arguments():
     base, a, b = _poly_world(engine)
     _warm(a)
     _warm(b)
-    assert len(_entry_keys(base, "bump")) == 1
+    assert _site_key(engine, base, "bump") is not None
     with pytest.raises(ArgumentTypeError):
         a.bump("nope")
     with pytest.raises(ArgumentTypeError):
@@ -989,6 +1050,8 @@ _STRESS_BODIES = {
     # chain2 on m2 with m1 redefined to "chain" makes m2 -> m1 -> m0 a
     # depth-2 call chain through the unchecked m1.
     "chain2": "def {name}(self, n):\n    return self.m1(n)\n",
+    # ill-typed under every Integer-returning signature
+    "str": "def {name}(self, n):\n    return 's'\n",
 }
 
 #: receivers the stress scripts dispatch through: the base class, two
@@ -1013,6 +1076,12 @@ stress_ops = st.lists(
                   st.sampled_from(_STRESS_SIGS)),
         st.tuples(st.just("redefine"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(sorted(_STRESS_BODIES))),
+        # a plain assignment, then re-annotation with check=True
+        st.tuples(st.just("patch"), st.sampled_from(_STRESS_METHODS),
+                  st.sampled_from(sorted(_STRESS_BODIES))),
+        # define_method of a closure capturing an Integer or a String
+        st.tuples(st.just("closure"), st.sampled_from(_STRESS_METHODS),
+                  st.sampled_from((1, "s"))),
         st.tuples(st.just("badcall"), st.sampled_from(_STRESS_METHODS),
                   st.sampled_from(_STRESS_RECEIVERS)),
         # mid-flight subclassing: a hierarchy wave under live traffic
@@ -1078,6 +1147,23 @@ def _stress_replay(script, *, disable):
             fn.__hb_source__ = body
             outcomes.append(_stress_outcome(
                 lambda: engine.define_method(cls, name, fn, source=body)))
+        elif op[0] == "patch":
+            _, name, body_key = op
+            body = _STRESS_BODIES[body_key].format(name=name)
+            namespace = {}
+            exec(body, namespace)  # noqa: S102 - fixed test templates
+            fn = namespace[name]
+            fn.__hb_source__ = body
+            setattr(cls, name, fn)
+            outcomes.append(_stress_outcome(
+                lambda: engine.annotate(cls, name, "(Integer) -> Integer",
+                                        check=True)))
+        elif op[0] == "closure":
+            _, name, captured = op
+            outcomes.append(_stress_outcome(
+                lambda: engine.define_method(
+                    cls, name, _adder(captured),
+                    sig="(Integer) -> Integer", check=True)))
         elif op[0] == "subclass":
             # Defining a subclass is a pure hierarchy wave, and the
             # fresh class immediately serves traffic as the "newest"
@@ -1104,15 +1190,50 @@ def _stress_replay(script, *, disable):
           ("redefine", "m1", "chain"),
           ("retype", "m1", "(Integer) -> Integer"),
           ("burst", "m1", "base", 1)])
+# A new lowering under an unchanged signature once kept the old
+# body's verdict: after a plain assignment plus re-annotation, and
+# after a closure's capture flipped from Integer to String.
+@example([("burst", "m0", "base", 3),
+          ("patch", "m0", "str"),
+          ("burst", "m0", "base", 1)])
+@example([("closure", "m2", 1),
+          ("burst", "m2", "base", 3),
+          ("closure", "m2", "s"),
+          ("burst", "m2", "base", 1)])
 @settings(max_examples=40, deadline=None)
 def test_promote_deopt_repromote_matches_oracle(script):
     """Random promote/deopt/re-promote interleavings — across three
     receiver classes and keyword-call bursts, both of which bail out of
     a promoted site — never change a single observable outcome versus
-    the cache-free oracle."""
-    tiered, _ = _stress_replay(script, disable=False)
+    the cache-free oracle, and leave every site record consistent."""
+    tiered, engine = _stress_replay(script, disable=False)
     oracle, _ = _stress_replay(script, disable=True)
     assert tiered == oracle
+    _assert_site_records(engine)
+    if engine._specializer is None:
+        return
+    cls = engine.host_class("SpecStress")
+    wrap_method(engine, cls, "m0")  # a re-wrap discards m0's site
+    _assert_site_records(engine)
+    assert (cls, "m0") not in engine._specializer._sites
+    add_pre(engine, cls, "m1", lambda recv, *a, **k: True)  # deopt all
+    _assert_site_records(engine)
+    assert len(engine._specializer) == 0
+
+
+def _assert_site_records(engine):
+    """Each promoted site is a live plan whose slot holds the value the
+    promotion installed, and only those plans record a site."""
+    spec = engine._specializer
+    if spec is None:
+        return
+    live = dict(engine._plans.items())
+    for (cls, name), plan in spec._sites.items():
+        assert live.get(plan.key) is plan
+        assert (plan.slot_cls, plan.key[2]) == (cls, name)
+        assert cls.__dict__[name] is plan.installed
+    assert len(spec) == sum(plan.installed is not None
+                            for plan in live.values())
 
 
 @pytest.mark.requires_specialization
@@ -1407,12 +1528,11 @@ def _moved_slots(shard, before: dict) -> dict:
 
 
 def _expected_shape(engine, name: str, branch: str) -> str:
-    for key, elision in engine._specializer.promoted_sites():
-        if key[2] == name:
-            plan = engine._plans.get(key)
+    for plan in engine._specializer.promoted_sites():
+        if plan.key[2] == name:
             return shape_slot(plan.checked,
                               "nosig" if plan.sig is None else branch,
-                              int(elision is not None))
+                              int(plan.elision is not None))
     raise AssertionError(f"{name} is not promoted")
 
 

@@ -100,7 +100,7 @@ def test_roundtrip_restores_promotions_eagerly():
     with the elision verdict recomputed from the restored plan equal to
     the one the warm engine compiled."""
     engine, _, _ = _warm_world()
-    promoted = [key for key, _ in engine._specializer.promoted_sites()]
+    promoted = [plan.key for plan in engine._specializer.promoted_sites()]
     assert promoted, "warmup never promoted; threshold regression?"
 
     doc = save_snapshot(engine)
@@ -108,10 +108,11 @@ def test_roundtrip_restores_promotions_eagerly():
     report = load_snapshot(engine2, doc)
     assert report.loaded and report.promotions > 0, report
     for key in promoted:
-        assert engine2._specializer.is_promoted(key), key
+        assert engine2._plans.get(key).installed is not None, key
 
     def verdicts(eng):
-        return dict(eng._specializer.promoted_sites())
+        return {plan.key: plan.elision
+                for plan in eng._specializer.promoted_sites()}
 
     warm = verdicts(engine)
     restored = verdicts(engine2)
