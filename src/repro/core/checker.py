@@ -36,8 +36,8 @@ from ..rtypes import (
     GenericType, IntersectionType, MethodType, NilType, NominalType,
     OptionalParam, RequiredParam, SingletonType, StructuralType, TupleType,
     Type, UnionType, VarType, VarargParam,
-    array_of, instantiate_for_receiver, is_subtype, join, join_all,
-    parse_type, substitute, union_of,
+    array_of, free_vars, instantiate_for_receiver, instantiate_walk,
+    is_subtype, join, join_all, parse_type, substitute, union_of,
 )
 from .errors import StaticTypeError, TypeSignatureError
 
@@ -95,6 +95,9 @@ class _Run:
         self.types = engine.types
         self.outcome = CheckOutcome()
         self.expected_ret: Type = ANY
+        #: the cache-free oracle re-walks every receiver instantiation.
+        self.instantiate = (instantiate_walk if engine.caches_disabled
+                            else instantiate_for_receiver)
 
     # -- helpers -------------------------------------------------------------
 
@@ -590,7 +593,7 @@ class _Run:
         # receiver class (so Model.find's "(Integer) -> self" gives Talk).
         recv_for_self = (NominalType(cls)
                          if isinstance(recv_t, ClassObjectType) else recv_t)
-        arms = [instantiate_for_receiver(arm, recv_for_self, self.hier)
+        arms = [self.instantiate(arm, recv_for_self, self.hier)
                 for arm in sig.arms]
         return self._apply_arms(node, env, recv_t, name, arms, arg_ts, block)
 
@@ -634,8 +637,8 @@ class _Run:
             self.outcome.deps.add((recv_t.name, "initialize"))
             if sig.generated:
                 self.outcome.used_generated.add((owner, "initialize"))
-            arms = [instantiate_for_receiver(a, NominalType(recv_t.name),
-                                             self.hier) for a in sig.arms]
+            arms = [self.instantiate(a, NominalType(recv_t.name), self.hier)
+                    for a in sig.arms]
             self._apply_arms(node, env, NominalType(recv_t.name),
                              "initialize", arms, arg_ts, None)
         return NominalType(recv_t.name), env
@@ -780,7 +783,6 @@ def _infer_vars(expected: Type, actual: Type, bindings: Dict[str, Type],
 
 def _open_vars_to_any(t: Type) -> Type:
     """Unbound method-level variables accept anything (raw default)."""
-    from ..rtypes import free_vars
     fv = free_vars(t)
     if not fv:
         return t

@@ -78,6 +78,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..rdl.registry import CLASS, INSTANCE, MethodSig, TypeRegistry
+from ..rdl.wrap import wrap_method
 from ..ril import CFGRegistry, bodies_differ
 from ..ril.registry import MethodIR, RegistrationError
 from ..rtypes import (
@@ -796,7 +797,6 @@ class Engine:
         that differs from the registered one (body, parameters or
         closure-capture types), or fails, runs the signature wave, so no
         cached verdict outlives the body it judged."""
-        from ..rdl.wrap import wrap_method
         owner = pycls.__name__
         sig = self.types.lookup(owner, name, kind)
         changed = False

@@ -33,6 +33,7 @@ from functools import cached_property
 from types import CodeType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..rtypes import type_of
 from .ir import Node
 from .json_io import fingerprint
 from .lower import LoweringError, lower_function
@@ -251,8 +252,6 @@ def _closure_captures(fn: Any) -> Dict[str, object]:
     by the factory; we record their run-time types so the static check of
     the body has types for them.
     """
-    from ..rtypes import type_of
-
     freevars = getattr(fn.__code__, "co_freevars", ())
     cells = getattr(fn, "__closure__", None) or ()
     out: Dict[str, object] = {}

@@ -13,8 +13,8 @@ from .hierarchy import (
     ClassHierarchy, UnknownClassError, default_hierarchy,
 )
 from .instantiate import (
-    free_vars, instantiate_for_receiver, receiver_bindings, resolve_self,
-    substitute,
+    free_vars, instantiate_for_receiver, instantiate_walk,
+    receiver_bindings, resolve_self, substitute,
 )
 from .lexer import TypeSyntaxError
 from .parser import parse_method_type, parse_type
@@ -45,6 +45,7 @@ __all__ = [
     "array_of", "class_name_of", "conformance", "conforms",
     "default_hierarchy", "equivalent",
     "free_vars", "generic", "hash_of", "instantiate_for_receiver",
+    "instantiate_walk",
     "int_singleton", "intersection_of", "is_class_determined", "is_subtype",
     "join", "join_all",
     "method_arms", "method_type", "nominal", "optional",

@@ -57,6 +57,9 @@ class Type:
     #: :func:`repro.rtypes.typeof.conformance`; not a field, so equality,
     #: hashing and printing never see it.
     _conformance = None
+    #: ``(free type-variable names, mentions self)``, set on first use by
+    #: :func:`repro.rtypes.instantiate.type_facts`; not a field either.
+    _facts = None
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         raise NotImplementedError
@@ -404,30 +407,44 @@ class MethodType(Type):
         block = f" {self.block}" if self.block is not None else ""
         return f"({params}){block} -> {self.ret}"
 
+    #: ``(min arity, max arity or None, fixed param types, rest type or
+    #: None)``, computed once by :meth:`_shape`; and the per-receiver
+    #: instantiations memoized by
+    #: :func:`repro.rtypes.instantiate.instantiate_for_receiver`.  Neither
+    #: is a field.
+    _arity = None
+    _instances = None
+
+    def _shape(self) -> tuple:
+        params = self.params
+        rest = [p.ty for p in params if isinstance(p, VarargParam)]
+        shape = (sum(1 for p in params if isinstance(p, RequiredParam)),
+                 None if rest else len(params),
+                 tuple(p.ty for p in params
+                       if not isinstance(p, VarargParam)),
+                 rest[0] if rest else None)
+        object.__setattr__(self, "_arity", shape)
+        return shape
+
     def min_arity(self) -> int:
         """Number of required positional parameters."""
-        return sum(1 for p in self.params if isinstance(p, RequiredParam))
+        return (self._arity or self._shape())[0]
 
     def max_arity(self) -> Optional[int]:
         """Maximum number of positional arguments, or ``None`` if vararg."""
-        if any(isinstance(p, VarargParam) for p in self.params):
-            return None
-        return len(self.params)
+        return (self._arity or self._shape())[1]
 
     def accepts_arity(self, n: int) -> bool:
-        hi = self.max_arity()
-        return self.min_arity() <= n and (hi is None or n <= hi)
+        lo, hi, _, _ = self._arity or self._shape()
+        return lo <= n and (hi is None or n <= hi)
 
     def param_type_at(self, i: int) -> Optional[Type]:
         """Type expected for the ``i``-th positional argument, or ``None``
         if the method cannot accept an ``i``-th argument."""
-        fixed = [p for p in self.params if not isinstance(p, VarargParam)]
-        rest = [p for p in self.params if isinstance(p, VarargParam)]
+        _, _, fixed, rest = self._arity or self._shape()
         if i < len(fixed):
-            return fixed[i].ty
-        if rest:
-            return rest[0].ty
-        return None
+            return fixed[i]
+        return rest
 
 
 # --------------------------------------------------------------------------
