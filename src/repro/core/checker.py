@@ -108,10 +108,14 @@ class _Run:
         return join(a, b, self.hier)
 
     def fail(self, node: ir.Node, message: str) -> None:
+        line = getattr(node, "pos", ir.NOWHERE).line
+        if line and self.mir.source_line > 0:
+            # Lowered from the method's own source, which starts at
+            # ``source_line`` of ``source_file``.
+            line += self.mir.source_line - 1
         raise StaticTypeError(
             message, owner=self.mir.owner, method=self.mir.name,
-            line=getattr(node, "pos", ir.NOWHERE).line or None,
-            source_file=self.mir.source_file)
+            line=line or None, source_file=self.mir.source_file)
 
     def initial_env(self, arm: MethodType, self_type: Type) -> Env:
         env: Env = {"self": self_type}

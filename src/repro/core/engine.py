@@ -84,7 +84,8 @@ from ..ril.registry import MethodIR, RegistrationError
 from ..rtypes import (
     ANY,
     ClassObjectType, MethodType, NominalType, Type, class_name_of, conforms,
-    default_hierarchy, is_class_determined, parse_type, value_conforms,
+    default_hierarchy, is_class_determined, parse_type, resolve_self,
+    value_conforms,
 )
 from .builtins_sigs import install as install_builtins
 from .cache import CheckCache
@@ -623,9 +624,13 @@ class Engine:
                     f"body is registered for checking")
             self_type: Type = (ClassObjectType(key[0]) if kind == CLASS
                                else NominalType(key[0]))
+            # The body meets its arms as every caller's (TApp) reads
+            # them: ``self`` is an instance of the receiver class, also
+            # in a class method's arm (``Model.find: (Integer) -> self``).
+            arms = [resolve_self(arm, NominalType(key[0]))
+                    for arm in sig.arms]
             with self.hier.trace() as hier_reads:
-                outcome = self.checker.check_method(mir, sig.intersection(),
-                                                    self_type)
+                outcome = self.checker.check_method(mir, arms, self_type)
             self.stats.record_static_check(key)
             self.stats.record_consulted(outcome.deps)
             for used in outcome.used_generated:

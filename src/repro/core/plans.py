@@ -60,10 +60,12 @@ compiled from, and ``promoted``, set once the specializer has attempted
 to compile the site (:mod:`repro.core.specialize`).  A promoted site
 *is* its plan: the promotion writes the plan's key, the class whose
 slot it took, the slot values it displaced and installed, and its
-elision verdict onto the plan, and a deopt reads them back.  The
-cache's ``on_drop`` callback reports every explicitly dropped plan so
-the specializer can restore the slots those plans hold before the wave
-returns.
+elision verdict onto the plan, and a deopt reads them back.  A plan's
+``live`` flag says it is in the map: every drop clears it under the
+cache lock, and a compiled wrapper admits a call only while it is set.
+The cache's ``on_drop`` callback reports every explicitly dropped plan
+so the specializer can restore the slots those plans hold before the
+wave returns.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class CallPlan:
 
     __slots__ = ("sig_owner", "sig", "checked", "profile_eligible",
                  "profiles", "profile_hits", "hits", "promote_at",
-                 "promoted", "key", "slot_cls", "displaced", "installed",
-                 "elision")
+                 "promoted", "live", "key", "slot_cls", "displaced",
+                 "installed", "elision")
 
     def __init__(self, sig_owner: Optional[str], sig, checked: bool,
                  profile_eligible: bool) -> None:
@@ -121,6 +123,11 @@ class CallPlan:
         #: one attempt per plan generation — a dropped-and-rebuilt plan
         #: starts fresh.
         self.promoted = False
+        #: the plan is in its cache's map: set by
+        #: :meth:`CallPlanCache.store`, cleared under the cache lock by
+        #: the drop that pops it.  A compiled wrapper admits a call only
+        #: while its plan is live.
+        self.live = False
         #: the site, written by a promotion: the plan key, the class
         #: whose slot holds the compiled wrapper, and the slot values
         #: (classmethod objects included) it displaced and installed.
@@ -223,6 +230,7 @@ class CallPlanCache:
                     or key in self._plans):
                 return False
             self._plans[key] = plan
+            plan.live = True
             self._deps.record(key, [*resources,
                                     sig_resource(key[1], key[2])])
         return True
@@ -238,6 +246,8 @@ class CallPlanCache:
                 return 0
             dropped = [self._plans.pop(key)
                        for key in self._deps.invalidate_many(resources)]
+            for plan in dropped:
+                plan.live = False
         self._notify_drop(dropped)
         return len(dropped)
 
@@ -247,6 +257,8 @@ class CallPlanCache:
             dropped = list(self._plans.values())
             self._plans.clear()
             self._deps.clear()
+            for plan in dropped:
+                plan.live = False
         self._notify_drop(dropped)
         return len(dropped)
 

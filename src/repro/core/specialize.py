@@ -1,36 +1,34 @@
 """Tier-2 specialization — compiling warm call plans into per-site wrappers.
 
 Tier 1 (:mod:`repro.core.plans`) made the steady state "a guard plus a
-cache hit", but the guard itself is still ~30 lines of interpreted Python
-per call inside ``Engine.invoke``: build the plan key tuple, run
-``class_name_of``, fetch thread-locals, decide the boundary argument
-check, save/set/restore the checked-frame slot.  Lazy basic block versioning
-(Chevalier-Boisvert & Feeley) and "Transient Typechecks are (Almost)
-Free" (Roberts et al.) both make the same observation: type guards only
-become near-free when they are *compiled into the call site* as
-straight-line code.  This module is that move for the CPython substrate.
+cache hit", but that guard is interpreted Python in ``Engine.invoke``:
+build the plan key, run ``class_name_of``, fetch thread-locals, decide
+the boundary argument check, save/set/restore the checked-frame slot.
+Lazy basic block versioning (Chevalier-Boisvert & Feeley) and
+"Transient Typechecks are (Almost) Free" (Roberts et al.) both observe
+that type guards only become near-free *compiled into the call site*.
+This module is that move for the CPython substrate.
 
 **Promotion.**  Once a :class:`~repro.core.plans.CallPlan` has served
 ``plan.promote_at`` warm hits (the engine's ``specialize_threshold``,
 or the reduced re-promotion threshold for sites that deopted before),
 the :class:`Specializer` generates a wrapper function specialized to
 exactly that plan: the receiver-class identity guard, the
-dominant argument-profile test (the *hottest* profile by pre-promotion
-hit counts) and the checked-frame save/restore are emitted as
-straight-line local-variable operations, ``exec``-ed into a fresh
-namespace per site (the code is compiled once per distinct text,
-process wide), closing over the original function, the plan (whose
-COW profile sets it re-reads each call), and the engine's per-thread
-state.  ``rdl.wrap``'s generic wrapper is then atomically displaced:
-one ``setattr`` rebinds the class attribute, so promotion needs no
-cooperation from in-flight calls.
+dominant argument-profile test, the plan's liveness flag and the
+checked-frame save/restore are emitted as straight-line code,
+``exec``-ed into a fresh namespace per site (compiled once per distinct
+text, process wide), closing over the original function, the plan and
+the engine's per-thread state.  ``rdl.wrap``'s generic wrapper is then
+atomically displaced: one ``setattr`` rebinds the class attribute, so
+promotion needs no cooperation from in-flight calls.
 
 **One shape per site.**  A promoted slot compiles exactly one shape: one
 receiver class and positional calls of one arity when the site fixes
-it (the elided arity, the dominant profile's, or the function's own),
-so the call is ``_fn(recv, args[0], ...)`` with no re-splat.  Keyword
-calls, other arities and other receiver classes take the generic tier,
-which binds them through the full dynamic check.  No benchmark workload
+it (the elided arity, the dominant profile's, or the function's own).
+Such a wrapper mirrors the signature, ``(recv, a0=_M, ..., /, *rest,
+**kwargs)``, so a warm call builds no argument tuple.  Keyword calls,
+other arities and other receiver classes take the generic tier, which
+binds them through the full dynamic check.  No benchmark workload
 (each past warm-up, seed 1) made a keyword call through an intercepted
 method or grew a second hot receiver class on a promoted slot, so
 compiled versions for those shapes would be guards no call runs.
@@ -87,13 +85,13 @@ pre-mutation world is reachable from the class.  Epoch
 bumps that drop nothing (e.g. a field-type wave whose removal set is
 empty) deoptimize nothing: a surviving plan's dependencies were, by
 construction of the wave, untouched, so its compiled form is still
-valid.  One further guard closes the remaining corner: every wrapper
-carries a per-call **liveness guard** — a constant-key identity probe
-that its plan is still the one in the plan cache.  Rebinding the class
-attribute cannot reach bound methods Python callers hoisted before the
-swap; the liveness guard makes those references self-invalidating, so
-deopt-by-rebinding is purely a performance recovery, never
-load-bearing for soundness.
+valid.  One further guard closes the remaining corner: a wrapper
+admits a call only while its plan's ``live`` flag is set, which the
+drop clears under the cache lock before ``on_drop`` fires.  Rebinding
+the class attribute cannot reach bound methods hoisted before the swap;
+the flag makes those references self-invalidating, so
+deopt-by-rebinding is a performance recovery, never load-bearing for
+soundness.
 
 Contracts (``rdl.wrap`` pre/post hooks) always run in the generic
 wrapper; registering a contract deoptimizes every site, and promotion
@@ -216,8 +214,7 @@ class Specializer:
         with engine.write_lock:
             if _contract_blocks(engine, name):
                 return False  # contracts only run in the generic wrapper
-            plans = engine._plans
-            if plans is None or plans.get(key) is not plan:
+            if not plan.live:
                 return False  # a wave dropped the plan while we raced here
             raw = def_cls.__dict__.get(name)
             inner = raw.__func__ if isinstance(raw, classmethod) else raw
@@ -359,8 +356,31 @@ def _wrapper_code(source: str) -> CodeType:
     return code
 
 
+class _Missing:
+    """The class of :data:`_M`: private, so no profile can name it."""
+
+
+#: a fixed-arity wrapper's parameter default: that argument was not passed.
+_M = _Missing()
+
+
+def _passed(head: tuple, rest: tuple) -> tuple:
+    """The positional arguments a fixed-arity wrapper was called with:
+    ``head`` up to its first :data:`_M` (positional-only parameters fill
+    left to right), then the surplus ``rest``."""
+    for j, arg in enumerate(head):
+        if arg is _M:
+            return head[:j]
+    return head + rest
+
+
+def _tuple(items: list) -> str:
+    """Source text of a tuple display of ``items``."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
 def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
-                     plan: CallPlan, fn, elision: Optional[int]):
+                     plan: CallPlan, fn, el: Optional[int]):
     """``exec``-compile the straight-line wrapper for one promoted site.
 
     The emitted code is the tier-1 warm path partially evaluated against
@@ -368,31 +388,68 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     compile time, every engine attribute chase becomes a closed-over
     local, and each call bumps the one shard slot whose contribution
     vector is what the generic path would have counted (the
-    stats-exactness suite runs with promotion active).  A receiver
-    that fails the class guard bails to the generic tier.
+    stats-exactness suite runs with promotion active).  One ``and``
+    chain admits a call (receiver class, arity, plan liveness); anything
+    else bails to the generic tier with the exact arguments it was
+    given.  The parameters are positional-only, so a keyword of any name
+    lands in ``kwargs`` and bails.  Under an elision verdict the argument
+    test is *not emitted*; the shape slot still names the branch taken.
     """
     def_owner, _, name, kind = key
-    bail = ("return _invoke(_def_owner, _name, _kind, _fn, recv, "
-            "args, kwargs)")
-    guard = "recv is _cls0" if kind == CLASS else "type(recv) is _cls0"
-    body, namespace = _body_lines(key, plan, fn, elision, bail)
-    lines = ["def _specialized(recv, *args, **kwargs):",
-             f"    if {guard}:",
-             *["        " + ln for ln in body],
-             f"    {bail}"]
-    namespace.update({
-        "_fn": fn,
-        "_tls": engine._tls,
-        "_invoke": engine.invoke,
-        "_def_owner": def_owner,
-        "_name": name,
-        "_kind": kind,
-        "_live": engine._plans._plans,
-        "_cls0": guard_cls,
-    })
-    source = "\n".join(lines) + "\n"
-    exec(_wrapper_code(source), namespace)  # noqa: S102
-    wrapper = namespace["_specialized"]
+    sig, checked, elided = plan.sig, plan.checked, int(el is not None)
+    dominant = (plan.dominant_profile()
+                if sig is not None and plan.profile_eligible else None)
+    arity = _site_arity(fn, el, dominant)
+    guard = ["recv is _cls0" if kind == CLASS else "type(recv) is _cls0"]
+    if arity is None:  # no fixed arity: keep the re-splat
+        names, params = ["*args"], ["/", "*args"]
+        args = passed = "args"
+        types = "tuple(map(type, args))"
+        guard.append("not kwargs")
+    else:  # another arity, or a keyword, binds in the generic tier
+        names = [f"a{j}" for j in range(arity)]
+        params = [f"{a}=_M" for a in names] + ["/", "*rest"]
+        args = _tuple(names)
+        passed = f"_passed({args}, rest)"
+        types = _tuple([f"type({a})" for a in names])
+        guard.append("not rest and not kwargs")
+        if names:  # a short call; the skip branch tests no argument
+            guard.append(f"{names[-1]} is not _M")
+    # A bound method hoisted before a deopt still reaches this code: it
+    # must not replay a dropped plan's assumptions.
+    guard.append("_plan0.live")
+    bail = (f"return _invoke(_def_owner, _name, _kind, _fn, recv, {args}, "
+            "kwargs)")
+    ns: dict = {"_fn": fn, "_tls": engine._tls, "_invoke": engine.invoke,
+                "_def_owner": def_owner, "_name": name, "_kind": kind,
+                "_cls0": guard_cls, "_plan0": plan, "_M": _M,
+                "_passed": _passed}
+    body = ["c = _tls.counters", "prev = c.top"]
+    if sig is None:
+        body.append(f"c.{shape_slot(checked, 'nosig', elided)} += 1")
+    else:
+        # Every matching parameter type vacuous: only the arity, guarded
+        # above, needed checking.
+        test = [] if el is not None else \
+            _profile_test_lines(plan, dominant, names, types, bail, ns)
+        body += [
+            "if prev:",
+            f"    c.{shape_slot(checked, 'skip', elided)} += 1",
+            "else:",
+            *["    " + ln for ln in test],
+            f"    c.{shape_slot(checked, 'args', elided)} += 1",
+        ]
+    body += [f"c.top = {checked}", "try:",
+             f"    return _fn({', '.join(['recv', *names])})",
+             "finally:", "    c.top = prev"]
+    source = "\n".join([
+        f"def _specialized({', '.join(['recv', *params, '**kwargs'])}):",
+        f"    if {' and '.join(guard)}:",
+        *["        " + ln for ln in body],
+        f"    return _invoke(_def_owner, _name, _kind, _fn, recv, {passed}, "
+        "kwargs)"]) + "\n"
+    exec(_wrapper_code(source), ns)  # noqa: S102
+    wrapper = ns["_specialized"]
     wrapper.__code__ = wrapper.__code__.replace(
         co_filename=_CODEGEN_FILE.format(owner=def_owner, name=name))
     wrapper.__name__ = getattr(fn, "__name__", name)
@@ -405,60 +462,6 @@ def _compile_wrapper(engine: "Engine", key: PlanKey, guard_cls: type,
     wrapper.__hb_specialized__ = True
     wrapper.__hb_source__ = source  # introspection for tests/debugging
     return wrapper
-
-
-def _body_lines(key: PlanKey, plan: CallPlan, fn, el: Optional[int],
-                bail: str) -> Tuple[list, dict]:
-    """The guarded body (unindented), all paths returning.
-
-    When the site carries an elision verdict, the argument test is *not
-    emitted*; the shape slot a call bumps still names the argument
-    branch it took, plus whether the wrapper omits the test."""
-    sig = plan.sig
-    checked = plan.checked
-    elided = int(el is not None)
-    dominant = (plan.dominant_profile()
-                if sig is not None and plan.profile_eligible else None)
-    arity = _site_arity(fn, el, dominant)
-    ns: dict = {"_key0": key, "_plan0": plan}
-    if arity is None:  # no fixed arity: keep the re-splat
-        guard, call = "kwargs", "_fn(recv, *args)"
-    else:  # another arity, or a keyword, binds in the generic tier
-        guard = f"kwargs or len(args) != {arity}"
-        call = "_fn(" + ", ".join(
-            ["recv"] + [f"args[{j}]" for j in range(arity)]) + ")"
-    lines = [
-        f"if {guard}:",
-        f"    {bail}",
-        # Liveness guard: the wrapper is only valid while the exact plan
-        # it was compiled from is still in the plan cache.  Deopt swaps
-        # the class attribute, but Python callers may have *hoisted* a
-        # bound method before the swap — those references bypass the
-        # rebinding, and without this per-call identity probe they would
-        # replay the dropped plan's assumptions (e.g. admit an argument
-        # profile a retype just outlawed).  One constant-key dict get.
-        "if _live.get(_key0) is not _plan0:",
-        f"    {bail}",
-        "c = _tls.counters",
-        "prev = c.top",
-    ]
-    if sig is None:
-        lines.append(f"c.{shape_slot(checked, 'nosig', elided)} += 1")
-    else:
-        # Every matching parameter type vacuous: only the arity, guarded
-        # above, needed checking.
-        profile_test = [] if el is not None else \
-            _profile_test_lines(plan, dominant, bail, ns)
-        lines += [
-            "if prev:",
-            f"    c.{shape_slot(checked, 'skip', elided)} += 1",
-            "else:",
-            *["    " + ln for ln in profile_test],
-            f"    c.{shape_slot(checked, 'args', elided)} += 1",
-        ]
-    lines += [f"c.top = {checked}", "try:", f"    return {call}",
-              "finally:", "    c.top = prev"]
-    return lines, ns
 
 
 def _site_arity(fn, el: Optional[int],
@@ -478,31 +481,26 @@ def _site_arity(fn, el: Optional[int],
 
 
 def _profile_test_lines(plan: CallPlan, dominant: Optional[tuple],
-                        bail: str, ns: dict) -> list:
-    """The membership test against the plan's COW profile set, fronted
-    by an identity guard on the *dominant* profile — the hottest shape
-    by pre-promotion hit counts (:meth:`CallPlan.dominant_profile`), so
-    the steady state is a ``type``/``is`` chain with no tuple
-    allocation (the arity is guarded already).  Binds the ``_d0_<j>``
-    guard classes into ``ns``.
+                        names: list, types: str, bail: str,
+                        ns: dict) -> list:
+    """The membership test of the argument classes ``types`` in the
+    plan's COW profile set, fronted by an identity guard on the
+    *dominant* profile (the hottest by pre-promotion hit counts), so the
+    steady state is a ``type``/``is`` chain over the parameters ``names``
+    with no tuple allocation.  Binds the ``_d0_<j>`` classes into ``ns``.
 
-    Misses bail to the generic tier, which runs the real conformance
-    walk (raising on genuinely bad arguments) and COW-learns passing
-    tuples into ``plan.profiles`` — which this code re-reads per call,
-    so the specialized site keeps profiting from post-promotion
-    learning without recompilation."""
+    Misses bail to the generic tier, which runs the conformance walk
+    and COW-learns passing tuples into ``plan.profiles``; this code
+    re-reads that set per call, so the site keeps learning."""
     if not plan.profile_eligible:
         # No sound class guard exists; a check-path call must run the
         # full conformance walk — in the generic tier.
         return [bail]
-    fallback = [
-        "if tuple(map(type, args)) not in _plan0.profiles:",
-        f"    {bail}",
-    ]
+    fallback = [f"if {types} not in _plan0.profiles:", f"    {bail}"]
     if dominant is None:
         return fallback
     ns.update({f"_d0_{j}": cls for j, cls in enumerate(dominant)})
-    guard = [f"type(args[{j}]) is _d0_{j}" for j in range(len(dominant))]
+    guard = [f"type({a}) is _d0_{j}" for j, a in enumerate(names)]
     if not guard:  # the arity guard alone admits the empty profile
         return []
     return [f"if not ({' and '.join(guard)}):",

@@ -102,7 +102,7 @@ def wrap_method(engine, pycls: type, name: str, *, kind: str = INSTANCE,
     invoke = engine.invoke
 
     @functools.wraps(original)
-    def wrapper(recv, *args, **kwargs):
+    def wrapper(recv, /, *args, **kwargs):
         # Contracts are rare (metaprogramming hooks); the common wrapper
         # does exactly one call into the engine's JIT protocol.
         if not engine._contracts:

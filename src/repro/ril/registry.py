@@ -126,13 +126,15 @@ class CFGRegistry:
         code: Optional[CodeType] = getattr(fn, "__code__", None)
         source = getattr(fn, "__hb_source__", None)
         if source is not None:
+            # The text's own lines are the ones the lowering reports.
             params, body = _lower(owner, name, source)
-            source_file = _source_file(fn)
+            source_file, source_line = _source_file(fn), 0
         else:
             params, body, source_file = self._lower_code(owner, name, fn,
                                                          code)
+            source_line = _source_line(fn)
         mir = MethodIR(owner=owner, name=name, params=params, body=body,
-                       source_file=source_file, source_line=_source_line(fn),
+                       source_file=source_file, source_line=source_line,
                        captures=dict(captures or _closure_captures(fn)),
                        code=code)
         self._methods[(owner, name)] = mir

@@ -253,6 +253,69 @@ class TestStaticErrors:
         with pytest.raises(StaticTypeError, match="wrong number"):
             Service().call_badly()
 
+    @pytest.mark.parametrize("engine", [
+        pytest.param(lambda: make_engine(), id="default"),
+        pytest.param(lambda: make_engine(specialize=False), id="tier1"),
+        pytest.param(lambda: make_engine(call_plans=False), id="noplans"),
+        pytest.param(lambda: Engine(disable_caches=True), id="oracle"),
+    ])
+    def test_checked_self_return_resolves_self(self, engine):
+        """A checked body meets its arms with ``self`` resolved to the
+        receiver, as every caller's (TApp) reads them: returning
+        ``self`` from ``() -> self`` passes, returning another class's
+        instance still fails."""
+        engine = engine()
+        hb = engine.api()
+
+        class Fluent:
+            @hb.typed("() -> self")
+            def me(self):
+                return self
+
+            @hb.typed("() -> self")
+            def stray(self):
+                return "not a Fluent"
+
+        fluent = Fluent()
+        for _ in range(3):
+            assert fluent.me() is fluent
+        with pytest.raises(StaticTypeError,
+                           match="returns String but is declared to "
+                                 "return Fluent"):
+            fluent.stray()
+
+    def test_error_names_the_absolute_source_line(self):
+        """A body lowered from its file reports the failing statement's
+        line in that file; a body lowered from a source string reports
+        the line within the string."""
+        engine = make_engine()
+        hb = engine.api()
+
+        class Bad:
+            @hb.typed("() -> Integer")
+            def give(self):
+                n = 1
+                return "n"  # the failing statement's line
+
+        marker = "# the failing statement's line"
+        with open(__file__) as source:
+            expected = next(i for i, text in enumerate(source, 1)
+                            if text.rstrip().endswith(marker))
+        with pytest.raises(StaticTypeError) as info:
+            Bad().give()
+        assert info.value.line == expected
+        assert info.value.source_file == __file__
+        assert f"test_engine_basic.py:{expected})" in str(info.value)
+
+        body = "# generated\ndef take(self):\n    n = 1\n    return 'n'\n"
+        namespace = {}
+        exec(body, namespace)  # noqa: S102 - fixed test template
+        engine.define_method(Bad, "take", namespace["take"],
+                             sig="() -> Integer", check=True, source=body)
+        with pytest.raises(StaticTypeError) as info:
+            Bad().take()
+        assert info.value.line == 4
+
     def test_signature_but_no_body(self):
         engine = make_engine()
         hb = engine.api()

@@ -1100,9 +1100,21 @@ def _stress_outcome(thunk):
         return ("err", type(exc).__name__, str(exc))
 
 
-def _stress_replay(script, *, disable):
+def _stress_replay(script, *, disable, dropped=None):
+    """Replay ``script``; every plan the plan cache drops is appended to
+    ``dropped`` when it is given."""
     engine = Engine(EngineConfig(specialize_threshold=2),
                     disable_caches=disable)
+    plans = engine._plans
+    if dropped is not None and plans is not None:
+        deopt = plans.on_drop
+
+        def on_drop(gone):
+            dropped.extend(gone)
+            if deopt is not None:
+                deopt(gone)
+
+        plans.on_drop = on_drop
     cls = type("SpecStress", (object,), {})
     for name in ("m0", "m2"):
         _define(engine, cls, name,
@@ -1206,28 +1218,35 @@ def test_promote_deopt_repromote_matches_oracle(script):
     receiver classes and keyword-call bursts, both of which bail out of
     a promoted site — never change a single observable outcome versus
     the cache-free oracle, and leave every site record consistent."""
-    tiered, engine = _stress_replay(script, disable=False)
+    dropped = []
+    tiered, engine = _stress_replay(script, disable=False, dropped=dropped)
     oracle, _ = _stress_replay(script, disable=True)
     assert tiered == oracle
-    _assert_site_records(engine)
+    _assert_site_records(engine, dropped)
     if engine._specializer is None:
         return
     cls = engine.host_class("SpecStress")
     wrap_method(engine, cls, "m0")  # a re-wrap discards m0's site
-    _assert_site_records(engine)
+    _assert_site_records(engine, dropped)
     assert (cls, "m0") not in engine._specializer._sites
     add_pre(engine, cls, "m1", lambda recv, *a, **k: True)  # deopt all
-    _assert_site_records(engine)
+    _assert_site_records(engine, dropped)
     assert len(engine._specializer) == 0
 
 
-def _assert_site_records(engine):
-    """Each promoted site is a live plan whose slot holds the value the
-    promotion installed, and only those plans record a site."""
+def _assert_site_records(engine, dropped=()):
+    """Every plan in the map is flagged ``live`` and every plan in
+    ``dropped`` is not; each promoted site is a live plan whose slot
+    holds the value the promotion installed, and only those plans
+    record a site."""
+    if engine._plans is None:
+        return
+    live = dict(engine._plans.items())
+    assert all(plan.live for plan in live.values())
+    assert not any(plan.live for plan in dropped)
     spec = engine._specializer
     if spec is None:
         return
-    live = dict(engine._plans.items())
     for (cls, name), plan in spec._sites.items():
         assert live.get(plan.key) is plan
         assert (plan.slot_cls, plan.key[2]) == (cls, name)
@@ -1520,6 +1539,54 @@ def test_other_arities_and_keywords_match_the_generic_tier(sig, check):
     assert promoted == tier1 == oracle
     assert {kind for kind, _ in promoted} >= {"ok", "TypeError"}
     assert moved == 0  # no bad shape ran on the wrapper
+
+
+#: the compiled wrappers' own parameter names, which a method may share.
+_ABI_NAMES = ("recv", "a0", "rest", "kwargs")
+
+
+def _abi_name_outcomes(engine, checked_path):
+    """Warm one ``(Integer) -> Integer`` method per name in
+    ``_ABI_NAMES``, whose parameter has that name, then call each with
+    every one of those names as a keyword.  With ``checked_path``, also
+    make the calls whose arguments the dynamic check judges."""
+    cls = type("SpecAbiNames", (object,), {})
+    for p in _ABI_NAMES:
+        _define(engine, cls, f"m_{p}",
+                f"def m_{p}(self, {p}):\n    return {p}\n",
+                "(Integer) -> Integer")
+    obj = cls()
+    for p in _ABI_NAMES:
+        _warm(obj, f"m_{p}")
+    before = engine.stats.specialized_hits
+    calls = []
+    for p in _ABI_NAMES:
+        method = getattr(obj, f"m_{p}")
+        calls += [lambda m=method, kw=kw: m(**{kw: 3}) for kw in _ABI_NAMES]
+        if checked_path:
+            calls += [lambda m=method, kw=p: m(3, **{kw: 4}),
+                      lambda m=method, kw=p: m(**{kw: "s"})]
+    outcomes = [_outcome(call) for call in calls]
+    return outcomes, engine.stats.specialized_hits - before
+
+
+@pytest.mark.parametrize("checked_path", [False, True])
+def test_keywords_named_like_wrapper_parameters_bind_as_declared(
+        checked_path):
+    """A keyword named ``recv``, ``a0``, ``rest`` or ``kwargs`` binds
+    onto the method's own parameter (or fails to) exactly as without
+    interception: the wrappers' parameters are positional-only.  The
+    calls the dynamic check judges match across the three checking
+    tiers; Orig runs no check, so it joins only the well-typed calls."""
+    engines = [spec_engine(), Engine(EngineConfig(specialize=False)),
+               Engine(disable_caches=True)]
+    if not checked_path:
+        engines.append(Engine(EngineConfig(intercept=False)))
+    runs = [_abi_name_outcomes(engine, checked_path) for engine in engines]
+    outcomes = [outcome for outcome, _ in runs]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert ("ok", 3) in outcomes[0] and "TypeError" in dict(outcomes[0])
+    assert runs[0][1] == 0  # no keyword call ran on a promoted wrapper
 
 
 def _moved_slots(shard, before: dict) -> dict:

@@ -23,6 +23,7 @@ Everything joins with timeouts; CI runs this file under a
 """
 
 import threading
+import time
 
 import pytest
 
@@ -551,6 +552,61 @@ def test_stats_stay_exact_with_specialized_wrappers():
     assert stats.specialized_hits - spec0 == THREADS * per_thread
     assert (stats.dynamic_arg_checks + stats.dynamic_arg_checks_skipped
             == stats.calls_intercepted)
+
+
+@pytest.mark.requires_threads
+@pytest.mark.requires_specialization
+def test_hoisted_wrapper_admits_no_call_once_a_retype_returns():
+    """Reader threads call a hoisted bound method of a promoted site
+    while a writer retypes it from ``(Integer)`` to ``(String)``.  The
+    wave clears the dropped plan's ``live`` flag before it returns, so
+    an Integer call that starts after the retype returned is never
+    admitted on the fast path: it bails and fails its argument check."""
+    body = "def echo(self, n):\n    return n\n"
+    namespace = {}
+    exec(body, namespace)  # noqa: S102 - fixed test template
+    engine = Engine(EngineConfig(specialize_threshold=3))
+    cls = type("ThreadHoisted", (object,), {})
+    engine.define_method(cls, "echo", namespace["echo"],
+                         sig="(Integer) -> Integer", check=True, source=body)
+    obj = cls()
+    readers, warm_calls, after_calls = 4, 50, 200
+    for _ in range(5):
+        engine.types.replace("ThreadHoisted", "echo", "(Integer) -> Integer",
+                             check=True)
+        for i in range(10):
+            assert obj.echo(i) == i
+        assert cls.__dict__["echo"].__hb_specialized__
+        hoisted = obj.echo
+        retyped = threading.Event()
+        calls = [0] * readers
+        admitted, rejected = [], []
+
+        def run(idx, hoisted=hoisted, retyped=retyped, calls=calls,
+                admitted=admitted, rejected=rejected):
+            if idx == readers:  # the writer
+                while min(calls) < warm_calls:
+                    time.sleep(0.001)
+                engine.types.replace("ThreadHoisted", "echo",
+                                     "(String) -> String", check=True)
+                retyped.set()
+                return
+            left = after_calls
+            while left:
+                after = retyped.is_set()  # read before the call starts
+                calls[idx] += 1
+                try:
+                    hoisted(1)
+                    if after:
+                        admitted.append(idx)
+                except ArgumentTypeError:  # either way while it overlaps
+                    if after:
+                        rejected.append(idx)
+                left -= after
+
+        _run_threads(readers + 1, run)
+        assert not admitted
+        assert len(rejected) == readers * after_calls
 
 
 # -- memo integrity under load ----------------------------------------------
