@@ -10,8 +10,9 @@ arity the wrapper guards in its place, or ``None``:
 ``arg_check``
     Holds when some signature arm accepts the site's arity with
     *vacuous* parameter types (:func:`is_vacuous`: ``%any``, type
-    variables, ``self``): the dynamic argument check passes for every
-    value, so only the arity needs guarding.
+    variables; ``self`` is read as the receiver class): the dynamic
+    argument check passes for every value, so only the arity needs
+    guarding.
 
 The fact reads nothing beyond the plan, whose own dependency edges
 already deopt the site when the signature changes, so a verdict adds no
@@ -62,8 +63,10 @@ def elide_disabled_by_env() -> bool:
 def is_vacuous(t: Type) -> bool:
     """True when ``value_conforms(v, t, ...)`` holds for *every* value.
 
-    ``SelfType`` is vacuous because the dynamic check resolves it to
-    True unconditionally (``value_conforms``'s Self rule).
+    ``SelfType`` is vacuous by ``value_conforms``'s Self rule, so the
+    elider asks about arms with ``self`` already resolved to the
+    receiver class, as the dynamic check reads them
+    (``MethodSig.arms_for``).
     """
     if isinstance(t, (AnyType, VarType, SelfType)):
         return True
@@ -152,7 +155,7 @@ class Elider:
                 plan: CallPlan) -> Tuple[Optional[int], SiteAudit]:
         audit = SiteAudit(key)
         sig = plan.sig
-        arms = list(sig.intersection()) if sig is not None else []
+        arms = sig.arms_for(key[1]) if sig is not None else []
         dominant = (plan.dominant_profile() if plan.profile_eligible
                     else None)
         arity = len(dominant) if dominant is not None \

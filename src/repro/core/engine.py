@@ -84,8 +84,7 @@ from ..ril.registry import MethodIR, RegistrationError
 from ..rtypes import (
     ANY,
     ClassObjectType, MethodType, NominalType, Type, class_name_of, conforms,
-    default_hierarchy, is_class_determined, parse_type, resolve_self,
-    value_conforms,
+    default_hierarchy, is_class_determined, parse_type, value_conforms,
 )
 from .builtins_sigs import install as install_builtins
 from .cache import CheckCache
@@ -625,12 +624,10 @@ class Engine:
             self_type: Type = (ClassObjectType(key[0]) if kind == CLASS
                                else NominalType(key[0]))
             # The body meets its arms as every caller's (TApp) reads
-            # them: ``self`` is an instance of the receiver class, also
-            # in a class method's arm (``Model.find: (Integer) -> self``).
-            arms = [resolve_self(arm, NominalType(key[0]))
-                    for arm in sig.arms]
+            # them, with ``self`` resolved to the receiver class.
             with self.hier.trace() as hier_reads:
-                outcome = self.checker.check_method(mir, arms, self_type)
+                outcome = self.checker.check_method(
+                    mir, sig.arms_for(key[0]), self_type)
             self.stats.record_static_check(key)
             self.stats.record_consulted(outcome.deps)
             for used in outcome.used_generated:
@@ -675,7 +672,7 @@ class Engine:
     def _dynamic_arg_check(self, sig: MethodSig, fn, recv, args, kwargs,
                            owner: str, name: str, kind: str) -> None:
         values = _positional_view(fn, recv, args, kwargs)
-        for arm in sig.arms:
+        for arm in sig.arms_for(owner):
             checked = values
             if (arm.block is not None and checked
                     and callable(checked[-1])

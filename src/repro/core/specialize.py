@@ -356,12 +356,8 @@ def _wrapper_code(source: str) -> CodeType:
     return code
 
 
-class _Missing:
-    """The class of :data:`_M`: private, so no profile can name it."""
-
-
 #: a fixed-arity wrapper's parameter default: that argument was not passed.
-_M = _Missing()
+_M = object()
 
 
 def _passed(head: tuple, rest: tuple) -> tuple:

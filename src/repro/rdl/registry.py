@@ -27,7 +27,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..rtypes import MethodType, Type, parse_method_type, parse_type
+from ..rtypes import (
+    MethodType, NominalType, Type, parse_method_type, parse_type, resolve_self,
+)
+from ..rtypes.instantiate import type_facts
 
 INSTANCE = "instance"
 CLASS = "class"
@@ -50,8 +53,18 @@ class MethodSig:
     #: created at run time by metaprogramming hooks (Table 1 "Gen'd").
     generated: bool = False
 
-    def intersection(self) -> List[MethodType]:
-        return list(self.arms)
+    def arms_for(self, receiver: str) -> List[MethodType]:
+        """The arms as a call on a ``receiver`` reads them: ``self`` is an
+        instance of ``receiver``, in a class method's arm too
+        (``Model.find: (Integer) -> self``).  The body is checked
+        against these arms and a call's arguments are checked against
+        them, so a parameter typed ``self`` is enforced where the body
+        relies on it."""
+        for arm in self.arms:
+            if type_facts(arm)[1]:  # mentions self
+                self_ty = NominalType(receiver)
+                return [resolve_self(a, self_ty) for a in self.arms]
+        return self.arms
 
 
 class TypeRegistry:

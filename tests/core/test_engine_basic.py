@@ -441,6 +441,47 @@ class TestDynamicChecks:
         with pytest.raises(ArgumentTypeError):
             api.entry("not an int")
 
+    @pytest.mark.parametrize("engine,promoted", [
+        pytest.param(lambda: make_engine(specialize_threshold=3), True,
+                     id="promoted",
+                     marks=pytest.mark.requires_specialization),
+        pytest.param(lambda: make_engine(specialize=False), False,
+                     id="tier1"),
+        pytest.param(lambda: make_engine(call_plans=False), False,
+                     id="noplans"),
+        pytest.param(lambda: Engine(disable_caches=True), False,
+                     id="oracle"),
+    ])
+    def test_self_typed_parameter_is_checked_at_the_boundary(self, engine,
+                                                             promoted):
+        """A parameter typed ``self`` is an instance of the receiver
+        class to the checked body, which may call that class's methods
+        on it, and so to the argument check too: an unchecked caller
+        passing anything else gets ``ArgumentTypeError``, never an
+        ``AttributeError`` from inside the checked body."""
+        engine = engine()
+        hb = engine.api()
+
+        class Num:
+            def __init__(self, n):
+                self.n = n
+
+            @hb.typed("() -> Integer", check=False)
+            def value(self):
+                return self.n
+
+            @hb.typed("(self) -> Integer")
+            def gap(self, other):
+                return other.value() - self.value()
+
+        num = Num(3)
+        for i in range(10):
+            assert num.gap(Num(i)) == i - 3
+        assert getattr(Num.__dict__["gap"], "__hb_specialized__",
+                       False) is promoted
+        with pytest.raises(ArgumentTypeError, match="Num#gap"):
+            num.gap(5)
+
     def test_cast_runtime_failure(self):
         engine = make_engine()
         with pytest.raises(CastError):

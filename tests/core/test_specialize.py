@@ -1558,6 +1558,9 @@ def _abi_name_outcomes(engine, checked_path):
     obj = cls()
     for p in _ABI_NAMES:
         _warm(obj, f"m_{p}")
+        # On a specializing engine these calls meet the compiled ABI.
+        assert _slot_is_specialized(cls, f"m_{p}") is (
+            engine.config.intercept and engine._specializer is not None)
     before = engine.stats.specialized_hits
     calls = []
     for p in _ABI_NAMES:
